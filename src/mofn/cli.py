@@ -288,7 +288,7 @@ def cmd_gen(args) -> int:
             noise_flips=args.noise,
         )
         planted = generate_planted(spec)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         raise MofnError(str(exc)) from None
     _write(to_csv(planted.dataset), args.output)
     if args.dump_rule:

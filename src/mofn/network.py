@@ -7,15 +7,25 @@ encoded feature.  A candidate survives only if its misclassification
 count does not exceed that of either input (the external selection
 criterion), so units can only refine what feeds them.
 
-Survivors are deduplicated on their output vector over the training
-rows, keeping the lowest (error, fn, left, right), and the layer is cut
-to a beam width.  Growth stops when a layer reaches error zero, when no
-candidate survives, when a grown layer would regress the best error,
-when the best error stalls past the configured patience, or at a depth
-cap.  The network then ends at the earliest layer that reached the best
-error, cut down to the units that achieved it; those units are the
-syndromes that vote by majority at classification time.  Layer minimum
-errors are non-increasing by construction.
+A unit's output over the training rows is stored packed: uint64 words
+with row r at bit r % 64 of word r // 64 and the tail bits zero.  A
+layer is scored in blocks of left operands against all right features
+at once.  The four minterms of each pair (~a&~b, ~a&b, a&~b, a&b) are
+popcounted against the labels and their complement, which gives every
+catalog function's error as a matrix product with the truth tables.
+Output words are built only for survivors, as the OR of the minterms
+their truth row selects.  Layer 1 skips j == k; later layers drop
+candidates whose words equal their left parent's (no-progress clones).
+
+Survivors are sorted by (error, fn, left, right), deduplicated on their
+output words keeping the first of each, and the layer is cut to a beam
+width.  Growth stops when a layer reaches error zero, when no candidate
+survives, when a grown layer would regress the best error, when the
+best error stalls past the configured patience, or at a depth cap.  The
+network then ends at the earliest layer that reached the best error,
+cut down to the units that achieved it; those units are the syndromes
+that vote by majority at classification time.  Layer minimum errors are
+non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 from .encoding import EncodedDataset, Encoder, encode_dataset, encode_value
 from .data import Dataset
 from .errors import EvaluationError, TrainingError
-from .logic import function_ids, truth_row, truth_tables
+from .logic import function_ids, truth_row
 from .rules import SignedDecision, vote_decision
 
 
@@ -126,62 +136,114 @@ class _Candidate:
     fn: int
     left: int
     right: int
-    outputs: np.ndarray = field(compare=False)
+    outputs: np.ndarray = field(compare=False)   # packed words, see _pack
 
 
-def _select(candidates: list[_Candidate], beam_width: int) -> list[_Candidate]:
+_BLOCK = 32   # left operands scored per pass; temporaries are O(_BLOCK * F * words)
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack a (rows, m) bit matrix into (m, words) uint64, row r at bit
+    r % 64 of word r // 64; tail bits are zero."""
+    padded = np.zeros((bits.shape[1], -(-len(bits) // 64) * 64), dtype=np.uint8)
+    padded[:, : len(bits)] = bits.T
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class _Packed:
+    """The active feature columns and labels of a dataset, packed."""
+
+    features: np.ndarray    # (len(active), words)
+    labels: np.ndarray      # (words,)
+    ones: np.ndarray        # (words,), only the n_rows valid bits set
+    feature_errors: np.ndarray
+
+    @classmethod
+    def of(cls, enc: EncodedDataset) -> "_Packed":
+        features = _pack(enc.matrix[:, enc.active])
+        labels = _pack(enc.labels[:, None])[0]
+        ones = _pack(np.ones((len(enc.labels), 1), dtype=np.uint8))[0]
+        return cls(features, labels, ones, _popcount(features ^ labels))
+
+
+def _truth_matrix(extended: bool) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.array(function_ids(extended))
+    rows = np.array([truth_row(i, extended) for i in ids], dtype=np.int64)
+    return ids, rows
+
+
+def _survivors(
+    left: np.ndarray, left_errors: np.ndarray, data: _Packed, extended: bool
+) -> tuple[np.ndarray, ...]:
+    """Every g_fn(left[i], features[k]) whose error exceeds neither
+    input's, as arrays (error, fn, i, k, packed outputs).
+
+    Per pair, the minterm popcounts say how many positive and negative
+    rows each input combination holds.  A function errs on the negatives
+    of the minterms its truth row maps to 1 and on the positives of the
+    rest.
+    """
+    ids, truth = _truth_matrix(extended)
+    y, b = data.labels, data.features[None]
+    parts = []
+    for start in range(0, max(len(left), 1), _BLOCK):   # one pass even if empty
+        a = left[start : start + _BLOCK, None, :]
+        both = a & b
+        # rows where (a, b) is (0,0), (0,1), (1,0), (1,1): truth-row order
+        minterms = (data.ones & ~(a | b), b ^ both, a ^ both, both)
+        pos = np.stack([_popcount(m & y) for m in minterms], axis=-1)
+        neg = np.stack([_popcount(m & ~y) for m in minterms], axis=-1)
+        errors = neg @ truth.T + pos @ (1 - truth).T     # (block, F, fns)
+        bound = np.minimum(
+            left_errors[start : start + _BLOCK, None], data.feature_errors[None, :]
+        )
+        i, k, f = np.nonzero(errors <= bound[..., None])
+        outputs = np.zeros((len(i), left.shape[1]), dtype=np.uint64)
+        for t, m in enumerate(minterms):
+            outputs |= np.where(truth[f, t, None] == 1, m[i, k], 0)
+        parts.append((errors[i, k, f], ids[f], i + start, k, outputs))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _select(
+    error: np.ndarray,
+    fn: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    outputs: np.ndarray,
+    beam_width: int,
+) -> list[_Candidate]:
     """Order by (error, fn, left, right), drop duplicate output vectors,
     cut to the beam.  Duplicates share an error, so keeping the first
     keeps the lowest (fn, left, right)."""
-    candidates.sort(key=lambda c: (c.error, c.fn, c.left, c.right))
-    seen: set[bytes] = set()
-    kept = []
-    for c in candidates:
-        key = c.outputs.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(c)
-        if len(kept) == beam_width:
-            break
-    return kept
-
-
-def _feature_errors(enc: EncodedDataset) -> dict[int, int]:
-    y = enc.labels
-    return {
-        j: int(np.sum(enc.matrix[:, j] != y))
-        for j in enc.active
-    }
-
-
-def _truth_matrix(extended: bool) -> tuple[list[int], np.ndarray]:
-    ids = list(function_ids(extended))
-    rows = np.array([truth_row(i, extended) for i in ids], dtype=np.uint8)
-    return ids, rows
+    order = np.lexsort((right, left, fn, error))
+    rows = np.ascontiguousarray(outputs[order])
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
+    _, first = np.unique(keys.ravel(), return_index=True)
+    kept = order[np.sort(first)[:beam_width]]
+    return [
+        _Candidate(int(error[c]), int(fn[c]), int(left[c]), int(right[c]), out)
+        for c, out in zip(kept, outputs[kept])
+    ]
 
 
 def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> list[_Candidate]:
     """All surviving g_i(x_j, x_k) over ordered pairs of active features."""
-    ids, truth = _truth_matrix(config.extended_catalog)
-    y = enc.labels
-    feat_err = _feature_errors(enc)
-    candidates = []
-    for j in enc.active:
-        col_j = enc.matrix[:, j]
-        for k in enc.active:
-            if k == j:
-                continue
-            code = (col_j << 1) | enc.matrix[:, k]
-            outputs = truth[:, code]                      # (n_fns, n_rows)
-            errors = np.sum(outputs != y, axis=1)
-            bound = min(feat_err[j], feat_err[k])
-            for f in np.nonzero(errors <= bound)[0]:
-                candidates.append(_Candidate(
-                    error=int(errors[f]), fn=ids[f], left=j, right=k,
-                    outputs=outputs[f],
-                ))
-    return _select(candidates, config.beam_width)
+    data = _Packed.of(enc)
+    error, fn, j, k, outputs = _survivors(
+        data.features, data.feature_errors, data, config.extended_catalog
+    )
+    keep = j != k
+    active = np.array(enc.active, dtype=np.int64)
+    return _select(
+        error[keep], fn[keep], active[j[keep]], active[k[keep]], outputs[keep],
+        config.beam_width,
+    )
 
 
 def grow_layer(
@@ -194,30 +256,23 @@ def grow_layer(
     Candidates whose outputs equal their own left parent's are dropped
     as no-progress clones before selection.
     """
-    ids, truth = _truth_matrix(config.extended_catalog)
-    y = enc.labels
-    feat_err = _feature_errors(enc)
-    candidates = []
-    for p, parent in enumerate(prev):
-        for k in enc.active:
-            code = (parent.outputs << 1) | enc.matrix[:, k]
-            outputs = truth[:, code]
-            errors = np.sum(outputs != y, axis=1)
-            bound = min(parent.error, feat_err[k])
-            for f in np.nonzero(errors <= bound)[0]:
-                out = outputs[f]
-                if np.array_equal(out, parent.outputs):
-                    continue
-                candidates.append(_Candidate(
-                    error=int(errors[f]), fn=ids[f], left=p, right=k,
-                    outputs=out,
-                ))
-    return _select(candidates, config.beam_width)
+    data = _Packed.of(enc)
+    parents = np.stack([c.outputs for c in prev])
+    error, fn, p, k, outputs = _survivors(
+        parents, np.array([c.error for c in prev]), data, config.extended_catalog
+    )
+    keep = np.any(outputs != parents[p], axis=1)
+    active = np.array(enc.active, dtype=np.int64)
+    return _select(
+        error[keep], fn[keep], p[keep], active[k[keep]], outputs[keep],
+        config.beam_width,
+    )
 
 
-def _vote_rows(final: list[_Candidate]) -> np.ndarray:
-    stacked = np.stack([c.outputs for c in final], axis=0)
-    return stacked.sum(axis=0, dtype=np.int64)
+def _vote_rows(final: list[_Candidate], n_rows: int) -> np.ndarray:
+    words = np.stack([c.outputs for c in final]).astype("<u8")
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=n_rows, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int64)
 
 
 def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
@@ -271,7 +326,7 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
         [Unit(c.fn, c.left, c.right, c.error) for c in layer]
         for layer in layers
     ]
-    m1 = _vote_rows(layers[-1])
+    m1 = _vote_rows(layers[-1], ds.n)
     n_syn = len(layers[-1])
     decided_1 = 2 * m1 > n_syn
     decided_0 = 2 * m1 < n_syn

@@ -257,6 +257,16 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--seed", "9", "--features", "1")
         assert code == 2
 
+    def test_unusable_seed_is_usage_error(self, capsys):
+        """The generator gives up on this seed; that is an error message,
+        not a traceback."""
+        code, out, err = run(capsys, "gen", "--seed", "2", "--features", "96",
+                             "--rows", "200", "--syndromes", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: could not generate a usable dataset")
+        assert "Traceback" not in err
+
 
 class TestValidate:
     def test_bundled_fixtures_pass(self, capsys):

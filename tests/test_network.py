@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mofn.data import Dataset, FeatureSpec
-from mofn.encoding import encode_dataset
+from mofn.encoding import EncodedDataset, encode_dataset
 from mofn.errors import EvaluationError, TrainingError
-from mofn.logic import truth_row
-from mofn.network import TrainConfig, build_first_layer, classify, train
+from mofn.logic import function_ids, truth_row
+from mofn.network import (
+    TrainConfig, build_first_layer, classify, grow_layer, train,
+)
 from mofn.encoding import encode_value
 from mofn.oracle import PlantedSpec, generate_planted
 from mofn.rules import evaluate, extract
@@ -197,3 +202,99 @@ class TestClassifyCoherence:
         text = "\n".join(net.report.lines(net.feature_names))
         assert "layer" in text
         assert "vote" in text
+
+
+# Reference growth: one catalog lookup per (left, right) pair over
+# unpacked bit vectors, then a Python sort and dedup.  The packed kernel
+# in mofn.network must select exactly what this selects.
+
+def _reference_select(candidates, beam_width):
+    candidates.sort(key=lambda c: c[:4])
+    seen, kept = set(), []
+    for c in candidates:
+        key = c[4].tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        kept.append(c)
+        if len(kept) == beam_width:
+            break
+    return kept
+
+
+def _reference_layer(enc, config, prev=None):
+    """(error, fn, left, right, outputs) of layer 1, or of the layer
+    grown on `prev` when given."""
+    ids = function_ids(config.extended_catalog)
+    truth = np.array([truth_row(i, config.extended_catalog) for i in ids],
+                     dtype=np.uint8)
+    y = enc.labels
+    feat_err = {j: int(np.sum(enc.matrix[:, j] != y)) for j in enc.active}
+    if prev is None:
+        lefts = [(j, enc.matrix[:, j], feat_err[j]) for j in enc.active]
+    else:
+        lefts = [(p, c[4], c[0]) for p, c in enumerate(prev)]
+    candidates = []
+    for left, col, left_err in lefts:
+        for k in enc.active:
+            if prev is None and k == left:
+                continue
+            outputs = truth[:, (col << 1) | enc.matrix[:, k]]
+            errors = np.sum(outputs != y, axis=1)
+            bound = min(left_err, feat_err[k])
+            for f in np.nonzero(errors <= bound)[0]:
+                if prev is not None and np.array_equal(outputs[f], col):
+                    continue
+                candidates.append(
+                    (int(errors[f]), ids[f], left, k, outputs[f])
+                )
+    return _reference_select(candidates, config.beam_width)
+
+
+def _bits(words, n_rows):
+    """Row r of a packed output is bit r % 64 of word r // 64."""
+    r = np.arange(64 * len(words))
+    bits = (words[r // 64] >> (r % 64).astype(np.uint64)) & np.uint64(1)
+    assert not bits[n_rows:].any(), "tail bits must be zero"
+    return bits[:n_rows].astype(np.uint8)
+
+
+@st.composite
+def encoded_datasets(draw):
+    n_rows = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    n_features = draw(st.integers(2, 8))
+    bit = st.integers(0, 1)
+    matrix = draw(arrays(np.uint8, (n_rows, n_features), elements=bit))
+    labels = draw(arrays(np.uint8, n_rows, elements=bit))
+    active = draw(st.lists(st.integers(0, n_features - 1), min_size=2,
+                           max_size=n_features, unique=True))
+    return EncodedDataset(
+        encoders=[], matrix=matrix, labels=labels, active=sorted(active),
+        feature_names=[f"f{j}" for j in range(n_features)],
+    )
+
+
+class TestPackedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        enc=encoded_datasets(),
+        beam_width=st.sampled_from([1, 3, 16, 1000]),
+        extended=st.booleans(),
+    )
+    def test_matches_per_pair_reference(self, enc, beam_width, extended):
+        config = TrainConfig(beam_width=beam_width, extended_catalog=extended)
+        n_rows = len(enc.labels)
+
+        def check(got, want):
+            assert [(c.error, c.fn, c.left, c.right) for c in got] == [
+                w[:4] for w in want
+            ]
+            for c, w in zip(got, want):
+                np.testing.assert_array_equal(_bits(c.outputs, n_rows), w[4])
+
+        first = build_first_layer(enc, config)
+        ref_first = _reference_layer(enc, config)
+        check(first, ref_first)
+        if first:
+            check(grow_layer(first, enc, config),
+                  _reference_layer(enc, config, ref_first))
