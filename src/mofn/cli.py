@@ -12,6 +12,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 model error,
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .data import load_csv
-from .encoding import encode_value
+from .encoding import encode_column, encode_value
 from .errors import (
     CatalogError,
     DataError,
@@ -43,6 +45,8 @@ from .rules import (
     parse_formula_table,
     symbolic,
     to_formula_table,
+    vote_counts,
+    vote_decision,
 )
 from .tables import detect_contradictions, make_table, parse_rendered_csv, render
 
@@ -148,52 +152,66 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     sc = _read_model(args.model)
-    ds_text = Path(args.data).read_text()
-    import csv as _csv
-    import io as _io
-
-    reader = _csv.reader(_io.StringIO(ds_text))
-    table = [row for row in reader if row]
+    table = list(filter(None, csv.reader(io.StringIO(Path(args.data).read_text()))))
     if not table:
         raise DataError("empty CSV")
     header = [h.strip() for h in table[0]]
-    by_name = {enc.feature: ident for ident, enc in sc.features.items()}
-    referenced = set(sc.referenced_features())
+    body = table[1:]
+    program = sc.program
     missing = [
-        sc.features[i].feature for i in sorted(referenced)
+        sc.features[i].feature for i in program.features
         if sc.features[i].feature not in header
     ]
     if missing:
         raise DataError(f"CSV lacks columns for features: {missing}")
 
-    out_rows = [["row", "decision", "value", "votes"]]
-    for r, row in enumerate(table[1:]):
+    if any(len(row) != len(header) for row in body):
+        _raise_first_bad_row(sc, header, body)
+    # a repeated column name maps to its last column
+    raw = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
+    columns = []        # one bitset per referenced feature, bit r for row r
+    try:
+        for ident in program.features:
+            enc = sc.features[ident]
+            cells = list(map(str.strip, raw[enc.feature]))
+            bits = encode_column(enc, cells if enc.kind == "nominal" else list(map(float, cells)))
+            columns.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+    except (ValueError, EncodingError):
+        _raise_first_bad_row(sc, header, body)
+        raise
+    m1 = vote_counts(program.run(columns, len(body)), len(body))
+    decided = []        # the output cells for each count of class-1 votes
+    for d in (vote_decision(votes, sc.n) for votes in range(sc.n + 1)):
+        label = "contradictory" if d.contradictory else sc.class_names[d.klass]
+        decided.append([label, f"{d.value:+d}" if d.value else "0", f"{d.m}/{d.n}"])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["row", "decision", "value", "votes"])
+    writer.writerows([str(r), *decided[v]] for r, v in enumerate(m1.tolist()))
+    _write(out.getvalue(), args.output)
+    return EXIT_OK
+
+
+def _raise_first_bad_row(sc, header: list[str], body: list[list[str]]) -> None:
+    """Re-read the rows in order and raise the error of the first bad
+    cell: rows top down, features in declaration order."""
+    referenced = set(sc.program.features)
+    for r, row in enumerate(body):
         if len(row) != len(header):
             raise DataError(f"row {r} has {len(row)} cells, expected {len(header)}")
         cells = dict(zip(header, (c.strip() for c in row)))
-        assignment = {}
-        for name, ident in by_name.items():
-            if ident not in referenced or name not in cells:
+        for ident, enc in sc.features.items():
+            if ident not in referenced:
                 continue
-            enc = sc.features[ident]
-            value = cells[name]
+            value = cells[enc.feature]
             if enc.kind != "nominal":
                 try:
                     value = float(value)
                 except ValueError:
                     raise DataError(
-                        f"row {r}, feature {name!r}: {value!r} is not numeric"
+                        f"row {r}, feature {enc.feature!r}: {value!r} is not numeric"
                     ) from None
-            assignment[ident] = encode_value(enc, value)
-        d = evaluate(sc, assignment)
-        label = "contradictory" if d.contradictory else sc.class_names[d.klass]
-        out_rows.append([str(r), label, f"{d.value:+d}" if d.value else "0",
-                         f"{d.m}/{d.n}"])
-    out = _io.StringIO()
-    writer = _csv.writer(out, lineterminator="\n")
-    writer.writerows(out_rows)
-    _write(out.getvalue(), args.output)
-    return EXIT_OK
+            encode_value(enc, value)
 
 
 def _parse_axis(spec: str | None, sc) -> list[int] | None:

@@ -85,9 +85,11 @@ def encode_column(enc: Encoder, values) -> np.ndarray:
         bits = v > enc.threshold
     elif enc.kind == "boolean":
         v = np.asarray(values)
-        bits = v.astype(np.uint8).astype(bool)
+        if not np.all((v == 0) | (v == 1)):
+            raise EncodingError(f"feature {enc.feature!r}: values are not all 0/1")
+        bits = v == 1
     else:
-        bits = np.array([x == enc.category for x in values])
+        bits = np.array([x == enc.category for x in values], dtype=bool)
     if enc.polarity:
         return bits.astype(np.uint8)
     return (~bits).astype(np.uint8)

@@ -93,14 +93,6 @@ def truth_row(fn_id: int, extended: bool = False) -> tuple[int, int, int, int]:
     return rows[fn_id]
 
 
-def truth_tables(extended: bool = False) -> dict[int, np.ndarray]:
-    """Truth tables as uint8 arrays, keyed by id.  Index with 2*u1 + u2."""
-    return {
-        i: np.array(row, dtype=np.uint8)
-        for i, row in _rows(extended).items()
-    }
-
-
 def eval_fn(fn_id: int, u1: int, u2: int, extended: bool = False) -> int:
     """Apply one catalog function to a pair of bits."""
     if u1 not in (0, 1) or u2 not in (0, 1):

@@ -31,6 +31,7 @@ non-increasing by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -39,7 +40,9 @@ from .encoding import EncodedDataset, Encoder, encode_dataset, encode_value
 from .data import Dataset
 from .errors import EvaluationError, TrainingError
 from .logic import function_ids, truth_row
-from .rules import SignedDecision, vote_decision
+from .rules import (
+    SignedDecision, SlotProgram, extract, vote_counts, vote_decision, vote_values,
+)
 
 
 @dataclass(frozen=True)
@@ -113,21 +116,14 @@ class Network:
     def n_syndromes(self) -> int:
         return len(self.layers[-1])
 
+    @cached_property
+    def program(self) -> SlotProgram:
+        """The slot program of the extracted complex, built on first use."""
+        return extract(self).program
+
     def referenced_features(self) -> set[int]:
         """Feature indices reachable from the final layer."""
-        feats: set[int] = set()
-        keep: set[int] = set(range(len(self.layers[-1])))
-        for r in range(len(self.layers) - 1, -1, -1):
-            parents: set[int] = set()
-            for p in keep:
-                unit = self.layers[r][p]
-                feats.add(unit.right)
-                if r == 0:
-                    feats.add(unit.left)
-                else:
-                    parents.add(unit.left)
-            keep = parents
-        return feats
+        return set(self.program.features)
 
 
 @dataclass(frozen=True)
@@ -269,12 +265,6 @@ def grow_layer(
     )
 
 
-def _vote_rows(final: list[_Candidate], n_rows: int) -> np.ndarray:
-    words = np.stack([c.outputs for c in final]).astype("<u8")
-    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=n_rows, bitorder="little")
-    return bits.sum(axis=0, dtype=np.int64)
-
-
 def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     """Grow a network on a dataset and return it with a training report."""
     config = config or TrainConfig()
@@ -326,11 +316,9 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
         [Unit(c.fn, c.left, c.right, c.error) for c in layer]
         for layer in layers
     ]
-    m1 = _vote_rows(layers[-1], ds.n)
-    n_syn = len(layers[-1])
-    decided_1 = 2 * m1 > n_syn
-    decided_0 = 2 * m1 < n_syn
-    correct = np.where(enc.labels == 1, decided_1, decided_0)
+    final = [int.from_bytes(c.outputs.astype("<u8").tobytes(), "little") for c in layers[-1]]
+    values = vote_values(vote_counts(final, ds.n), len(final))
+    correct = np.where(enc.labels == 1, values < 0, values > 0)
     report = TrainReport(
         layer_sizes=[len(layer) for layer in layers],
         layer_min_errors=[min(c.error for c in layer) for layer in layers],
@@ -349,34 +337,13 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     )
 
 
-def _reachable(net: Network) -> list[set[int]]:
-    """Unit positions per layer that feed the final layer."""
-    keep: list[set[int]] = [set() for _ in net.layers]
-    keep[-1] = set(range(len(net.layers[-1])))
-    for r in range(len(net.layers) - 1, 0, -1):
-        for p in keep[r]:
-            keep[r - 1].add(net.layers[r][p].left)
-    return keep
-
-
 def classify(net: Network, row: Mapping[str, object]) -> SignedDecision:
     """Encode a raw row, run it through the network, majority-vote."""
-    needed = net.referenced_features()
-    bits: dict[int, int] = {}
-    for j in needed:
+    program = net.program
+    bits = []
+    for j in program.features:
         name = net.feature_names[j]
         if name not in row:
             raise EvaluationError(f"missing value for feature {name!r}")
-        bits[j] = encode_value(net.encoders[j], row[name])
-
-    keep = _reachable(net)
-    prev: dict[int, int] = {}
-    for r, layer in enumerate(net.layers):
-        cur: dict[int, int] = {}
-        for p in sorted(keep[r]):
-            unit = layer[p]
-            u1 = bits[unit.left] if r == 0 else prev[unit.left]
-            u2 = bits[unit.right]
-            cur[p] = truth_row(unit.fn, net.config.extended_catalog)[(u1 << 1) | u2]
-        prev = cur
-    return vote_decision(sum(prev.values()), len(prev))
+        bits.append(encode_value(net.encoders[j], row[name]))
+    return vote_decision(sum(program.run(bits, 1)), len(program.outputs))

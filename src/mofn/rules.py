@@ -12,13 +12,18 @@ lists feature declarations and then one block per layer; each row
 `i j k l` defines unit y_i = g_j(y_k, x_l), where y_k refers to a unit
 of the previous layer (in layer 1, to a feature x_k).  Function ids
 are catalog ids and are never renumbered.
+
+Every decision runs one SlotProgram, compiled once per complex, over
+bitset columns: a single case, a batch of rows and a grid alike.
 """
 
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from functools import cached_property
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -34,10 +39,13 @@ __all__ = [
     "FnNode",
     "Expr",
     "SyndromeComplex",
+    "SlotProgram",
     "Row",
     "extract",
     "evaluate",
     "syndrome_bits",
+    "vote_counts",
+    "vote_values",
     "decision_levels",
     "to_formula_table",
     "parse_formula_table",
@@ -92,6 +100,12 @@ def vote_decision(m1: int, n: int) -> SignedDecision:
     return SignedDecision(value=0, m=m0, n=n, m1=m1)
 
 
+def vote_values(m1: np.ndarray, n: int) -> np.ndarray:
+    """Array form of vote_decision's value: +m0, -m1, or 0 on a tie."""
+    m0 = n - m1
+    return np.where(m0 > m1, m0, np.where(m1 > m0, -m1, 0))
+
+
 def describe_decision(d: SignedDecision, class_names: tuple[str, str] = ("0", "1")) -> str:
     if d.contradictory:
         return f"contradictory (0/{d.n})"
@@ -127,6 +141,75 @@ class Row:
     right: int
 
 
+@dataclass(frozen=True)
+class SlotProgram:
+    """A complex compiled to straight-line code over numbered slots.
+
+    The first slots hold the referenced features in ascending id order;
+    each unit (truth_row, left_slot, right_slot) appends one more.  Only
+    units that feed the final layer are compiled, in layer order, so a
+    shared ancestor runs once.  `outputs` are the syndromes' slots.
+    """
+
+    features: tuple[int, ...]
+    units: tuple[tuple[tuple[int, int, int, int], int, int], ...]
+    outputs: tuple[int, ...]
+
+    def run(self, columns: Sequence[int], n: int) -> list[int]:
+        """Syndrome outputs over n cases from one column per feature, all
+        bitsets held as ints with bit r for case r.  A unit's output is
+        the OR of the minterms its truth row selects."""
+        mask = (1 << n) - 1
+        slots = list(columns)
+        for (f00, f01, f10, f11), left, right in self.units:
+            a, b = slots[left], slots[right]
+            both = a & b
+            out = both if f11 else 0
+            if f10:
+                out |= a ^ both
+            if f01:
+                out |= b ^ both
+            if f00:
+                out |= mask ^ (a | b)
+            slots.append(out)
+        return [slots[s] for s in self.outputs]
+
+    @classmethod
+    def of(cls, layers: list[list[Row]], extended: bool) -> "SlotProgram":
+        """Compile formula-table layers; units that feed nothing are left out."""
+        live = _live_rows(layers)
+        features = sorted(
+            {row.left for row in live[0]} | {row.right for layer in live for row in layer}
+        )
+        feature_slot = {f: s for s, f in enumerate(features)}
+        units, left_slot = [], feature_slot     # layer 1 reads a feature on the left
+        for layer in live:
+            unit_slot = {}
+            for row in layer:
+                unit_slot[row.ident] = len(features) + len(units)
+                left, right = left_slot[row.left], feature_slot[row.right]
+                units.append((truth_row(row.fn, extended), left, right))
+            left_slot = unit_slot
+        return cls(tuple(features), tuple(units), tuple(left_slot[row.ident] for row in live[-1]))
+
+
+def _live_rows(layers: list[list[Row]]) -> list[list[Row]]:
+    """The rows of each layer that feed the final layer."""
+    live = [layers[-1]]
+    for layer in reversed(layers[:-1]):
+        wanted = {row.left for row in live[0]}
+        live.insert(0, [row for row in layer if row.ident in wanted])
+    return live
+
+
+def vote_counts(bitsets: Sequence[int], n: int) -> np.ndarray:
+    """For each of n cases, how many of the bitsets have its bit set."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in bitsets), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(bitsets), width), axis=1, count=n, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int64)
+
+
 @dataclass
 class SyndromeComplex:
     """N syndromes over declared features, with their layered source rows."""
@@ -141,11 +224,13 @@ class SyndromeComplex:
     def n(self) -> int:
         return len(self.syndromes)
 
+    @cached_property
+    def program(self) -> SlotProgram:
+        """The layers compiled on first use, then kept."""
+        return SlotProgram.of(self.layers, self.extended)
+
     def referenced_features(self) -> list[int]:
-        seen: set[int] = set()
-        for s in self.syndromes:
-            _collect_features(s, seen)
-        return sorted(seen)
+        return list(self.program.features)
 
     def feature_id(self, name: str) -> int:
         for ident, enc in self.features.items():
@@ -154,85 +239,50 @@ class SyndromeComplex:
         raise EvaluationError(f"no declared feature named {name!r}")
 
 
-def _collect_features(expr: Expr, out: set[int]) -> None:
-    if isinstance(expr, FeatureRef):
-        out.add(expr.feature)
-    else:
-        _collect_features(expr.left, out)
-        _collect_features(expr.right, out)
-
-
 def decision_levels(sc: SyndromeComplex) -> tuple[int, int]:
     """Range of decisive vote counts: floor(N/2)+1 up to N."""
     return sc.n // 2 + 1, sc.n
 
 
 def extract(net) -> SyndromeComplex:
-    """Unfold a trained network's final layer into expression trees.
+    """Read a trained network's final layer as a syndrome complex.
 
     Unit ids are assigned per layer as 1..K in selection order; feature
-    ids are the dataset column indices.  Declarations cover exactly the
-    features the network references.
+    ids are the dataset column indices.  Units that do not feed the
+    final layer are dropped, and declarations cover exactly the
+    features the rest reference.
     """
-    exprs: list[list[Expr]] = []
-    rows: list[list[Row]] = []
-    for r, layer in enumerate(net.layers):
-        cur_exprs = []
-        cur_rows = []
-        for p, unit in enumerate(layer):
-            if r == 0:
-                left_expr: Expr = FeatureRef(unit.left)
-            else:
-                left_expr = exprs[r - 1][unit.left]
-            cur_exprs.append(FnNode(unit.fn, left_expr, FeatureRef(unit.right)))
-            left_id = unit.left if r == 0 else unit.left + 1
-            cur_rows.append(Row(p + 1, unit.fn, left_id, unit.right))
-        exprs.append(cur_exprs)
-        rows.append(cur_rows)
-
-    referenced: set[int] = set()
-    for s in exprs[-1]:
-        _collect_features(s, referenced)
-    features = {j: net.encoders[j] for j in sorted(referenced)}
-    return SyndromeComplex(
-        syndromes=exprs[-1],
-        features=features,
-        layers=_prune_rows(rows),
+    layers = _live_rows([
+        [
+            Row(p + 1, unit.fn, unit.left if r == 0 else unit.left + 1, unit.right)
+            for p, unit in enumerate(layer)
+        ]
+        for r, layer in enumerate(net.layers)
+    ])
+    sc = SyndromeComplex(
+        syndromes=_syndromes(layers),
+        features={},
+        layers=layers,
         class_names=tuple(net.class_names),
         extended=net.config.extended_catalog,
     )
+    sc.features = {j: net.encoders[j] for j in sc.program.features}
+    return sc
 
 
-def _prune_rows(rows: list[list[Row]]) -> list[list[Row]]:
-    """Drop units that do not feed the final layer."""
-    keep: list[set[int]] = [set() for _ in rows]
-    keep[-1] = {row.ident for row in rows[-1]}
-    for r in range(len(rows) - 1, 0, -1):
-        wanted = keep[r]
-        for row in rows[r]:
-            if row.ident in wanted:
-                keep[r - 1].add(row.left)
-    return [
-        [row for row in layer if row.ident in keep[r]]
-        for r, layer in enumerate(rows)
-    ]
-
-
-def _truth(sc: SyndromeComplex) -> dict[int, tuple[int, int, int, int]]:
-    return {i: truth_row(i, sc.extended) for i in function_ids(sc.extended)}
-
-
-def _eval_expr(expr: Expr, bits: Mapping[int, int], truth) -> int:
-    if isinstance(expr, FeatureRef):
-        try:
-            return bits[expr.feature]
-        except KeyError:
-            raise EvaluationError(
-                f"no bit assigned for feature {expr.feature}"
-            ) from None
-    u1 = _eval_expr(expr.left, bits, truth)
-    u2 = _eval_expr(expr.right, bits, truth)
-    return truth[expr.fn][(u1 << 1) | u2]
+def _syndromes(layers: list[list[Row]]) -> list[Expr]:
+    """Expression trees of the final-layer units."""
+    prev: dict[int, Expr] = {}
+    for r, layer in enumerate(layers):
+        prev = {
+            row.ident: FnNode(
+                row.fn,
+                FeatureRef(row.left) if r == 0 else prev[row.left],
+                FeatureRef(row.right),
+            )
+            for row in layer
+        }
+    return [prev[row.ident] for row in layers[-1]]
 
 
 def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[int]:
@@ -240,33 +290,18 @@ def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[in
     for ident, bit in assignment.items():
         if bit not in (0, 1):
             raise EvaluationError(f"feature {ident}: {bit!r} is not a bit")
-    truth = _truth(sc)
-    return [_eval_expr(s, assignment, truth) for s in sc.syndromes]
+    program = sc.program
+    try:
+        columns = [assignment[f] for f in program.features]
+    except KeyError as exc:
+        raise EvaluationError(f"no bit assigned for feature {exc.args[0]}") from None
+    return program.run(columns, 1)
 
 
 def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
     """Majority vote of all syndromes on one assignment."""
     bits = syndrome_bits(sc, assignment)
     return vote_decision(sum(bits), len(bits))
-
-
-def eval_expr_columns(
-    expr: Expr,
-    columns: Mapping[int, np.ndarray],
-    truth: Mapping[int, tuple[int, int, int, int]],
-) -> np.ndarray:
-    """Vectorized expression evaluation over parallel bit columns."""
-    if isinstance(expr, FeatureRef):
-        try:
-            return columns[expr.feature]
-        except KeyError:
-            raise EvaluationError(
-                f"no bit column for feature {expr.feature}"
-            ) from None
-    u1 = eval_expr_columns(expr.left, columns, truth)
-    u2 = eval_expr_columns(expr.right, columns, truth)
-    table = np.array(truth[expr.fn], dtype=np.uint8)
-    return table[(u1 << 1) | u2]
 
 
 def symbolic(sc: SyndromeComplex) -> list[str]:
@@ -354,6 +389,8 @@ def _parse_feature_line(tokens: list[str], lineno: int) -> tuple[int, Encoder]:
                 kind = val
             elif key == "u":
                 threshold = float(val)
+                if not math.isfinite(threshold):
+                    raise ValueError
             elif key == "h":
                 polarity = int(val)
                 if polarity not in (0, 1):
@@ -375,6 +412,10 @@ def _parse_feature_line(tokens: list[str], lineno: int) -> tuple[int, Encoder]:
     if kind == "quantitative" and threshold is None and not degenerate:
         raise ModelFormatError(
             f"line {lineno}: quantitative feature {name!r} needs a threshold u="
+        )
+    if kind == "nominal" and category is None and not degenerate:
+        raise ModelFormatError(
+            f"line {lineno}: nominal feature {name!r} needs a category="
         )
     return ident, Encoder(
         feature=name, kind=kind, polarity=polarity, threshold=threshold,
@@ -473,19 +514,8 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
         if not layer:
             raise ModelFormatError(f"layer {r} has no units")
 
-    prev: dict[int, Expr] = {}
-    for r, layer in enumerate(layers, start=1):
-        cur: dict[int, Expr] = {}
-        for row in layer:
-            if r == 1:
-                left_expr: Expr = FeatureRef(row.left)
-            else:
-                left_expr = prev[row.left]
-            cur[row.ident] = FnNode(row.fn, left_expr, FeatureRef(row.right))
-        prev = cur
-    syndromes = [prev[row.ident] for row in layers[-1]]
     return SyndromeComplex(
-        syndromes=syndromes,
+        syndromes=_syndromes(layers),
         features=features,
         layers=layers,
         class_names=class_names,

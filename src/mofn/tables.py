@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TableError
-from .logic import function_ids, truth_row
-from .rules import SyndromeComplex, eval_expr_columns, vote_decision
+from .rules import SyndromeComplex, vote_counts, vote_values
 
 MAX_TABLE_FEATURES = 16
 
@@ -69,7 +68,8 @@ def make_table(
     overlap = set(rows) & set(cols)
     if overlap:
         raise TableError(f"features on both axes: {sorted(overlap)}")
-    referenced = set(sc.referenced_features())
+    program = sc.program
+    referenced = set(program.features)
     given = set(rows) | set(cols)
     if given != referenced:
         missing = sorted(referenced - given)
@@ -86,20 +86,11 @@ def make_table(
 
     a, b = len(rows), len(cols)
     total = 1 << q
-    index = np.arange(total, dtype=np.int64)
-    columns: dict[int, np.ndarray] = {}
     order = rows + cols
-    for p, feat in enumerate(order):
-        columns[feat] = ((index >> (q - 1 - p)) & 1).astype(np.uint8)
-
-    truth = {i: truth_row(i, sc.extended) for i in function_ids(sc.extended)}
-    m1 = np.zeros(total, dtype=np.int64)
-    for s in sc.syndromes:
-        m1 += eval_expr_columns(s, columns, truth)
-    n = sc.n
-    m0 = n - m1
-    values = np.where(m0 > m1, m0, -m1)
-    values[m0 == m1] = 0
+    # cell i is a case: the feature at position p of `order` is bit q-1-p of i
+    column = {feat: _cell_bit_column(q - 1 - p, total) for p, feat in enumerate(order)}
+    m1 = vote_counts(program.run([column[f] for f in program.features], total), total)
+    values = vote_values(m1, sc.n)
     labels = {
         f: (sc.features[f].feature if f in sc.features else f"x_{f}")
         for f in order
@@ -108,10 +99,20 @@ def make_table(
         row_features=rows,
         col_features=cols,
         cells=values.reshape(1 << a, 1 << b).astype(np.int64),
-        n_syndromes=n,
+        n_syndromes=sc.n,
         feature_labels=labels,
         class_names=sc.class_names,
     )
+
+
+def _cell_bit_column(k: int, total: int) -> int:
+    """Bitset over `total` cells with bit i set when bit k of i is."""
+    half = 1 << k
+    bits, width = ((1 << half) - 1) << half, 2 * half
+    while width < total:
+        bits |= bits << width
+        width *= 2
+    return bits
 
 
 def detect_contradictions(table: DiagnosticTable) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

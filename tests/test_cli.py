@@ -139,6 +139,131 @@ class TestClassify:
         assert code == 4
 
 
+ANCHOR_HEADER = ANCHOR_CSV.splitlines()[0]
+GOOD_ROW = "5.0,100.0,0,0,0,0,0,0"
+NOMINAL_MODEL = """\
+classes no yes
+feature 0 color kind=nominal category=red h=1
+feature 1 flag kind=boolean h=0
+layer 1
+1 0 0 1
+"""
+
+
+class TestClassifyEdges:
+    """Exact output and errors of `mofn classify` on awkward CSVs."""
+
+    def classify(self, capsys, tmp_path, fixtures_dir, text,
+                 model="ie_srl.rules"):
+        data = tmp_path / "cases.csv"
+        data.write_text(text)
+        model_path = model if "/" in str(model) else fixtures_dir / model
+        return run(capsys, "classify", str(model_path), str(data))
+
+    def assert_data_error(self, result, message):
+        code, out, err = result
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_non_numeric_quantitative_cell(self, capsys, tmp_path, fixtures_dir):
+        text = f"{ANCHOR_HEADER}\n5.0,abc,0,0,0,0,0,0\n"
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, text),
+            "row 0, feature 'circulating_immune_complex': 'abc' is not numeric")
+
+    def test_wrong_cell_count(self, capsys, tmp_path, fixtures_dir):
+        text = f"{ANCHOR_HEADER}\n{GOOD_ROW}\n5.0,100.0,0,0,0,0,0\n"
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, text),
+            "row 1 has 7 cells, expected 8")
+
+    def test_boolean_cell_not_a_bit(self, capsys, tmp_path, fixtures_dir):
+        text = f"{ANCHOR_HEADER}\n5.0,100.0,2,0,0,0,0,0\n"
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, text),
+            "feature 'articular_syndrome': 2.0 is not 0/1")
+
+    def test_nan_and_overflowing_cells(self, capsys, tmp_path, fixtures_dir):
+        for cell, shown in (("nan", "nan"), ("1e999", "inf"), ("-inf", "-inf")):
+            text = f"{ANCHOR_HEADER}\n{cell},100.0,0,0,0,0,0,0\n"
+            self.assert_data_error(
+                self.classify(capsys, tmp_path, fixtures_dir, text),
+                f"feature 'leucocytes': non-finite value {shown}")
+        text = f"{ANCHOR_HEADER}\n5.0,100.0,nan,0,0,0,0,0\n"
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, text),
+            "feature 'articular_syndrome': nan is not 0/1")
+
+    def test_lowest_bad_row_is_reported(self, capsys, tmp_path, fixtures_dir):
+        # row 2 is short, row 1 has two bad cells: row 1 wins, and within
+        # it the feature declared first
+        text = (f"{ANCHOR_HEADER}\n{GOOD_ROW}\n5.0,100.0,0,x,0,0,0,y\n"
+                "5.0,100.0,0\n")
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, text),
+            "row 1, feature 'anhelation': 'x' is not numeric")
+
+    def test_first_declared_feature_is_reported(self, capsys, tmp_path, fixtures_dir):
+        # b is declared before a, though a has the lower id and comes
+        # first in the CSV
+        model = tmp_path / "model.rules"
+        model.write_text("classes 0 1\n"
+                         "feature 1 b kind=quantitative u=0.5 h=1\n"
+                         "feature 0 a kind=quantitative u=0.5 h=1\n"
+                         "layer 1\n1 6 0 1\n")
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, "a,b\n1,1\nu,v\n",
+                          model=model),
+            "row 1, feature 'b': 'v' is not numeric")
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, "a,b\nnan,inf\n",
+                          model=model),
+            "feature 'b': non-finite value inf")
+
+    def test_header_only(self, capsys, tmp_path, fixtures_dir):
+        code, out, err = self.classify(capsys, tmp_path, fixtures_dir,
+                                       f"{ANCHOR_HEADER}\n")
+        assert (code, out, err) == (0, "row,decision,value,votes\n", "")
+        model = tmp_path / "model.rules"
+        model.write_text(NOMINAL_MODEL.replace("h=1", "h=0"))
+        code, out, err = self.classify(capsys, tmp_path, fixtures_dir,
+                                       "flag,color\n", model=model)
+        assert (code, out, err) == (0, "row,decision,value,votes\n", "")
+
+    def test_empty_file(self, capsys, tmp_path, fixtures_dir):
+        self.assert_data_error(
+            self.classify(capsys, tmp_path, fixtures_dir, "\n\n"), "empty CSV")
+
+    def test_blank_lines_are_skipped_and_not_counted(self, capsys, tmp_path,
+                                                     fixtures_dir):
+        text = f"\n{ANCHOR_HEADER}\n\n{GOOD_ROW}\n\n7.0,150.0,0,0,0,0,0,0\n\n"
+        code, out, err = self.classify(capsys, tmp_path, fixtures_dir, text)
+        assert (code, err) == (0, "")
+        assert out == "row,decision,value,votes\n0,IE,+6,6/9\n1,IE,+7,7/9\n"
+
+    def test_duplicate_header_last_column_wins(self, capsys, tmp_path, fixtures_dir):
+        # leucocytes 5.0 decides +6 and 9.0 decides +7 (see test_anchor_rows)
+        text = f"{ANCHOR_HEADER},leucocytes\n{GOOD_ROW},9.0\n"
+        code, out, _ = self.classify(capsys, tmp_path, fixtures_dir, text)
+        assert code == 0
+        assert out == "row,decision,value,votes\n0,IE,+7,7/9\n"
+
+    def test_cells_and_header_are_stripped(self, capsys, tmp_path, fixtures_dir):
+        header = ANCHOR_HEADER.replace(",", " , ")
+        text = f"{header}\n 5.0 , 100.0 ,0,0,0,0,0, 0\n"
+        code, out, _ = self.classify(capsys, tmp_path, fixtures_dir, text)
+        assert (code, out) == (0, "row,decision,value,votes\n0,IE,+6,6/9\n")
+
+    def test_nominal_and_boolean_columns(self, capsys, tmp_path, fixtures_dir):
+        model = tmp_path / "model.rules"
+        model.write_text(NOMINAL_MODEL)
+        text = "flag,color\n0,red\n1,red\n0.0,blue\n1e0,\n"
+        code, out, _ = self.classify(capsys, tmp_path, fixtures_dir, text,
+                                     model=model)
+        assert code == 0
+        assert out == ("row,decision,value,votes\n0,yes,-1,1/1\n"
+                       "1,no,+1,1/1\n2,no,+1,1/1\n3,no,+1,1/1\n")
+
+
 class TestTabulate:
     def test_default_split_matches_explicit(self, capsys, fixtures_dir):
         model = str(fixtures_dir / "ie_srl.rules")
@@ -217,6 +342,23 @@ class TestExportImport:
         assert payload["features"]["2"]["name"] == "leucocytes"
         assert payload["features"]["2"]["threshold"] == 6.2
         assert len(payload["layers"]) == 2
+
+    def test_constant_bit_models_are_model_errors(self, capsys, tmp_path):
+        """A nominal feature without category= or a non-finite u= would
+        encode every case to the same bit; both are refused with exit 4."""
+        rows = "layer 1\n1 6 0 1\n"
+        for decl, message in (
+            ("feature 0 a kind=nominal h=1",
+             "error: line 2: nominal feature 'a' needs a category=\n"),
+            ("feature 0 a kind=quantitative u=nan h=1",
+             "error: line 2: bad value 'nan' for attribute 'u'\n"),
+        ):
+            model = tmp_path / "model.rules"
+            model.write_text(f"classes 0 1\n{decl}\nfeature 1 b kind=boolean h=1\n{rows}")
+            data = tmp_path / "cases.csv"
+            data.write_text("a,b\n1,1\n")
+            for argv in (("import", str(model)), ("classify", str(model), str(data))):
+                assert run(capsys, *argv) == (4, "", message)
 
     def test_import_normalizes_and_is_idempotent(self, capsys, tmp_path,
                                                  fixtures_dir):

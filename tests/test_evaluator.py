@@ -1,0 +1,125 @@
+"""Every decision path agrees on random models.
+
+Single cases (`evaluate`), CSV batches (`mofn classify`) and grids
+(`make_table`) all run one compiled slot program over bitsets of 1, n
+and 2^q bits.  Random models with 1-4 layers, both catalogs and dead
+units, over 1-8 declared features, are checked against the oracle's
+own tree walk at batch sizes around the 8- and 64-bit boundaries.
+"""
+
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mofn.cli import main
+from mofn.logic import function_ids
+from mofn.oracle import exhaustive_decision_check
+from mofn.rules import FeatureRef, evaluate, parse_formula_table
+from mofn.tables import make_table
+
+BATCH_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
+
+
+@st.composite
+def models(draw):
+    """Formula table text with mixed feature kinds; units a later layer
+    does not read are left in as dead units."""
+    extended = draw(st.booleans())
+    ids = draw(st.lists(st.integers(0, 11), min_size=1, max_size=8, unique=True))
+    lines = ["catalog extended"] if extended else []
+    lines.append("classes no yes")
+    for ident in ids:
+        kind = draw(st.sampled_from(("quantitative", "boolean", "nominal")))
+        h = draw(st.integers(0, 1))
+        extra = {"quantitative": " u=0.5", "boolean": "", "nominal": " category=red"}[kind]
+        lines.append(f"feature {ident} f{ident} kind={kind}{extra} h={h}")
+    prev = None
+    for r in range(1, draw(st.integers(1, 4)) + 1):
+        lines.append(f"layer {r}")
+        units = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
+        for unit in units:
+            fn = draw(st.sampled_from(function_ids(extended)))
+            left = draw(st.sampled_from(prev if prev else ids))
+            lines.append(f"{unit} {fn} {left} {draw(st.sampled_from(ids))}")
+        prev = units
+    return "\n".join(lines) + "\n"
+
+
+def tree_features(expr, out):
+    if isinstance(expr, FeatureRef):
+        out.add(expr.feature)
+    else:
+        tree_features(expr.left, out)
+        tree_features(expr.right, out)
+    return out
+
+
+def raw_cell(enc, bit):
+    """A raw CSV value that encodes to `bit`."""
+    value = bit if enc.polarity else 1 - bit
+    if enc.kind == "quantitative":
+        return "1.5" if value else "-0.5"
+    if enc.kind == "boolean":
+        return str(value)
+    return "red" if value else "blue"
+
+
+def same(got, want):
+    return (got.value, got.m, got.n, got.m1) == (want.value, want.m, want.n, want.m1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=models(), n=st.sampled_from(BATCH_SIZES), seed=st.integers(0, 2**32 - 1))
+def test_every_path_agrees_with_the_oracle(text, n, seed):
+    sc = parse_formula_table(text)
+    referenced = sc.referenced_features()
+    assert referenced == sorted(set().union(*(tree_features(s, set()) for s in sc.syndromes)))
+
+    exhaustive = exhaustive_decision_check(sc, max_features=8)
+    unread = {ident: 1 for ident in sc.features if ident not in referenced}
+    for key, want in exhaustive.items():
+        assert same(evaluate(sc, dict(zip(referenced, key))), want)
+        assert same(evaluate(sc, {**unread, **dict(zip(referenced, key))}), want)
+
+    rng = random.Random(seed)
+    cases = [tuple(rng.randint(0, 1) for _ in referenced) for _ in range(n)]
+    header = [enc.feature for enc in sc.features.values()]
+    rng.shuffle(header)
+    by_name = {enc.feature: ident for ident, enc in sc.features.items()}
+    lines = [",".join(header + ["note"])]
+    for case in cases:
+        bits = dict(zip(referenced, case))
+        lines.append(",".join(
+            [raw_cell(sc.features[by_name[name]], bits.get(by_name[name], 0))
+             for name in header] + ["x"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data = Path(tmp, "model.rules"), Path(tmp, "cases.csv")
+        model.write_text(text)
+        data.write_text("\n".join(lines) + "\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["classify", str(model), str(data)]) == 0
+    got = out.getvalue().splitlines()
+    assert got[0] == "row,decision,value,votes"
+    assert len(got) == n + 1
+    for r, case in enumerate(cases):
+        d = evaluate(sc, dict(zip(referenced, case)))
+        label = "contradictory" if d.contradictory else sc.class_names[d.klass]
+        value = f"{d.value:+d}" if d.value else "0"
+        assert got[r + 1] == f"{r},{label},{value},{d.m}/{d.n}"
+
+    if len(referenced) >= 2:
+        order = referenced[:]
+        rng.shuffle(order)
+        cut = rng.randint(1, len(order) - 1)
+        table = make_table(sc, order[:cut], order[cut:])
+        for ri in range(table.shape[0]):
+            for ci in range(table.shape[1]):
+                assign = dict(zip(table.row_features, table.row_bits(ri)))
+                assign.update(zip(table.col_features, table.col_bits(ci)))
+                assert table.cells[ri, ci] == evaluate(sc, assign).value

@@ -13,7 +13,6 @@ from mofn.logic import (
     eval_vector,
     function_ids,
     truth_row,
-    truth_tables,
 )
 from mofn.oracle import ORACLE_TRUTH, STANDARD_ORACLE_IDS
 
@@ -79,19 +78,12 @@ class TestEvaluation:
                 for b in (0, 1):
                     assert eval_fn(i, a, b, extended=True) == row[2 * a + b]
 
-    def test_truth_tables_are_uint8(self):
-        tables = truth_tables(extended=True)
-        assert set(tables) == set(EXTENDED_IDS)
-        for i, arr in tables.items():
-            assert arr.dtype == np.uint8
-            assert tuple(int(v) for v in arr) == truth_row(i, extended=True)
-
     def test_extension_hidden_by_default(self):
         with pytest.raises(CatalogError):
             truth_row(1)
         with pytest.raises(CatalogError):
             eval_fn(1, 0, 0)
-        assert 1 not in truth_tables()
+        assert 1 not in function_ids()
 
     def test_unknown_ids_rejected(self):
         for bad in (-1, 2, 4, 9, 11, 14, 15, 99):

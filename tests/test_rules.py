@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mofn.data import Dataset, FeatureSpec
-from mofn.errors import EvaluationError, ModelFormatError
+from mofn.errors import EvaluationError, ModelFormatError, MofnError
+from mofn.logic import function_ids
 from mofn.network import TrainConfig, train
 from mofn.rules import (
     FeatureRef,
@@ -17,7 +20,9 @@ from mofn.rules import (
     symbolic,
     syndrome_bits,
     to_formula_table,
+    vote_counts,
     vote_decision,
+    vote_values,
 )
 
 TINY = """\
@@ -268,6 +273,89 @@ class TestParseErrors:
         self.check(TINY.replace("classes 0 1", "classes same same"), "distinct")
         self.check(TINY.replace("classes 0 1", "classes onlyone"), "distinct")
 
+    def test_nominal_needs_a_category(self):
+        """Without category= the bit would be constant for every case."""
+        bad = TINY.replace("feature 0 a kind=boolean", "feature 0 a kind=nominal")
+        self.check(bad, "line 2: nominal feature 'a' needs a category=")
+        ok = TINY.replace("feature 0 a kind=boolean",
+                          "feature 0 a kind=nominal category=red")
+        assert parse_formula_table(ok).features[0].category == "red"
+        # a degenerate nominal feature has no category and reads no bit
+        dead = TINY.replace("classes 0 1\n",
+                            "classes 0 1\nfeature 7 c kind=nominal e=3 degenerate\n")
+        assert parse_formula_table(dead).features[7].degenerate
+
+    def test_threshold_must_be_finite(self):
+        for u in ("nan", "inf", "-inf", "NaN", "Infinity", "1e999"):
+            bad = TINY.replace("feature 0 a kind=boolean",
+                               f"feature 0 a kind=quantitative u={u}")
+            self.check(bad, f"line 2: bad value '{u}' for attribute 'u'")
+        ok = TINY.replace("feature 0 a kind=boolean",
+                          "feature 0 a kind=quantitative u=-1e300")
+        assert parse_formula_table(ok).features[0].threshold == -1e300
+
+    def test_bundled_and_golden_models_still_parse(self, fixtures_dir):
+        golden = fixtures_dir.parents[2] / "tests" / "golden"
+        paths = sorted(fixtures_dir.glob("*.rules")) + sorted(golden.glob("*.rules"))
+        assert len(paths) == 10
+        for path in paths:
+            parse_formula_table(path.read_text())
+
+
+class TestSlotProgram:
+    DEAD = """\
+classes 0 1
+feature 0 a kind=boolean h=1
+feature 1 b kind=boolean h=1
+feature 2 c kind=boolean h=1
+feature 3 d kind=boolean h=1
+layer 1
+1 0 0 1
+2 6 2 3
+3 5 1 0
+layer 2
+1 8 1 1
+2 7 1 0
+"""
+
+    def test_dead_units_are_not_compiled(self):
+        """y_2 and y_3 of layer 1 feed nothing: c, d are not referenced,
+        but the canonical text still prints the dead units."""
+        sc = parse_formula_table(self.DEAD)
+        program = sc.program
+        assert program.features == (0, 1)
+        assert sc.referenced_features() == [0, 1]
+        # slots 0, 1 are a, b; slot 2 is y_1 of layer 1, read by both syndromes
+        assert program.units == (
+            ((0, 0, 0, 1), 0, 1), ((1, 0, 0, 1), 2, 1), ((1, 0, 0, 0), 2, 0),
+        )
+        assert program.outputs == (3, 4)
+        assert "2 6 2 3" in to_formula_table(sc)
+        assert sc.program is program
+
+    def test_batch_run_matches_single_cases(self):
+        sc = parse_formula_table(self.DEAD)
+        cases = [(a, b) for a in (0, 1) for b in (0, 1)]
+        columns = [sum(case[f] << r for r, case in enumerate(cases)) for f in (0, 1)]
+        outputs = sc.program.run(columns, len(cases))
+        for r, (a, b) in enumerate(cases):
+            assert [(o >> r) & 1 for o in outputs] == syndrome_bits(sc, {0: a, 1: b})
+        assert vote_counts(outputs, len(cases)).tolist() == [
+            sum(syndrome_bits(sc, {0: a, 1: b})) for a, b in cases
+        ]
+
+    def test_missing_bit_names_the_feature(self):
+        sc = parse_formula_table(self.DEAD)
+        with pytest.raises(EvaluationError, match="no bit assigned for feature 1"):
+            evaluate(sc, {0: 1, 2: 0})
+
+    def test_vote_values_match_vote_decision(self):
+        for n in (1, 2, 9, 18):
+            m1 = np.arange(n + 1)
+            assert vote_values(m1, n).tolist() == [
+                vote_decision(int(m), n).value for m in m1
+            ]
+
 
 class TestExtraction:
     def make_net(self):
@@ -328,3 +416,74 @@ def train_planted(seed):
 
     p = generate_planted(PlantedSpec(seed=seed, n_features=5, n_rows=16, n_syndromes=3))
     return train(p.dataset, TrainConfig(patience=2))
+
+
+# Token soup for the parser: the format's own vocabulary, plus near misses.
+WORDS = (
+    "catalog", "standard", "extended", "classes", "feature", "layer",
+    "kind=quantitative", "kind=boolean", "kind=nominal", "kind=ordinal",
+    "u=0.5", "u=nan", "u=inf", "u=-inf", "u=", "u=abc", "h=0", "h=1", "h=2",
+    "category=red", "category=", "e=3", "e=x", "degenerate", "spin=up",
+    "0", "1", "2", "5", "12", "-1", "x", "=", "'", '"', "'left arm'", "#", "# note",
+)
+NAMES = ("a", "b", "IE", "'left arm'", '"x#y"')
+
+
+@st.composite
+def model_soup(draw):
+    """A valid model with mixed feature kinds, quoted names, comments and
+    dead units, then up to three edits: insert a soup line, swap one
+    token for a soup word, or drop a line."""
+    extended = draw(st.booleans())
+    lines = ["catalog extended" if extended else
+             draw(st.sampled_from(("", "catalog standard", "# standard catalog")))]
+    lines.append("classes " + " ".join(draw(
+        st.lists(st.sampled_from(NAMES), min_size=2, max_size=2, unique=True))))
+    ids = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(NAMES), min_size=len(ids),
+                          max_size=len(ids), unique=True))
+    dead = set(draw(st.lists(st.sampled_from(ids[1:]), max_size=1))) if len(ids) > 1 else set()
+    for ident, name in zip(ids, names):
+        kind = draw(st.sampled_from(("quantitative", "boolean", "nominal")))
+        attrs = {"quantitative": "u=-0.25", "boolean": "", "nominal": "category='r s'"}[kind]
+        tail = "e=2 degenerate" if ident in dead else f"h={draw(st.integers(0, 1))} e=1"
+        lines.append(f"feature {ident} {name} kind={kind} {attrs} {tail}  # note")
+    readable = [f for f in ids if f not in dead]
+    fns = function_ids(extended)
+    prev = readable
+    for r in range(1, draw(st.integers(1, 3)) + 1):
+        lines.append(f"layer {r}")
+        units = draw(st.lists(st.integers(1, 9), min_size=1, max_size=3, unique=True))
+        for unit in units:
+            left, right = draw(st.sampled_from(prev)), draw(st.sampled_from(readable))
+            lines.append(f"{unit} {draw(st.sampled_from(fns))} {left} {right}")
+        prev = units
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("insert", "swap", "drop")))
+        if edit == "insert":
+            lines.insert(at, " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=5))))
+        elif edit == "swap" and lines[at]:
+            tokens = lines[at].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(WORDS))
+            lines[at] = " ".join(tokens)
+        else:
+            del lines[at]
+    return "\n".join(lines) + "\n"
+
+
+class TestParserFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(text=model_soup())
+    def test_only_model_errors_and_canonical_fixed_point(self, text):
+        try:
+            sc = parse_formula_table(text)
+        except MofnError:
+            return
+        canon = to_formula_table(sc)
+        again = parse_formula_table(canon)
+        assert to_formula_table(again) == canon
+        assert again.referenced_features() == sc.referenced_features()
+        d = evaluate(again, {f: 0 for f in again.referenced_features()})
+        assert d.n == sc.n
+
