@@ -80,22 +80,15 @@ def _load_config(path: str | None) -> dict:
 
 
 def _train_config(args, overrides: dict) -> TrainConfig:
-    merged = {
-        "beam_width": 64,
-        "max_layers": 10,
-        "patience": 1,
-        "extended_catalog": False,
+    """TrainConfig defaults, then the config file, then the flags given."""
+    flags = {
+        "beam_width": args.beam,
+        "max_layers": args.max_layers,
+        "patience": args.patience,
+        "extended_catalog": args.extended_catalog or None,
     }
-    merged.update(overrides)
-    if args.beam is not None:
-        merged["beam_width"] = args.beam
-    if args.max_layers is not None:
-        merged["max_layers"] = args.max_layers
-    if args.patience is not None:
-        merged["patience"] = args.patience
-    if args.extended_catalog:
-        merged["extended_catalog"] = True
-    return TrainConfig(**merged)
+    given = {key: value for key, value in flags.items() if value is not None}
+    return TrainConfig(**{**overrides, **given})
 
 
 def _write(text: str, dest: str | None) -> None:
@@ -415,10 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override a feature kind (quantitative/boolean/nominal)")
     p.add_argument("--drop-incomplete", action="store_true",
                    help="drop rows with empty cells instead of failing")
-    p.add_argument("--beam", type=int, help="units kept per layer (default 64)")
-    p.add_argument("--max-layers", type=int, help="depth cap (default 10)")
+    p.add_argument("--beam", type=int,
+                   help=f"units kept per layer (default {TrainConfig.beam_width})")
+    p.add_argument("--max-layers", type=int,
+                   help=f"depth cap (default {TrainConfig.max_layers})")
     p.add_argument("--patience", type=int,
-                   help="layers without improvement before stopping (default 1)")
+                   help="layers without improvement before stopping "
+                        f"(default {TrainConfig.patience})")
     p.add_argument("--extended-catalog", action="store_true",
                    help="allow the tenth function g_1 during training")
     p.add_argument("--config", help="JSON file with default settings")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,34 +113,37 @@ class Dataset:
             )
 
 
-def _infer_kind(raw: Sequence[str], name: str) -> str:
-    floats = []
-    for v in raw:
-        try:
-            floats.append(float(v))
-        except ValueError:
-            return "nominal"
-    if set(floats) <= {0.0, 1.0}:
-        return "boolean"
-    return "quantitative"
+def _parse_column(raw: Sequence[str], name: str, kind: str | None):
+    """Parse one column's cells once, inferring its kind unless given.
 
-
-def _convert(raw: str, kind: str, name: str, row: int):
+    Returns the kind, the typed values, and the column's first bad cell
+    as (row, message) or None.  Only a column with a bad cell is read
+    again, cell by cell, to find it.
+    """
     if kind == "nominal":
-        return raw
+        return kind, raw, None
     try:
-        x = float(raw)
+        x = list(map(float, raw))
     except ValueError:
-        raise DataError(
-            f"feature {name!r}, row {row}: {raw!r} is not numeric"
-        ) from None
-    if kind == "boolean":
-        if x not in (0.0, 1.0):
-            raise DataError(f"feature {name!r}, row {row}: {raw!r} is not 0/1")
-        return int(x)
-    if not np.isfinite(x):
-        raise DataError(f"feature {name!r}, row {row}: non-finite value {raw!r}")
-    return x
+        if kind is None:
+            return "nominal", raw, None
+    else:
+        bits = set(x) <= {0.0, 1.0}
+        kind = kind or ("boolean" if bits else "quantitative")
+        if kind == "boolean" and bits:
+            return kind, list(map(int, x)), None
+        if kind == "quantitative" and all(map(math.isfinite, x)):
+            return kind, x, None
+    for row, cell in enumerate(raw):
+        where = f"feature {name!r}, row {row}"
+        try:
+            v = float(cell)
+        except ValueError:
+            return kind, None, (row, f"{where}: {cell!r} is not numeric")
+        if kind == "boolean" and v not in (0.0, 1.0):
+            return kind, None, (row, f"{where}: {cell!r} is not 0/1")
+        if kind == "quantitative" and not math.isfinite(v):
+            return kind, None, (row, f"{where}: non-finite value {cell!r}")
 
 
 def load_csv(
@@ -197,9 +201,9 @@ def load_csv(
         names = tuple(class_names)
         if len(names) != 2 or names[0] == names[1]:
             raise DataError(f"class_names must be two distinct names, got {names!r}")
+    columns = list(zip(*body))
     labels = []
-    for r, cells in enumerate(body):
-        raw = cells[label_at]
+    for r, raw in enumerate(columns.pop(label_at)):
         if raw not in names:
             raise DataError(
                 f"row {r}: label {raw!r} is not one of {names!r}"
@@ -213,20 +217,17 @@ def load_csv(
         if kinds[name] not in KINDS:
             raise DataError(f"unknown kind {kinds[name]!r} for feature {name!r}")
 
-    columns = {}
-    feature_at = [i for i in range(len(header)) if i != label_at]
-    for j, name in zip(feature_at, feature_names):
-        raw = [cells[j] for cells in body]
-        kind = kinds.get(name) or _infer_kind(raw, name)
-        columns[name] = (kind, raw)
-
-    features = [FeatureSpec(name, columns[name][0]) for name in feature_names]
-    rows = []
-    for r in range(len(body)):
-        rows.append(tuple(
-            _convert(columns[f.name][1][r], f.kind, f.name, r)
-            for f in features
-        ))
+    parsed = [
+        _parse_column(raw, name, kinds.get(name))
+        for raw, name in zip(columns, feature_names)
+    ]
+    bad = [cell for _, _, cell in parsed if cell]
+    if bad:    # the lowest row, then the earliest feature
+        raise DataError(min(bad, key=lambda cell: cell[0])[1])
+    features = [
+        FeatureSpec(name, kind) for name, (kind, _, _) in zip(feature_names, parsed)
+    ]
+    rows = list(zip(*(values for _, values, _ in parsed))) or [()] * len(body)
     return Dataset(
         features=features,
         rows=rows,

@@ -16,6 +16,7 @@ error is kept, since it can still pay off in combination with others.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -119,9 +120,12 @@ def _degenerate(feature: str, kind: str, y: np.ndarray) -> Encoder:
 def fit_quantitative(values, labels, feature: str = "") -> Encoder:
     """Scan all interval boundaries for the (u, h) of least error.
 
-    Candidate thresholds are the midpoints between consecutive distinct
-    sorted values.  Ties are broken toward the widest value gap, then
-    the smallest threshold, then polarity h=0.
+    Each boundary lies between two consecutive distinct sorted values lo
+    and hi.  Its threshold u is their midpoint (lo + hi) / 2, or
+    lo / 2 + hi / 2 where the sum overflows, so u stays finite.  The
+    candidates (u, h) over every boundary and both polarities are sorted
+    by (error, -gap, u, h), gap = hi - lo, and the first is taken: least
+    error, then the widest gap, then the smallest threshold, then h=0.
     """
     v = np.asarray(values, dtype=float)
     y = _check_inputs(v, labels, feature)
@@ -130,7 +134,7 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
 
     order = np.argsort(v, kind="stable")
     sv, sy = v[order], y[order]
-    distinct = np.nonzero(np.diff(sv) > 0)[0]    # boundary after sorted index i
+    distinct = np.nonzero(sv[1:] > sv[:-1])[0]    # boundary after sorted index i
     if len(distinct) == 0:
         return _degenerate(feature, "quantitative", y)
 
@@ -140,22 +144,19 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
     count_below = distinct + 1
     # h=1: predict 1 above u, 0 at or below; errors = 1s below + 0s above
     e_h1 = ones_below + (n - count_below) - (total1 - ones_below)
-    e_h0 = n - e_h1
-    gaps = sv[distinct + 1] - sv[distinct]
-    mids = (sv[distinct] + sv[distinct + 1]) / 2.0
-
-    best = None
-    for h, errs in ((0, e_h0), (1, e_h1)):
-        for b in range(len(distinct)):
-            key = (int(errs[b]), -float(gaps[b]), float(mids[b]), h)
-            if best is None or key < best:
-                best = key
-    e, neg_gap, u, h = best
-    if e > min(n - total1, total1):
+    lo, hi = sv[distinct], sv[distinct + 1]
+    with np.errstate(over="ignore"):    # an infinite gap still sorts widest
+        gaps, mids = hi - lo, (lo + hi) / 2.0
+    mids = np.where(np.isinf(mids), lo / 2 + hi / 2, mids)    # the sum overflowed
+    errs = np.concatenate((n - e_h1, e_h1))    # every boundary at h=0, then h=1
+    polarity = np.repeat((0, 1), len(mids))
+    best = int(np.lexsort((polarity, np.tile(mids, 2), -np.tile(gaps, 2), errs))[0])
+    h, b = divmod(best, len(mids))
+    if errs[best] > min(n - total1, total1):
         return _degenerate(feature, "quantitative", y)
     return Encoder(
         feature=feature, kind="quantitative",
-        polarity=h, threshold=float(u), error=int(e),
+        polarity=h, threshold=float(mids[b]), error=int(errs[best]),
     )
 
 
@@ -183,25 +184,21 @@ def fit_nominal(values, labels, feature: str = "") -> Encoder:
     Ties are broken toward the category seen first and identity polarity.
     """
     y = _check_inputs(values, labels, feature)
-    cats: list[str] = []
-    for x in values:
-        if x not in cats:
-            cats.append(x)
+    pairs = Counter(zip(values, y.tolist()))    # (category, label) -> rows
+    cats = list(dict.fromkeys(cat for cat, _ in pairs))    # first seen first
     if len(cats) < 2:
         return _degenerate(feature, "nominal", y)
-    best = None
+    n, c1 = len(y), int(y.sum())
+    keys = []
     for ci, cat in enumerate(cats):
-        ind = np.array([x == cat for x in values], dtype=np.uint8)
-        e_identity = int(np.sum(ind != y))
-        for h, e in ((1, e_identity), (0, len(y) - e_identity)):
-            key = (e, ci, 1 - h)
-            if best is None or key < best[0]:
-                best = (key, cat, h, e)
-    _, cat, h, e = best
-    c1 = int(y.sum())
-    if e > min(len(y) - c1, c1):
+        e_identity = pairs[cat, 0] + c1 - pairs[cat, 1]    # 0s inside, 1s outside
+        keys += [(e_identity, ci, 0), (n - e_identity, ci, 1)]
+    e, ci, flip = min(keys)    # least error, first-seen category, h=1 before h=0
+    if e > min(n - c1, c1):
         return _degenerate(feature, "nominal", y)
-    return Encoder(feature=feature, kind="nominal", polarity=h, category=cat, error=e)
+    return Encoder(
+        feature=feature, kind="nominal", polarity=1 - flip, category=cats[ci], error=e,
+    )
 
 
 def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:

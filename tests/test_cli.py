@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from mofn.cli import main
+from mofn.data import load_csv
+from mofn.network import train
 from mofn.rules import parse_formula_table, to_formula_table
 from mofn.tables import parse_rendered_csv
 
@@ -52,6 +54,32 @@ class TestTrain:
         code, out, _ = run(capsys, "train", str(data), "--classes", "well,sick")
         assert code == 0
         assert "classes well sick" in out
+
+    def test_no_flags_train_with_library_defaults(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("MOFN_CONFIG", raising=False)
+        data = tmp_path / "data.csv"
+        run(capsys, "gen", "--seed", "3", "--features", "6", "--rows", "20",
+            "--syndromes", "2", "-o", str(data))
+        code, out, _ = run(capsys, "train", str(data))
+        assert code == 0
+        assert out == to_formula_table(train(load_csv(data)))
+
+    def test_values_near_the_float_limit(self, capsys, tmp_path):
+        # the label is big AND flag; the midpoint of 1e308 and 1.7e308
+        # overflows as (lo + hi) / 2
+        rows = "1e308,0,0\n1.7e308,0,0\n1e308,1,0\n1.7e308,1,1\n"
+        data = tmp_path / "data.csv"
+        data.write_text("big,flag,label\n" + rows * 2)
+        model = tmp_path / "model.rules"
+        code, _, _ = run(capsys, "train", str(data), "-o", str(model))
+        assert code == 0
+        sc = parse_formula_table(model.read_text())
+        big = sc.features[sc.feature_id("big")]
+        assert 1e308 < big.threshold < 1.7e308
+        code, out, _ = run(capsys, "classify", str(model), str(data))
+        assert code == 0
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == \
+            ["0", "0", "0", "1"] * 2
 
     def test_missing_data_file_is_a_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "train", str(tmp_path / "nope.csv"))

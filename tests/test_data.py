@@ -87,6 +87,38 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(text)
 
+    def test_label_only_csv_has_empty_rows(self):
+        with pytest.warns(UserWarning, match="conflicting labels"):
+            ds = load_csv("label\n0\n1\n")
+        assert ds.features == [] and ds.rows == [(), ()]
+
+
+class TestCellErrorPrecedence:
+    """The bad cell in the lowest row wins, then the earliest feature,
+    whatever the kind of fault: not numeric, not 0/1 or non-finite."""
+
+    @pytest.mark.parametrize("rows, kinds, message", [
+        # same row: the earlier feature wins over b's inferred non-finite
+        ("1,2,0 / 2,3,1 / abc,inf,0 / 5,6,1", {"a": "quantitative"},
+         "feature 'a', row 2: 'abc' is not numeric"),
+        # a lower row in a later feature wins
+        ("1,2,0 / 2,nan,1 / abc,3,0 / 5,6,1", {"a": "quantitative"},
+         "feature 'b', row 1: non-finite value 'nan'"),
+        # within one column, a non-finite cell above a non-numeric one
+        ("1,0,0 / nan,1,1 / 2,0,0 / z,1,1", {"a": "quantitative"},
+         "feature 'a', row 1: non-finite value 'nan'"),
+        # within one boolean column, a non-bit cell above a non-numeric one
+        ("1,0,0 / 2,2,1 / 0,x,0 / 1,1,1", {"b": "boolean"},
+         "feature 'b', row 1: '2' is not 0/1"),
+        ("1,0,0 / 2,1,1 / 3,x,0 / 1,7,1", {"b": "boolean"},
+         "feature 'b', row 2: 'x' is not numeric"),
+    ])
+    def test_first_bad_cell_wins(self, rows, kinds, message):
+        text = "a,b,label\n" + "\n".join(rows.split(" / ")) + "\n"
+        with pytest.raises(DataError) as err:
+            load_csv(text, kinds=kinds)
+        assert str(err.value) == message
+
 
 class TestDatasetInvariants:
     def test_conflicting_duplicate_rows_warn(self):

@@ -82,6 +82,15 @@ class TestQuantitative:
         with pytest.raises(EncodingError, match="labels"):
             fit_quantitative([1.0, 2.0], [0, 1, 1], "f")
 
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (-1.7e308, -1e308),
+                                        (-1.7e308, 1.7e308)])
+    def test_threshold_stays_finite_near_the_float_limit(self, lo, hi):
+        # (lo + hi) / 2 overflows for the first two; hi - lo for the last
+        enc = fit_quantitative([lo, hi, lo, hi], [0, 1, 0, 1], "f")
+        assert lo < enc.threshold < hi
+        assert enc.threshold == lo / 2 + hi / 2
+        assert list(encode_column(enc, [lo, hi])) == [0, 1]
+
 
 class TestBoolean:
     def test_identity_when_better(self):
@@ -141,6 +150,35 @@ class TestNominal:
         enc = fit_nominal(["x", "x", "x"], [0, 1, 1], "f")
         assert enc.degenerate and enc.error == 1
 
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("abcde"), st.integers(0, 1)),
+            min_size=2,
+            max_size=40,
+        ).filter(lambda ps: len({y for _, y in ps}) == 2)
+    )
+    @settings(deadline=None, max_examples=150)
+    def test_error_counts_what_encoding_produces(self, pairs):
+        values = [x for x, _ in pairs]
+        labels = np.array([y for _, y in pairs], dtype=np.uint8)
+        enc = fit_nominal(values, labels, "f")
+        floor = min(int(labels.sum()), len(labels) - int(labels.sum()))
+        # reference: one indicator per category, first seen first, h=1
+        # before h=0; a later candidate wins only with fewer mismatches
+        best = None
+        for cat in dict.fromkeys(values):
+            indicator = np.array([x == cat for x in values], dtype=np.uint8)
+            for h in (1, 0):
+                e = int(np.sum((indicator if h else 1 - indicator) != labels))
+                if best is None or e < best[0]:
+                    best = (e, cat, h)
+        if enc.degenerate:
+            assert enc.error == floor
+            assert len(set(values)) < 2 or best[0] > floor
+            return
+        assert (enc.error, enc.category, enc.polarity) == best
+        assert int(np.sum(encode_column(enc, values) != labels)) == enc.error
+
     def test_kind_dispatch(self):
         assert fit_feature([1.5, 2.5], [0, 1], "quantitative", "f").kind == "quantitative"
         assert fit_feature([0, 1], [0, 1], "boolean", "f").kind == "boolean"
@@ -161,6 +199,27 @@ class TestAgainstOracle:
                 labels[0] = 1 - labels[0]
             enc = fit_quantitative(values, labels, "f")
             want = brute_force_threshold(values, labels)
+            assert enc.degenerate == want.degenerate, trial
+            assert enc.error == want.e, trial
+            if not want.degenerate:
+                assert enc.threshold == want.u, trial
+                assert enc.polarity == want.h, trial
+
+    def test_large_tied_columns_match_brute_force(self):
+        # Values on a quarter grid tie many gaps.  Every odd trial mirrors
+        # its column: each row (v, y) also appears as (-v, y), so the
+        # boundary at u with h=1 and its twin at -u with h=0 tie on both
+        # error and gap, and only the threshold can break the tie.
+        rng = np.random.default_rng(11)
+        for trial in range(24):
+            n = int(rng.integers(200, 501))
+            size = n // 2 if trial % 2 else n
+            v = rng.integers(1, 4 * int(rng.integers(5, 40)), size=size) / 4.0
+            y = ((v < np.median(v)) ^ (rng.random(size) < 0.15)).astype(np.uint8)
+            if trial % 2:
+                v, y = np.concatenate((v, -v)), np.concatenate((y, y))
+            enc = fit_quantitative(v, y, "f")
+            want = brute_force_threshold(v, y)
             assert enc.degenerate == want.degenerate, trial
             assert enc.error == want.e, trial
             if not want.degenerate:
