@@ -7,24 +7,26 @@ generate synthetic benchmark data.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 model error,
 5 validation failure.
+
+Applying a rule (classify, import, export) loads no numpy: the modules
+that need it are imported by the commands that use them (train,
+tabulate, validate, gen).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .data import load_csv
-from .encoding import encode_column, encode_value
+from .config import TrainConfig
+from .encoding import encode_bits, encode_value
 from .errors import (
     CatalogError,
     DataError,
@@ -36,8 +38,6 @@ from .errors import (
     TrainingError,
 )
 from .logic import catalog
-from .network import TrainConfig, train
-from .oracle import ORACLE_TRUTH, PlantedSpec, generate_planted
 from .rules import (
     decision_levels,
     describe_decision,
@@ -48,7 +48,6 @@ from .rules import (
     vote_counts,
     vote_decision,
 )
-from .tables import detect_contradictions, make_table, parse_rendered_csv, render
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -126,6 +125,9 @@ def _parse_classes(spec: str | None):
 
 
 def cmd_train(args) -> int:
+    from .data import load_csv
+    from .network import train
+
     overrides = _load_config(args.config)
     config = _train_config(args, overrides)
     ds = load_csv(
@@ -166,9 +168,9 @@ def cmd_classify(args) -> int:
     try:
         for ident in program.features:
             enc = sc.features[ident]
-            cells = list(map(str.strip, raw[enc.feature]))
-            bits = encode_column(enc, cells if enc.kind == "nominal" else list(map(float, cells)))
-            columns.append(int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little"))
+            cells = raw[enc.feature]
+            values = map(str.strip, cells) if enc.kind == "nominal" else map(float, cells)
+            columns.append(encode_bits(enc, list(values)))
     except (ValueError, EncodingError):
         _raise_first_bad_row(sc, header, body)
         raise
@@ -180,7 +182,7 @@ def cmd_classify(args) -> int:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["row", "decision", "value", "votes"])
-    writer.writerows([str(r), *decided[v]] for r, v in enumerate(m1.tolist()))
+    writer.writerows([str(r), *decided[v]] for r, v in enumerate(m1))
     _write(out.getvalue(), args.output)
     return EXIT_OK
 
@@ -225,6 +227,8 @@ def _parse_axis(spec: str | None, sc) -> list[int] | None:
 
 
 def cmd_tabulate(args) -> int:
+    from .tables import detect_contradictions, make_table, render
+
     sc = _read_model(args.model)
     rows = _parse_axis(args.rows, sc)
     cols = _parse_axis(args.cols, sc)
@@ -289,6 +293,7 @@ def cmd_import(args) -> int:
 
 def cmd_gen(args) -> int:
     from .data import to_csv
+    from .oracle import PlantedSpec, generate_planted
 
     try:
         spec = PlantedSpec(
@@ -316,12 +321,17 @@ def cmd_gen(args) -> int:
 
 
 def _fixture_dir(args) -> Path:
+    from importlib import resources
+
     if args.fixtures:
         return Path(args.fixtures)
     return Path(str(resources.files("mofn") / "fixtures"))
 
 
 def cmd_validate(args) -> int:
+    from .oracle import ORACLE_TRUTH
+    from .tables import detect_contradictions, make_table, parse_rendered_csv
+
     fixtures = _fixture_dir(args)
     checks = []
 
@@ -343,10 +353,10 @@ def cmd_validate(args) -> int:
         sc = parse_formula_table(path.read_text())
         expected = parse_rendered_csv((fixtures / table_name).read_text())
         table = make_table(sc, rows, cols)
-        same = int(np.sum(table.cells == expected))
+        same = int((table.cells == expected).sum())
         total = expected.size
         agree = same / total
-        bounds_ok = bool(np.all(np.abs(table.cells[table.cells != 0]) <= sc.n))
+        bounds_ok = bool((abs(table.cells[table.cells != 0]) <= sc.n).all())
         corner_ok = int(table.cells[0, 0]) == corner
         check(
             f"{model_name}: classes {class_pair[0]}/{class_pair[1]}",
@@ -391,7 +401,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VALIDATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and then kept."""
     parser = argparse.ArgumentParser(
         prog="mofn",
         description="Train, inspect, and apply M-of-N diagnostic rules.",

@@ -12,17 +12,28 @@ majority class carries no standalone signal.  It is marked degenerate
 with e equal to the minority class count, and refuses to encode.  The
 comparison is strict: an encoder that merely ties the majority-class
 error is kept, since it can still pay off in combination with others.
+
+Applying an encoder needs no numpy: `encode_value` maps one value and
+`encode_bits` a whole column to an int bitset, which is all a trained
+rule needs to classify.  Fitting and `encode_column` import numpy when
+they are first called.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
+from operator import eq, gt
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .data import Dataset
 from .errors import EncodingError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .data import Dataset
 
 __all__ = [
     "Encoder",
@@ -59,7 +70,7 @@ def encode_value(enc: Encoder, value) -> int:
         )
     if enc.kind == "quantitative":
         v = float(value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise EncodingError(f"feature {enc.feature!r}: non-finite value {value!r}")
         return enc.polarity if v > enc.threshold else 1 - enc.polarity
     if enc.kind == "boolean":
@@ -75,6 +86,8 @@ def encode_value(enc: Encoder, value) -> int:
 
 def encode_column(enc: Encoder, values) -> np.ndarray:
     """Vectorized encode_value over a raw column."""
+    import numpy as np
+
     if enc.degenerate:
         raise EncodingError(
             f"feature {enc.feature!r} is degenerate and cannot be encoded"
@@ -96,7 +109,34 @@ def encode_column(enc: Encoder, values) -> np.ndarray:
     return (~bits).astype(np.uint8)
 
 
+# bytes of 0/1 flags to binary digits, for polarity 0 and for polarity 1
+_DIGITS = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01"))
+
+
+def encode_bits(enc: Encoder, values) -> int:
+    """encode_column packed into an int, bit r for values[r].  The values
+    are Python floats, or strings for a nominal feature."""
+    if enc.degenerate:
+        raise EncodingError(
+            f"feature {enc.feature!r} is degenerate and cannot be encoded"
+        )
+    if enc.kind == "quantitative":
+        if not all(map(math.isfinite, values)):
+            raise EncodingError(f"feature {enc.feature!r}: non-finite values")
+        flags = map(gt, values, repeat(enc.threshold))
+    elif enc.kind == "boolean":
+        if not set(values) <= {0, 1}:
+            raise EncodingError(f"feature {enc.feature!r}: values are not all 0/1")
+        flags = map(eq, values, repeat(1))
+    else:
+        flags = map(eq, values, repeat(enc.category))
+    digits = bytes(flags).translate(_DIGITS[enc.polarity])
+    return int(digits[::-1] or b"0", 2)
+
+
 def _check_inputs(values, labels, feature: str) -> np.ndarray:
+    import numpy as np
+
     y = np.asarray(labels, dtype=np.uint8)
     if len(values) != len(y):
         raise EncodingError(
@@ -122,11 +162,14 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
 
     Each boundary lies between two consecutive distinct sorted values lo
     and hi.  Its threshold u is their midpoint (lo + hi) / 2, or
-    lo / 2 + hi / 2 where the sum overflows, so u stays finite.  The
+    lo / 2 + hi / 2 where the sum overflows, so u stays finite, and lo
+    where the midpoint rounds to hi, so hi stays above it.  The
     candidates (u, h) over every boundary and both polarities are sorted
     by (error, -gap, u, h), gap = hi - lo, and the first is taken: least
     error, then the widest gap, then the smallest threshold, then h=0.
     """
+    import numpy as np
+
     v = np.asarray(values, dtype=float)
     y = _check_inputs(v, labels, feature)
     if not np.all(np.isfinite(v)):
@@ -148,6 +191,7 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
     with np.errstate(over="ignore"):    # an infinite gap still sorts widest
         gaps, mids = hi - lo, (lo + hi) / 2.0
     mids = np.where(np.isinf(mids), lo / 2 + hi / 2, mids)    # the sum overflowed
+    mids = np.where(mids == hi, lo, mids)    # adjacent floats: the bit is v > u
     errs = np.concatenate((n - e_h1, e_h1))    # every boundary at h=0, then h=1
     polarity = np.repeat((0, 1), len(mids))
     best = int(np.lexsort((polarity, np.tile(mids, 2), -np.tile(gaps, 2), errs))[0])
@@ -162,6 +206,8 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
 
 def fit_boolean(values, labels, feature: str = "") -> Encoder:
     """Pick identity or complement, whichever matches the labels better."""
+    import numpy as np
+
     v = np.asarray(values)
     y = _check_inputs(v, labels, feature)
     if not set(np.unique(v)) <= {0, 1, False, True}:
@@ -233,6 +279,8 @@ class EncodedDataset:
 
 def encode_dataset(ds: Dataset) -> EncodedDataset:
     """Fit every feature of a dataset and build the training bit matrix."""
+    import numpy as np
+
     encoders = []
     columns = []
     active = []

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CatalogError
 
 _STANDARD_ROWS: dict[int, tuple[int, int, int, int]] = {
@@ -98,21 +96,6 @@ def eval_fn(fn_id: int, u1: int, u2: int, extended: bool = False) -> int:
     if u1 not in (0, 1) or u2 not in (0, 1):
         raise ValueError(f"inputs must be bits, got ({u1!r}, {u2!r})")
     return truth_row(fn_id, extended)[(u1 << 1) | u2]
-
-
-def eval_vector(
-    fn_id: int,
-    u1: np.ndarray,
-    u2: np.ndarray,
-    extended: bool = False,
-) -> np.ndarray:
-    """Apply one catalog function elementwise to two bit vectors."""
-    a = np.asarray(u1, dtype=np.uint8)
-    b = np.asarray(u2, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise ValueError(f"input shapes differ: {a.shape} vs {b.shape}")
-    table = np.array(truth_row(fn_id, extended), dtype=np.uint8)
-    return table[(a << 1) | b]
 
 
 def complement_id(fn_id: int, extended: bool = False) -> int | None:

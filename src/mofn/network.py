@@ -36,6 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .config import TrainConfig
 from .encoding import EncodedDataset, Encoder, encode_dataset, encode_value
 from .data import Dataset
 from .errors import EvaluationError, TrainingError
@@ -58,22 +59,6 @@ class Unit:
     left: int
     right: int
     error: int
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    beam_width: int = 64
-    max_layers: int = 10
-    patience: int = 1
-    extended_catalog: bool = False
-
-    def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise TrainingError("beam_width must be at least 1")
-        if self.max_layers < 1:
-            raise TrainingError("max_layers must be at least 1")
-        if self.patience < 1:
-            raise TrainingError("patience must be at least 1")
 
 
 @dataclass
@@ -317,7 +302,8 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
         for layer in layers
     ]
     final = [int.from_bytes(c.outputs.astype("<u8").tobytes(), "little") for c in layers[-1]]
-    values = vote_values(vote_counts(final, ds.n), len(final))
+    m1 = vote_counts(final, ds.n)
+    values = vote_values(np.frombuffer(m1, m1.typecode).astype(np.int64), len(final))
     correct = np.where(enc.labels == 1, values < 0, values > 0)
     report = TrainReport(
         layer_sizes=[len(layer) for layer in layers],

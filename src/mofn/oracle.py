@@ -47,8 +47,8 @@ def brute_force_threshold(values, labels) -> ThresholdResult:
     """Try every interval boundary and polarity by explicit counting.
 
     Implements the same contract as the fitted encoder: candidate
-    thresholds are midpoints of consecutive distinct sorted values,
-    ties prefer the widest gap, then the smallest threshold, then
+    thresholds are midpoints of consecutive distinct sorted values (the
+    lower value where the midpoint rounds up to the higher), ties prefer the widest gap, then the smallest threshold, then
     polarity 0, and a result strictly worse than the majority class
     is degenerate.
     """
@@ -63,6 +63,8 @@ def brute_force_threshold(values, labels) -> ThresholdResult:
     candidates = []
     for lo, hi in zip(distinct, distinct[1:]):
         u = (lo + hi) / 2.0
+        if u == hi:     # lo and hi adjacent floats: keep hi above u
+            u = lo
         gap = hi - lo
         for h in (0, 1):
             e = 0

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import shlex
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence, Union
-
-import numpy as np
 
 from .encoding import Encoder
 from .errors import EvaluationError, ModelFormatError
@@ -100,10 +100,11 @@ def vote_decision(m1: int, n: int) -> SignedDecision:
     return SignedDecision(value=0, m=m0, n=n, m1=m1)
 
 
-def vote_values(m1: np.ndarray, n: int) -> np.ndarray:
-    """Array form of vote_decision's value: +m0, -m1, or 0 on a tie."""
+def vote_values(m1, n: int):
+    """Array form of vote_decision's value: +m0, -m1, or 0 on a tie.
+    m1 is a signed integer array."""
     m0 = n - m1
-    return np.where(m0 > m1, m0, np.where(m1 > m0, -m1, 0))
+    return (m0 > m1) * m0 - (m1 > m0) * m1
 
 
 def describe_decision(d: SignedDecision, class_names: tuple[str, str] = ("0", "1")) -> str:
@@ -202,12 +203,37 @@ def _live_rows(layers: list[list[Row]]) -> list[list[Row]]:
     return live
 
 
-def vote_counts(bitsets: Sequence[int], n: int) -> np.ndarray:
-    """For each of n cases, how many of the bitsets have its bit set."""
-    width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(x.to_bytes(width, "little") for x in bitsets), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(bitsets), width), axis=1, count=n, bitorder="little")
-    return bits.sum(axis=0, dtype=np.int64)
+_SPREAD = bytes.maketrans(b"01", b"\0\1")
+
+
+def vote_counts(bitsets: Sequence[int], n: int) -> array:
+    """For each of n cases, how many of the bitsets have its bit set: one
+    unsigned lane per case, a byte below 256 bitsets and wider beyond.
+
+    The bitsets are first added bit-sliced, a ripple-carry add on ints
+    that counts every case at once, so plane k holds bit k of each count.
+    Each plane is then spread to one lane per case from its binary digits,
+    and the spreads are added with weight 2**k.
+    """
+    planes: list[int] = []
+    for carry in bitsets:
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(0)
+            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+            k += 1
+    code = next(c for c in "BHIQ" if len(bitsets) < 256 ** array(c).itemsize)
+    width = array(code).itemsize
+    lanes = bytearray(width * n)    # big-endian: the last lane is case 0
+    total = 0
+    for k, plane in enumerate(planes):
+        lanes[width - 1 :: width] = format(plane, f"0{n}b").encode().translate(_SPREAD)
+        total += int.from_bytes(lanes, "big") << k
+    counts = array(code, total.to_bytes(width * n, "little"))
+    if sys.byteorder == "big":
+        counts.byteswap()
+    return counts
 
 
 @dataclass

@@ -90,7 +90,7 @@ def make_table(
     # cell i is a case: the feature at position p of `order` is bit q-1-p of i
     column = {feat: _cell_bit_column(q - 1 - p, total) for p, feat in enumerate(order)}
     m1 = vote_counts(program.run([column[f] for f in program.features], total), total)
-    values = vote_values(m1, sc.n)
+    values = vote_values(np.frombuffer(m1, m1.typecode).astype(np.int64), sc.n)
     labels = {
         f: (sc.features[f].feature if f in sc.features else f"x_{f}")
         for f in order
@@ -98,7 +98,7 @@ def make_table(
     return DiagnosticTable(
         row_features=rows,
         col_features=cols,
-        cells=values.reshape(1 << a, 1 << b).astype(np.int64),
+        cells=values.reshape(1 << a, 1 << b),
         n_syndromes=sc.n,
         feature_labels=labels,
         class_names=sc.class_names,

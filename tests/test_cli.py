@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mofn.cli import main
+from mofn.cli import build_parser, main
 from mofn.data import load_csv
 from mofn.network import train
 from mofn.rules import parse_formula_table, to_formula_table
@@ -472,3 +472,18 @@ class TestParserBasics:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys, tmp_path):
+        """Repeated in-process runs share one parser; neither the --kind
+        values nor the flag defaults of one run reach the next."""
+        assert build_parser() is build_parser()
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,c,label\n1,0,5.0,0\n2,0,6.0,0\n3,1,7.0,1\n"
+                        "4,1,8.0,1\n1,1,5.5,0\n4,0,7.5,1\n")
+        nominal = run(capsys, "train", str(data), "--kind", "a=nominal", "--beam", "1")
+        inferred = run(capsys, "train", str(data))
+        assert "feature 0 a kind=nominal" in nominal[1]
+        assert "feature 0 a kind=quantitative" in inferred[1]
+        assert run(capsys, "train", str(data), "--kind", "a=nominal", "--beam", "1") == nominal
+        args = build_parser().parse_args(["train", str(data)])
+        assert (args.kind, args.beam, args.max_layers, args.patience) == ([], None, None, None)

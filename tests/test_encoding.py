@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from mofn.data import Dataset, FeatureSpec
 from mofn.encoding import (
+    Encoder,
+    encode_bits,
     encode_column,
     encode_dataset,
     encode_value,
@@ -14,7 +18,7 @@ from mofn.encoding import (
     fit_quantitative,
 )
 from mofn.errors import EncodingError
-from mofn.oracle import brute_force_threshold
+from mofn.oracle import ThresholdResult, brute_force_threshold
 
 
 class TestQuantitative:
@@ -90,6 +94,17 @@ class TestQuantitative:
         assert lo < enc.threshold < hi
         assert enc.threshold == lo / 2 + hi / 2
         assert list(encode_column(enc, [lo, hi])) == [0, 1]
+
+    def test_threshold_between_adjacent_floats_stays_below_hi(self):
+        # lo's last mantissa bit is odd, so (lo + hi) / 2 rounds to hi
+        lo = math.nextafter(1.0, 2.0)
+        hi = math.nextafter(lo, 2.0)
+        values, labels = [lo, hi, lo, hi], [0, 1, 0, 1]
+        assert (lo + hi) / 2 == hi
+        enc = fit_quantitative(values, labels, "f")
+        assert (enc.threshold, enc.polarity, enc.error) == (lo, 1, 0)
+        assert list(encode_column(enc, values)) == labels
+        assert brute_force_threshold(values, labels) == ThresholdResult(lo, 1, 0, False)
 
 
 class TestBoolean:
@@ -307,3 +322,61 @@ class TestEncodeDataset:
             col = ds.column(j)
             for r, value in enumerate(col):
                 assert enc.matrix[r, j] == encode_value(enc.encoders[j], value)
+
+
+def _packed(enc, values) -> int:
+    """encode_column's bits as one int, bit r for row r."""
+    bits = np.packbits(encode_column(enc, values), bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
+SIZES = (0, 1, 7, 8, 9, 63, 64, 65)
+FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+class TestEncodeBits:
+    """encode_bits, the bitset encoder `mofn classify` uses, against
+    encode_column packed, the encoder training uses."""
+
+    @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
+    def test_quantitative(self, data, n, polarity):
+        u = data.draw(FINITE)
+        values = data.draw(st.lists(st.one_of(FINITE, st.just(u)), min_size=n, max_size=n))
+        enc = Encoder("f", "quantitative", polarity, threshold=u)
+        assert encode_bits(enc, values) == _packed(enc, values)
+
+    @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
+    def test_boolean(self, data, n, polarity):
+        bit = st.sampled_from((0, 1, 0.0, 1.0, False, True))
+        values = data.draw(st.lists(bit, min_size=n, max_size=n))
+        enc = Encoder("f", "boolean", polarity)
+        assert encode_bits(enc, values) == _packed(enc, values)
+
+    @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
+    def test_nominal(self, data, n, polarity):
+        category = st.sampled_from(("red", "blue", "", "red "))
+        values = data.draw(st.lists(category, min_size=n, max_size=n))
+        enc = Encoder("f", "nominal", polarity, category=data.draw(category))
+        assert encode_bits(enc, values) == _packed(enc, values)
+
+    @staticmethod
+    def assert_same_error(enc, values):
+        with pytest.raises(EncodingError) as want:
+            encode_column(enc, values)
+        with pytest.raises(EncodingError) as got:
+            encode_bits(enc, values)
+        assert str(got.value) == str(want.value)
+
+    @given(st.data(), st.sampled_from(SIZES[1:]))
+    def test_same_errors_on_non_finite_and_non_bit_values(self, data, n):
+        at = data.draw(st.integers(0, n - 1))
+        values = [1.0] * n
+        values[at] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
+        self.assert_same_error(Encoder("f", "quantitative", threshold=0.5), values)
+        values[at] = data.draw(st.sampled_from((2, -1, 0.5, math.nan, math.inf)))
+        self.assert_same_error(Encoder("f", "boolean"), values)
+
+    @pytest.mark.parametrize("kind", ["quantitative", "boolean", "nominal"])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_same_error_on_degenerate_encoders(self, kind, n):
+        self.assert_same_error(Encoder("f", kind, degenerate=True, error=1), [1.0] * n)

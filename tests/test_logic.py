@@ -1,7 +1,4 @@
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mofn.errors import CatalogError
 from mofn.logic import (
@@ -10,7 +7,6 @@ from mofn.logic import (
     catalog,
     complement_id,
     eval_fn,
-    eval_vector,
     function_ids,
     truth_row,
 )
@@ -95,19 +91,3 @@ class TestEvaluation:
             eval_fn(0, 2, 0)
         with pytest.raises(ValueError):
             eval_fn(0, 0, -1)
-
-    def test_vector_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            eval_vector(0, np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8))
-
-    @given(
-        st.sampled_from(EXTENDED_IDS),
-        st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=64),
-    )
-    def test_vector_matches_scalar(self, fn_id, pairs):
-        a = np.array([p[0] for p in pairs], dtype=np.uint8)
-        b = np.array([p[1] for p in pairs], dtype=np.uint8)
-        out = eval_vector(fn_id, a, b, extended=True)
-        assert out.dtype == np.uint8
-        for i, (u1, u2) in enumerate(pairs):
-            assert int(out[i]) == eval_fn(fn_id, u1, u2, extended=True)

@@ -356,6 +356,17 @@ layer 2
                 vote_decision(int(m), n).value for m in m1
             ]
 
+    @pytest.mark.parametrize("n_sets", [1, 255, 256, 300])
+    def test_vote_counts_match_per_case_sums(self, n_sets):
+        """Case 0 is set in every bitset and case 1 in none, so from 256
+        bitsets on a count no longer fits in a byte."""
+        rng = np.random.default_rng(n_sets)
+        n = 70
+        bitsets = [(int(rng.integers(0, 1 << 62)) << 8 | 1) for _ in range(n_sets)]
+        counts = vote_counts(bitsets, n)
+        assert list(counts) == [sum((x >> r) & 1 for x in bitsets) for r in range(n)]
+        assert counts[:2].tolist() == [n_sets, 0]
+
 
 class TestExtraction:
     def make_net(self):
