@@ -4,6 +4,11 @@ A dataset is a small table of named features plus a binary label per
 row.  Features come in three kinds: quantitative (floats), boolean
 (0/1), and nominal (unordered category strings).  Kinds are inferred
 from the values unless overridden by the caller.
+
+Data is held by column.  `load_csv` checks each row's width once, then
+reads, checks and parses one column at a time, and `Dataset` keeps the
+typed columns that training encodes; `Dataset.rows` is a view built on
+demand for callers that want rows.
 """
 
 from __future__ import annotations
@@ -12,9 +17,10 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -35,36 +41,50 @@ class FeatureSpec:
             raise DataError(f"unknown feature kind {self.kind!r} for {self.name!r}")
 
 
-@dataclass
 class Dataset:
     """Feature columns plus a binary label vector.
 
-    Rows hold python values per feature: float for quantitative, int 0/1
-    for boolean, str for nominal.  Labels are a uint8 vector of 0s and 1s.
+    Column j holds one python value per row: float for quantitative,
+    int 0/1 for boolean, str for nominal.  Labels are a uint8 vector of
+    0s and 1s.  Build it from `rows` (one tuple per row) or, keyword
+    only, from `columns` (one list per feature).
     """
 
-    features: list[FeatureSpec]
-    rows: list[tuple]
-    labels: np.ndarray
-    label_name: str = "label"
-    class_names: tuple[str, str] = ("0", "1")
-
-    def __post_init__(self) -> None:
-        self.labels = np.asarray(self.labels, dtype=np.uint8)
+    def __init__(
+        self,
+        features: Sequence[FeatureSpec],
+        rows: Sequence[tuple] | None = None,
+        labels=(),
+        label_name: str = "label",
+        class_names: tuple[str, str] = ("0", "1"),
+        *,
+        columns: Sequence[list] | None = None,
+    ) -> None:
+        self.features = list(features)
+        self.labels = np.asarray(labels, dtype=np.uint8)
+        self.label_name = label_name
+        self.class_names = class_names
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise DataError("duplicate feature names")
         if self.label_name in names:
             raise DataError(f"label column {self.label_name!r} collides with a feature")
-        if len(self.rows) != len(self.labels):
-            raise DataError(
-                f"{len(self.rows)} rows but {len(self.labels)} labels"
-            )
-        if len(self.rows) < 2:
+        if (rows is None) == (columns is None):
+            raise DataError("give either rows or columns")
+        n = len(rows) if columns is None else len(self.labels)
+        if n != len(self.labels):
+            raise DataError(f"{n} rows but {len(self.labels)} labels")
+        if n < 2:
             raise DataError("need at least two rows")
-        for r, row in enumerate(self.rows):
-            if len(row) != len(self.features):
-                raise DataError(f"row {r} has {len(row)} values, expected {len(self.features)}")
+        if columns is None:
+            for r, row in enumerate(rows):
+                if len(row) != self.m:
+                    raise DataError(f"row {r} has {len(row)} values, expected {self.m}")
+            columns = zip(*rows)
+        elif len(columns) != self.m or any(len(c) != n for c in columns):
+            raise DataError(f"expected {self.m} columns of {n} values")
+        self.columns: list[list] = list(map(list, columns))
+        self.n = n
         if not set(np.unique(self.labels)) <= {0, 1}:
             raise DataError("labels must be 0 or 1")
         c0, c1 = self.class_counts()
@@ -74,19 +94,17 @@ class Dataset:
         self._warn_contradictions()
 
     @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    @property
     def m(self) -> int:
         return len(self.features)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """One tuple of values per row, built from the columns."""
+        return list(zip(*self.columns)) or [()] * self.n
 
     def class_counts(self) -> tuple[int, int]:
         c1 = int(self.labels.sum())
         return len(self.labels) - c1, c1
-
-    def column(self, index: int) -> list:
-        return [row[index] for row in self.rows]
 
     def feature_index(self, name: str) -> int:
         for i, f in enumerate(self.features):
@@ -95,10 +113,16 @@ class Dataset:
         raise DataError(f"no feature named {name!r}")
 
     def _warn_contradictions(self) -> None:
+        # Rows that differ in some columns differ.  Hash the rows on the
+        # first 1, 2, 4, ... columns, then on all of them: as soon as no
+        # two rows are equal, none conflict.  Continuous data is cleared
+        # after one or two columns; the exact walk runs only on duplicates.
+        widths = [1 << k for k in range((self.m - 1).bit_length())] + [self.m]
+        if self.m and any(len(set(zip(*self.columns[:w]))) == self.n for w in widths):
+            return
         seen: dict[tuple, tuple[int, int]] = {}
         flagged = []
-        for r, row in enumerate(self.rows):
-            y = int(self.labels[r])
+        for r, (row, y) in enumerate(zip(self.rows, self.labels.tolist())):
             if row in seen:
                 first, y0 = seen[row]
                 if y0 != y:
@@ -113,28 +137,45 @@ class Dataset:
             )
 
 
-def _parse_column(raw: Sequence[str], name: str, kind: str | None):
-    """Parse one column's cells once, inferring its kind unless given.
+def _read_column(raw: Sequence[str], nominal: bool):
+    """One CSV column as (floats, cells).  A column not declared nominal
+    is tried as numbers first: float() skips the same whitespace as
+    strip(), but for the separators \\x1c-\\x1f, and rejects an empty
+    cell, so a column that parses has no empty cell and needs no strip.
+    Otherwise the cells are stripped and tried again; floats is None if
+    some cell is still not a number."""
+    if nominal:
+        return None, list(map(str.strip, raw))
+    try:
+        return list(map(float, raw)), raw
+    except ValueError:
+        cells = list(map(str.strip, raw))
+    try:
+        return list(map(float, cells)), cells
+    except ValueError:
+        return None, cells
 
+
+def _parse_column(
+    cells: Sequence[str], x: list[float] | None, name: str, kind: str | None
+):
+    """Type one column, inferring its kind unless given.
+
+    `x` is the column as floats, or None if some cell is not numeric.
     Returns the kind, the typed values, and the column's first bad cell
     as (row, message) or None.  Only a column with a bad cell is read
     again, cell by cell, to find it.
     """
-    if kind == "nominal":
-        return kind, raw, None
-    try:
-        x = list(map(float, raw))
-    except ValueError:
-        if kind is None:
-            return "nominal", raw, None
-    else:
-        bits = set(x) <= {0.0, 1.0}
+    if kind == "nominal" or (kind is None and x is None):
+        return "nominal", cells, None
+    if x is not None:
+        bits = x.count(0.0) + x.count(1.0) == len(x)
         kind = kind or ("boolean" if bits else "quantitative")
         if kind == "boolean" and bits:
             return kind, list(map(int, x)), None
         if kind == "quantitative" and all(map(math.isfinite, x)):
             return kind, x, None
-    for row, cell in enumerate(raw):
+    for row, cell in enumerate(map(str.strip, cells)):
         where = f"feature {name!r}, row {row}"
         try:
             v = float(cell)
@@ -146,6 +187,60 @@ def _parse_column(raw: Sequence[str], name: str, kind: str | None):
             return kind, None, (row, f"{where}: non-finite value {cell!r}")
 
 
+def _read_cells(columns: list[tuple], label_at: int, nominal: list[bool]):
+    """The stripped label cells, each feature column as _read_column
+    gives it, and the rows that hold an empty cell."""
+    features = columns[:label_at] + columns[label_at + 1:]
+    label = list(map(str.strip, columns[label_at]))
+    read = [_read_column(raw, nom) for raw, nom in zip(features, nominal)]
+    empty = {r for r, cell in enumerate(label) if not cell}
+    for x, cells in read:
+        if x is None and "" in cells:
+            empty.update(r for r, cell in enumerate(cells) if not cell)
+    return label, read, sorted(empty)
+
+
+def _read_table(text: str, label_column: str, drop_incomplete: bool):
+    """The stripped header and the raw cells of each column, one tuple
+    per column.  Every row must be as wide as the header; a row with an
+    empty cell above a ragged row is reported first unless incomplete
+    rows are to be dropped.  The row lists are freed on return, so the
+    garbage collector does not walk them again while the columns are
+    parsed."""
+    table = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not table:
+        raise DataError("empty CSV")
+    header = [h.strip() for h in table[0]]
+    if label_column not in header:
+        raise DataError(f"no column named {label_column!r} in header {header}")
+    body = table[1:]
+    if set(map(len, body)) - {len(header)}:
+        ragged = next(r for r, row in enumerate(body) if len(row) != len(header))
+        if not drop_incomplete:
+            for r, row in enumerate(body[:ragged]):
+                if "" in map(str.strip, row):
+                    raise DataError(f"row {r} has an empty cell")
+        width = len(body[ragged])
+        raise DataError(f"row {ragged} has {width} cells, expected {len(header)}")
+    if not body:
+        raise DataError("no complete data rows")
+    return header, list(zip(*body))
+
+
+def _read_text(source) -> str:
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        try:
+            return Path(source).read_text()
+        except FileNotFoundError:
+            raise DataError(
+                f"no such file: {str(source)!r} (CSV text given as a string "
+                "must contain a newline)"
+            ) from None
+    if isinstance(source, str):
+        return source
+    return source.read()
+
+
 def load_csv(
     source,
     label_column: str = "label",
@@ -155,45 +250,32 @@ def load_csv(
 ) -> Dataset:
     """Read a dataset from a CSV path, file object, or literal text.
 
+    A string without a newline is a path; a missing file is a DataError.
     The header row names the columns.  `label_column` selects the label;
     its values must be the two class names (default "0" and "1", or the
     pair given in `class_names`, first name = class 0).  `kinds` overrides
     inferred kinds per feature name.  Incomplete rows (empty cells) are an
     error unless `drop_incomplete` is set, which discards them with a
-    warning.
+    warning.  Errors name the first bad row: a ragged row or a row with
+    an empty cell, then a bad label, then a bad cell (its lowest row,
+    then its earliest feature).
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text()
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-    reader = csv.reader(io.StringIO(text))
-    table = [row for row in reader if row]
-    if not table:
-        raise DataError("empty CSV")
-    header = [h.strip() for h in table[0]]
-    if label_column not in header:
-        raise DataError(f"no column named {label_column!r} in header {header}")
+    header, columns = _read_table(_read_text(source), label_column, drop_incomplete)
     label_at = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_at]
-
-    body = []
-    dropped = []
-    for r, row in enumerate(table[1:]):
-        if len(row) != len(header):
-            raise DataError(f"row {r} has {len(row)} cells, expected {len(header)}")
-        cells = [c.strip() for c in row]
-        if any(c == "" for c in cells):
-            if drop_incomplete:
-                dropped.append(r)
-                continue
-            raise DataError(f"row {r} has an empty cell")
-        body.append(cells)
+    kinds = dict(kinds or {})
+    nominal = [kinds.get(name) == "nominal" for name in feature_names]
+    label, read, dropped = _read_cells(columns, label_at, nominal)
     if dropped:
+        if not drop_incomplete:
+            raise DataError(f"row {dropped[0]} has an empty cell")
         warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}")
-    if not body:
-        raise DataError("no complete data rows")
+        if len(dropped) == len(label):
+            raise DataError("no complete data rows")
+        gone = set(dropped)
+        keep = [r not in gone for r in range(len(label))]
+        columns = [tuple(compress(column, keep)) for column in columns]
+        label, read, _ = _read_cells(columns, label_at, nominal)
 
     if class_names is None:
         names = ("0", "1")
@@ -201,16 +283,11 @@ def load_csv(
         names = tuple(class_names)
         if len(names) != 2 or names[0] == names[1]:
             raise DataError(f"class_names must be two distinct names, got {names!r}")
-    columns = list(zip(*body))
-    labels = []
-    for r, raw in enumerate(columns.pop(label_at)):
-        if raw not in names:
-            raise DataError(
-                f"row {r}: label {raw!r} is not one of {names!r}"
-            )
-        labels.append(names.index(raw))
+    if not set(label) <= set(names):
+        r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
+        raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
+    labels = np.array(label) == names[1]
 
-    kinds = dict(kinds or {})
     for name in kinds:
         if name not in feature_names:
             raise DataError(f"kind override for unknown feature {name!r}")
@@ -218,22 +295,18 @@ def load_csv(
             raise DataError(f"unknown kind {kinds[name]!r} for feature {name!r}")
 
     parsed = [
-        _parse_column(raw, name, kinds.get(name))
-        for raw, name in zip(columns, feature_names)
+        _parse_column(cells, x, name, kinds.get(name))
+        for (x, cells), name in zip(read, feature_names)
     ]
     bad = [cell for _, _, cell in parsed if cell]
     if bad:    # the lowest row, then the earliest feature
         raise DataError(min(bad, key=lambda cell: cell[0])[1])
-    features = [
-        FeatureSpec(name, kind) for name, (kind, _, _) in zip(feature_names, parsed)
-    ]
-    rows = list(zip(*(values for _, values, _ in parsed))) or [()] * len(body)
     return Dataset(
-        features=features,
-        rows=rows,
-        labels=np.array(labels, dtype=np.uint8),
+        features=[FeatureSpec(name, kind) for name, (kind, _, _) in zip(feature_names, parsed)],
+        labels=labels,
         label_name=label_column,
         class_names=names,
+        columns=[values for _, values, _ in parsed],
     )
 
 

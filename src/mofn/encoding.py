@@ -15,8 +15,10 @@ error is kept, since it can still pay off in combination with others.
 
 Applying an encoder needs no numpy: `encode_value` maps one value and
 `encode_bits` a whole column to an int bitset, which is all a trained
-rule needs to classify.  Fitting and `encode_column` import numpy when
-they are first called.
+rule needs to classify.  `encode_bits` is the one column encoder:
+`encode_dataset` also uses it, and lays each active column's bitset out
+as the packed uint64 words that training scores.  Fitting and
+`encode_dataset` import numpy when they are first called.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import compress, repeat
 from operator import eq, gt
 from typing import TYPE_CHECKING
 
@@ -84,38 +87,14 @@ def encode_value(enc: Encoder, value) -> int:
     raise EncodingError(f"feature {enc.feature!r}: unknown kind {enc.kind!r}")
 
 
-def encode_column(enc: Encoder, values) -> np.ndarray:
-    """Vectorized encode_value over a raw column."""
-    import numpy as np
-
-    if enc.degenerate:
-        raise EncodingError(
-            f"feature {enc.feature!r} is degenerate and cannot be encoded"
-        )
-    if enc.kind == "quantitative":
-        v = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(v)):
-            raise EncodingError(f"feature {enc.feature!r}: non-finite values")
-        bits = v > enc.threshold
-    elif enc.kind == "boolean":
-        v = np.asarray(values)
-        if not np.all((v == 0) | (v == 1)):
-            raise EncodingError(f"feature {enc.feature!r}: values are not all 0/1")
-        bits = v == 1
-    else:
-        bits = np.array([x == enc.category for x in values], dtype=bool)
-    if enc.polarity:
-        return bits.astype(np.uint8)
-    return (~bits).astype(np.uint8)
-
-
 # bytes of 0/1 flags to binary digits, for polarity 0 and for polarity 1
 _DIGITS = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01"))
 
 
 def encode_bits(enc: Encoder, values) -> int:
-    """encode_column packed into an int, bit r for values[r].  The values
-    are Python floats, or strings for a nominal feature."""
+    """encode_value over a column, packed into an int: bit r is the bit
+    of values[r].  The values are Python floats, 0/1 for a boolean
+    feature, or strings for a nominal feature."""
     if enc.degenerate:
         raise EncodingError(
             f"feature {enc.feature!r} is degenerate and cannot be encoded"
@@ -163,9 +142,9 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
     Each boundary lies between two consecutive distinct sorted values lo
     and hi.  Its threshold u is their midpoint (lo + hi) / 2, or
     lo / 2 + hi / 2 where the sum overflows, so u stays finite, and lo
-    where the midpoint rounds to hi, so hi stays above it.  The
-    candidates (u, h) over every boundary and both polarities are sorted
-    by (error, -gap, u, h), gap = hi - lo, and the first is taken: least
+    where the midpoint rounds to hi, so hi stays above it.  Of the
+    candidates (u, h) over every boundary and both polarities, the first
+    in the order (error, -gap, u, h), gap = hi - lo, is taken: least
     error, then the widest gap, then the smallest threshold, then h=0.
     """
     import numpy as np
@@ -175,32 +154,38 @@ def fit_quantitative(values, labels, feature: str = "") -> Encoder:
     if not np.all(np.isfinite(v)):
         raise EncodingError(f"feature {feature!r}: non-finite values")
 
-    order = np.argsort(v, kind="stable")
-    sv, sy = v[order], y[order]
+    order = np.argsort(v)    # the order of equal values does not matter:
+    sv, sy = v[order], y[order]    # boundaries only fall between distinct ones
     distinct = np.nonzero(sv[1:] > sv[:-1])[0]    # boundary after sorted index i
     if len(distinct) == 0:
         return _degenerate(feature, "quantitative", y)
 
     total1 = int(sy.sum())
     n = len(sy)
-    ones_below = np.cumsum(sy)[distinct]         # labels 1 with value <= u
+    ones_below = np.cumsum(sy, dtype=np.int64)[distinct]    # labels 1 with value <= u
     count_below = distinct + 1
     # h=1: predict 1 above u, 0 at or below; errors = 1s below + 0s above
     e_h1 = ones_below + (n - count_below) - (total1 - ones_below)
-    lo, hi = sv[distinct], sv[distinct + 1]
-    with np.errstate(over="ignore"):    # an infinite gap still sorts widest
-        gaps, mids = hi - lo, (lo + hi) / 2.0
-    mids = np.where(np.isinf(mids), lo / 2 + hi / 2, mids)    # the sum overflowed
-    mids = np.where(mids == hi, lo, mids)    # adjacent floats: the bit is v > u
-    errs = np.concatenate((n - e_h1, e_h1))    # every boundary at h=0, then h=1
-    polarity = np.repeat((0, 1), len(mids))
-    best = int(np.lexsort((polarity, np.tile(mids, 2), -np.tile(gaps, 2), errs))[0])
-    h, b = divmod(best, len(mids))
-    if errs[best] > min(n - total1, total1):
+    e_h0 = n - e_h1
+    with np.errstate(over="ignore"):    # an infinite gap is the widest
+        gaps = sv[distinct + 1] - sv[distinct]
+    # The order (error, -gap, u, h) as a chain of masks.  Thresholds
+    # strictly increase with the boundary, so the first boundary left
+    # has the smallest u, and only its two polarities can still tie.
+    error = int(min(e_h0.min(), e_h1.min()))
+    least = (e_h0 == error) | (e_h1 == error)
+    b = int(np.argmax(least & (gaps == gaps[least].max())))
+    h = 0 if e_h0[b] == error else 1
+    if error > min(n - total1, total1):
         return _degenerate(feature, "quantitative", y)
+    lo, hi = float(sv[distinct[b]]), float(sv[distinct[b] + 1])
+    u = (lo + hi) / 2.0
+    if math.isinf(u):    # the sum overflowed
+        u = lo / 2 + hi / 2
+    if u == hi:    # adjacent floats: the bit is v > u
+        u = lo
     return Encoder(
-        feature=feature, kind="quantitative",
-        polarity=h, threshold=float(mids[b]), error=int(errs[best]),
+        feature=feature, kind="quantitative", polarity=h, threshold=u, error=error,
     )
 
 
@@ -230,14 +215,15 @@ def fit_nominal(values, labels, feature: str = "") -> Encoder:
     Ties are broken toward the category seen first and identity polarity.
     """
     y = _check_inputs(values, labels, feature)
-    pairs = Counter(zip(values, y.tolist()))    # (category, label) -> rows
-    cats = list(dict.fromkeys(cat for cat, _ in pairs))    # first seen first
+    rows = Counter(values)    # category -> rows, first seen first
+    ones = Counter(compress(values, y.tolist()))    # category -> rows labelled 1
+    cats = list(rows)
     if len(cats) < 2:
         return _degenerate(feature, "nominal", y)
     n, c1 = len(y), int(y.sum())
     keys = []
     for ci, cat in enumerate(cats):
-        e_identity = pairs[cat, 0] + c1 - pairs[cat, 1]    # 0s inside, 1s outside
+        e_identity = rows[cat] - 2 * ones[cat] + c1    # 0s inside, 1s outside
         keys += [(e_identity, ci, 0), (n - e_identity, ci, 1)]
     e, ci, flip = min(keys)    # least error, first-seen category, h=1 before h=0
     if e > min(n - c1, c1):
@@ -259,16 +245,20 @@ def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
 
 @dataclass
 class EncodedDataset:
-    """Bit matrix produced by fitting one encoder per feature.
+    """The packed training bits of a dataset, one encoder per feature.
 
-    Degenerate columns are filled with the majority class bit so the
-    matrix stays rectangular, and their indices are left out of
-    `active`.  Training only draws inputs from active columns.
+    Bits are packed into uint64 words, row r at bit r % 64 of word
+    r // 64, with the tail bits zero.  `features` holds one row of words
+    per active feature, in the order of `active`; degenerate features
+    are left out of both, and training only draws inputs from them.
+    `ones` has a bit set for every row, and `feature_errors` is each
+    active feature's error, the popcount of its words XOR the labels.
     """
 
     encoders: list[Encoder]
-    matrix: np.ndarray
-    labels: np.ndarray
+    features: np.ndarray    # (len(active), words) uint64
+    labels: np.ndarray      # (words,) uint64
+    ones: np.ndarray        # (words,) uint64
     active: list[int]
     feature_names: list[str]
 
@@ -276,34 +266,41 @@ class EncodedDataset:
     def errors(self) -> list[int]:
         return [enc.error for enc in self.encoders]
 
+    @cached_property
+    def feature_errors(self) -> np.ndarray:
+        import numpy as np
 
-def encode_dataset(ds: Dataset) -> EncodedDataset:
-    """Fit every feature of a dataset and build the training bit matrix."""
+        return np.bitwise_count(self.features ^ self.labels).sum(axis=-1, dtype=np.int64)
+
+
+def _pack_words(bits: int, n_rows: int) -> np.ndarray:
+    """An n_rows-bit int bitset as uint64 words, bit r at bit r % 64 of
+    word r // 64."""
     import numpy as np
 
-    encoders = []
-    columns = []
-    active = []
-    y = ds.labels
-    c0, c1 = ds.class_counts()
-    majority_bit = 0 if c0 >= c1 else 1
-    for j, spec in enumerate(ds.features):
-        raw = ds.column(j)
-        enc = fit_feature(raw, y, spec.kind, spec.name)
-        encoders.append(enc)
-        if enc.degenerate:
-            columns.append(np.full(ds.n, majority_bit, dtype=np.uint8))
-        else:
-            columns.append(encode_column(enc, raw))
-            active.append(j)
-    matrix = (
-        np.stack(columns, axis=1)
-        if columns else np.zeros((ds.n, 0), dtype=np.uint8)
-    )
+    return np.frombuffer(bits.to_bytes(-(-n_rows // 64) * 8, "little"), "<u8")
+
+
+def encode_dataset(ds: Dataset) -> EncodedDataset:
+    """Fit every feature of a dataset and pack the active columns' bits."""
+    import numpy as np
+
+    encoders = [
+        fit_feature(column, ds.labels, spec.kind, spec.name)
+        for spec, column in zip(ds.features, ds.columns)
+    ]
+    active = [j for j, enc in enumerate(encoders) if not enc.degenerate]
+    words = -(-ds.n // 64)
+    features = np.array(
+        [_pack_words(encode_bits(encoders[j], ds.columns[j]), ds.n) for j in active],
+        dtype="<u8",
+    ).reshape(len(active), words)
+    labels = np.packbits(ds.labels, bitorder="little")
     return EncodedDataset(
         encoders=encoders,
-        matrix=matrix,
-        labels=np.asarray(y, dtype=np.uint8),
+        features=features,
+        labels=_pack_words(int.from_bytes(labels.tobytes(), "little"), ds.n),
+        ones=_pack_words((1 << ds.n) - 1, ds.n),
         active=active,
         feature_names=[f.name for f in ds.features],
     )

@@ -8,9 +8,11 @@ count does not exceed that of either input (the external selection
 criterion), so units can only refine what feeds them.
 
 A unit's output over the training rows is stored packed: uint64 words
-with row r at bit r % 64 of word r // 64 and the tail bits zero.  A
-layer is scored in blocks of left operands against all right features
-at once.  The four minterms of each pair (~a&~b, ~a&b, a&~b, a&b) are
+with row r at bit r % 64 of word r // 64 and the tail bits zero.
+`encode_dataset` packs the active features, the labels and the row mask
+in this layout once per fit, and every layer reads them from that
+`EncodedDataset`.  A layer is scored in blocks of left operands against
+all right features at once.  The four minterms of each pair (~a&~b, ~a&b, a&~b, a&b) are
 popcounted against the labels and their complement, which gives every
 catalog function's error as a matrix product with the truth tables.
 Output words are built only for survivors, as the OR of the minterms
@@ -117,39 +119,14 @@ class _Candidate:
     fn: int
     left: int
     right: int
-    outputs: np.ndarray = field(compare=False)   # packed words, see _pack
+    outputs: np.ndarray = field(compare=False)   # packed words, as EncodedDataset
 
 
 _BLOCK = 32   # left operands scored per pass; temporaries are O(_BLOCK * F * words)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack a (rows, m) bit matrix into (m, words) uint64, row r at bit
-    r % 64 of word r // 64; tail bits are zero."""
-    padded = np.zeros((bits.shape[1], -(-len(bits) // 64) * 64), dtype=np.uint8)
-    padded[:, : len(bits)] = bits.T
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
 def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class _Packed:
-    """The active feature columns and labels of a dataset, packed."""
-
-    features: np.ndarray    # (len(active), words)
-    labels: np.ndarray      # (words,)
-    ones: np.ndarray        # (words,), only the n_rows valid bits set
-    feature_errors: np.ndarray
-
-    @classmethod
-    def of(cls, enc: EncodedDataset) -> "_Packed":
-        features = _pack(enc.matrix[:, enc.active])
-        labels = _pack(enc.labels[:, None])[0]
-        ones = _pack(np.ones((len(enc.labels), 1), dtype=np.uint8))[0]
-        return cls(features, labels, ones, _popcount(features ^ labels))
 
 
 def _truth_matrix(extended: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +136,7 @@ def _truth_matrix(extended: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _survivors(
-    left: np.ndarray, left_errors: np.ndarray, data: _Packed, extended: bool
+    left: np.ndarray, left_errors: np.ndarray, data: EncodedDataset, extended: bool
 ) -> tuple[np.ndarray, ...]:
     """Every g_fn(left[i], features[k]) whose error exceeds neither
     input's, as arrays (error, fn, i, k, packed outputs).
@@ -215,9 +192,8 @@ def _select(
 
 def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> list[_Candidate]:
     """All surviving g_i(x_j, x_k) over ordered pairs of active features."""
-    data = _Packed.of(enc)
     error, fn, j, k, outputs = _survivors(
-        data.features, data.feature_errors, data, config.extended_catalog
+        enc.features, enc.feature_errors, enc, config.extended_catalog
     )
     keep = j != k
     active = np.array(enc.active, dtype=np.int64)
@@ -237,10 +213,9 @@ def grow_layer(
     Candidates whose outputs equal their own left parent's are dropped
     as no-progress clones before selection.
     """
-    data = _Packed.of(enc)
     parents = np.stack([c.outputs for c in prev])
     error, fn, p, k, outputs = _survivors(
-        parents, np.array([c.error for c in prev]), data, config.extended_catalog
+        parents, np.array([c.error for c in prev]), enc, config.extended_catalog
     )
     keep = np.any(outputs != parents[p], axis=1)
     active = np.array(enc.active, dtype=np.int64)
@@ -304,7 +279,7 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     final = [int.from_bytes(c.outputs.astype("<u8").tobytes(), "little") for c in layers[-1]]
     m1 = vote_counts(final, ds.n)
     values = vote_values(np.frombuffer(m1, m1.typecode).astype(np.int64), len(final))
-    correct = np.where(enc.labels == 1, values < 0, values > 0)
+    correct = np.where(ds.labels == 1, values < 0, values > 0)
     report = TrainReport(
         layer_sizes=[len(layer) for layer in layers],
         layer_min_errors=[min(c.error for c in layer) for layer in layers],

@@ -176,6 +176,8 @@ def test_c07_selection_invariants_on_planted_data():
         net = train(p.dataset, TrainConfig(patience=2))
         enc = encode_dataset(p.dataset)
         feat_err = enc.errors
+        x = np.array([[encode_value(e, v) for e, v in zip(enc.encoders, row)]
+                      for row in p.dataset.rows])
         mins = [min(u.error for u in layer) for layer in net.layers]
         c.check(mins == sorted(mins, reverse=True),
                 f"seed {seed}: layer minima {mins}")
@@ -187,11 +189,11 @@ def test_c07_selection_invariants_on_planted_data():
                 left_err = feat_err[u.left] if r == 0 else prev[u.left].error
                 c.check(u.error <= left_err and u.error <= feat_err[u.right],
                         f"seed {seed}: unit worse than its inputs")
-                a = cols[u.left] if r else enc.matrix[:, u.left]
-                b = enc.matrix[:, u.right]
+                a = cols[u.left] if r else x[:, u.left]
+                b = x[:, u.right]
                 table = np.array(truth_row(u.fn, False), dtype=np.uint8)
                 out = table[(a.astype(np.int64) << 1) | b]
-                recount = int(np.count_nonzero(out != enc.labels))
+                recount = int(np.count_nonzero(out != p.dataset.labels))
                 c.check(recount == u.error,
                         f"seed {seed}: stored error {u.error} vs {recount}")
                 nxt[idx] = out

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -93,6 +95,24 @@ class TestLoadCsv:
         assert ds.features == [] and ds.rows == [(), ()]
 
 
+class TestSource:
+    def test_missing_file_is_a_data_error(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(DataError, match="missing.csv") as err:
+            load_csv(str(missing))
+        assert "newline" in str(err.value)
+
+    def test_single_line_text_is_read_as_a_path(self):
+        with pytest.raises(DataError, match=r"'f1,label'.*newline"):
+            load_csv("f1,label")
+
+    def test_path_and_file_object(self, tmp_path):
+        path = tmp_path / "basic.csv"
+        path.write_text(BASIC)
+        for source in (path, str(path), io.StringIO(BASIC)):
+            assert load_csv(source).rows == load_csv(BASIC).rows
+
+
 class TestCellErrorPrecedence:
     """The bad cell in the lowest row wins, then the earliest feature,
     whatever the kind of fault: not numeric, not 0/1 or non-finite."""
@@ -118,6 +138,34 @@ class TestCellErrorPrecedence:
         with pytest.raises(DataError) as err:
             load_csv(text, kinds=kinds)
         assert str(err.value) == message
+
+
+class TestContradictionsThroughLoadCsv:
+    """load_csv warns about duplicate rows with conflicting labels, once
+    per conflicting pair, naming the first five pairs."""
+
+    def test_conflicting_duplicates_warn_with_the_first_five_pairs(self):
+        # cells compare as parsed values: " 1.0 " equals "1", "x " equals "x"
+        text = ("a,b,label\n1,x,0\n 1.0 ,x,1\n2,y,1\n2,y,0\n1,x ,1\n3,z,0\n"
+                "3,z,0\n3,z,1\n2,y,0\n4,w,1\n4,w,0\n")
+        with pytest.warns(UserWarning) as record:
+            load_csv(text)
+        assert [str(w.message) for w in record] == [
+            "6 duplicate row pair(s) with conflicting labels: "
+            "0 vs 1, 2 vs 3, 0 vs 4, 5 vs 7, 2 vs 8"
+        ]
+
+    def test_consistent_duplicates_stay_silent(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv("a,b,label\n1,x,0\n1,x,0\n2,y,1\n 2 ,y,1\n")
+        assert ds.n == 4
+
+    def test_negative_zero_equals_zero(self):
+        with pytest.warns(UserWarning, match="1 duplicate row pair.*: 0 vs 1$"):
+            load_csv("a,b,label\n-0.0,x,0\n0,x,1\n5,y,1\n")
 
 
 class TestDatasetInvariants:

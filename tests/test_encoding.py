@@ -2,14 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mofn.data import Dataset, FeatureSpec
 from mofn.encoding import (
     Encoder,
     encode_bits,
-    encode_column,
     encode_dataset,
     encode_value,
     fit_boolean,
@@ -93,7 +92,7 @@ class TestQuantitative:
         enc = fit_quantitative([lo, hi, lo, hi], [0, 1, 0, 1], "f")
         assert lo < enc.threshold < hi
         assert enc.threshold == lo / 2 + hi / 2
-        assert list(encode_column(enc, [lo, hi])) == [0, 1]
+        assert [encode_value(enc, v) for v in (lo, hi)] == [0, 1]
 
     def test_threshold_between_adjacent_floats_stays_below_hi(self):
         # lo's last mantissa bit is odd, so (lo + hi) / 2 rounds to hi
@@ -103,7 +102,7 @@ class TestQuantitative:
         assert (lo + hi) / 2 == hi
         enc = fit_quantitative(values, labels, "f")
         assert (enc.threshold, enc.polarity, enc.error) == (lo, 1, 0)
-        assert list(encode_column(enc, values)) == labels
+        assert [encode_value(enc, v) for v in values] == labels
         assert brute_force_threshold(values, labels) == ThresholdResult(lo, 1, 0, False)
 
 
@@ -192,7 +191,7 @@ class TestNominal:
             assert len(set(values)) < 2 or best[0] > floor
             return
         assert (enc.error, enc.category, enc.polarity) == best
-        assert int(np.sum(encode_column(enc, values) != labels)) == enc.error
+        assert sum(encode_value(enc, v) != y for v, y in zip(values, labels)) == enc.error
 
     def test_kind_dispatch(self):
         assert fit_feature([1.5, 2.5], [0, 1], "quantitative", "f").kind == "quantitative"
@@ -261,6 +260,29 @@ class TestAgainstOracle:
             assert enc.polarity == want.h
 
     @given(
+        offset=st.integers(-50, 50),
+        step=st.integers(1, 5),
+        rows=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 1)),
+                      min_size=2, max_size=40),
+    )
+    @example(offset=0, step=1, rows=[(0, 0), (1, 1), (2, 1), (3, 0)])
+    # every boundary errs on n/2 rows at either polarity: u=-2, h=0 wins
+    @example(offset=-3, step=2, rows=[(0, 0), (0, 1), (1, 1), (1, 0), (2, 0), (2, 1)])
+    @settings(deadline=None, max_examples=300)
+    def test_evenly_spaced_values_tie_like_brute_force(self, offset, step, rows):
+        # Values on an evenly spaced integer grid: neighbouring boundaries
+        # tie on gap, and balanced labels tie the polarities (e == n - e),
+        # so the choice rests on the later keys of (error, -gap, u, h).
+        values = [float(offset + step * i) for i, _ in rows]
+        labels = [y for _, y in rows]
+        assume(len(set(labels)) == 2)
+        enc = fit_quantitative(values, labels, "f")
+        want = brute_force_threshold(values, labels)
+        got = (ThresholdResult(None, None, enc.error, True) if enc.degenerate
+               else ThresholdResult(enc.threshold, enc.polarity, enc.error, False))
+        assert got == want
+
+    @given(
         st.lists(
             st.tuples(st.integers(-20, 20), st.integers(0, 1)),
             min_size=2,
@@ -277,7 +299,7 @@ class TestAgainstOracle:
         if enc.degenerate:
             assert enc.error == min(c0, c1)
             return
-        bits = encode_column(enc, values)
+        bits = np.array([encode_value(enc, v) for v in values])
         assert int(np.sum(bits != labels)) == enc.error
         assert enc.error <= min(c0, c1)
 
@@ -304,30 +326,46 @@ class TestEncodeDataset:
         enc = encode_dataset(self._dataset())
         assert enc.active == [0, 1, 2]
         assert enc.encoders[3].degenerate
-        assert enc.matrix.shape == (4, 4)
-        assert enc.matrix.dtype == np.uint8
-
-    def test_degenerate_column_filled_with_majority_bit(self):
-        enc = encode_dataset(self._dataset())
-        assert set(enc.matrix[:, 3]) == {0}    # tied classes fall back to 0
+        assert enc.features.shape == (3, 1)    # one row of words per active feature
+        assert enc.features.dtype == np.uint64
 
     def test_errors_reported_per_feature(self):
         enc = encode_dataset(self._dataset())
         assert enc.errors == [0, 0, 0, 2]
+        assert list(enc.feature_errors) == [0, 0, 0]
 
     def test_encoded_bits_match_scalar_encoder(self):
         ds = self._dataset()
         enc = encode_dataset(ds)
-        for j in enc.active:
-            col = ds.column(j)
-            for r, value in enumerate(col):
-                assert enc.matrix[r, j] == encode_value(enc.encoders[j], value)
+        for words, j in zip(enc.features, enc.active):
+            want = [encode_value(enc.encoders[j], value) for value in ds.columns[j]]
+            assert _int(words) == _bits(want)
+
+    @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
+    def test_labels_and_row_mask_words(self, n):
+        labels = [r % 3 == 0 for r in range(n)]
+        ds = Dataset(features=[FeatureSpec("q", "quantitative")],
+                     columns=[[float(r) for r in range(n)]], labels=labels)
+        enc = encode_dataset(ds)
+        assert enc.labels.shape == enc.ones.shape == (-(-n // 64),)
+        assert _int(enc.labels) == _bits(labels)
+        assert _int(enc.ones) == (1 << n) - 1
+        assert _int(enc.features[0]) < 1 << n    # tail bits are zero
 
 
-def _packed(enc, values) -> int:
-    """encode_column's bits as one int, bit r for row r."""
-    bits = np.packbits(encode_column(enc, values), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
+def _int(words) -> int:
+    """Packed uint64 words as one int, bit r for row r."""
+    return int.from_bytes(np.asarray(words, dtype="<u8").tobytes(), "little")
+
+
+def _bits(flags) -> int:
+    """0/1 flags as one int, bit r for flags[r]."""
+    return sum(int(bit) << r for r, bit in enumerate(flags))
+
+
+def _scalar(enc, values) -> int:
+    """encode_value row by row, as one int with bit r for values[r]."""
+    return _bits(encode_value(enc, v) for v in values)
 
 
 SIZES = (0, 1, 7, 8, 9, 63, 64, 65)
@@ -335,48 +373,53 @@ FINITE = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 class TestEncodeBits:
-    """encode_bits, the bitset encoder `mofn classify` uses, against
-    encode_column packed, the encoder training uses."""
+    """encode_bits, the one column encoder (training and `mofn classify`),
+    against encode_value applied row by row."""
 
     @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
     def test_quantitative(self, data, n, polarity):
         u = data.draw(FINITE)
         values = data.draw(st.lists(st.one_of(FINITE, st.just(u)), min_size=n, max_size=n))
         enc = Encoder("f", "quantitative", polarity, threshold=u)
-        assert encode_bits(enc, values) == _packed(enc, values)
+        assert encode_bits(enc, values) == _scalar(enc, values)
 
     @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
     def test_boolean(self, data, n, polarity):
         bit = st.sampled_from((0, 1, 0.0, 1.0, False, True))
         values = data.draw(st.lists(bit, min_size=n, max_size=n))
         enc = Encoder("f", "boolean", polarity)
-        assert encode_bits(enc, values) == _packed(enc, values)
+        assert encode_bits(enc, values) == _scalar(enc, values)
 
     @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
     def test_nominal(self, data, n, polarity):
         category = st.sampled_from(("red", "blue", "", "red "))
         values = data.draw(st.lists(category, min_size=n, max_size=n))
         enc = Encoder("f", "nominal", polarity, category=data.draw(category))
-        assert encode_bits(enc, values) == _packed(enc, values)
+        assert encode_bits(enc, values) == _scalar(enc, values)
 
     @staticmethod
-    def assert_same_error(enc, values):
-        with pytest.raises(EncodingError) as want:
-            encode_column(enc, values)
+    def assert_same_error(enc, values, message):
+        """encode_bits refuses the column with `message`, and encode_value
+        refuses some value of it."""
         with pytest.raises(EncodingError) as got:
             encode_bits(enc, values)
-        assert str(got.value) == str(want.value)
+        assert str(got.value) == message
+        with pytest.raises(EncodingError):
+            _scalar(enc, values if values else [1.0])
 
     @given(st.data(), st.sampled_from(SIZES[1:]))
     def test_same_errors_on_non_finite_and_non_bit_values(self, data, n):
         at = data.draw(st.integers(0, n - 1))
         values = [1.0] * n
         values[at] = data.draw(st.sampled_from((math.nan, math.inf, -math.inf)))
-        self.assert_same_error(Encoder("f", "quantitative", threshold=0.5), values)
+        self.assert_same_error(Encoder("f", "quantitative", threshold=0.5), values,
+                               "feature 'f': non-finite values")
         values[at] = data.draw(st.sampled_from((2, -1, 0.5, math.nan, math.inf)))
-        self.assert_same_error(Encoder("f", "boolean"), values)
+        self.assert_same_error(Encoder("f", "boolean"), values,
+                               "feature 'f': values are not all 0/1")
 
     @pytest.mark.parametrize("kind", ["quantitative", "boolean", "nominal"])
     @pytest.mark.parametrize("n", SIZES)
     def test_same_error_on_degenerate_encoders(self, kind, n):
-        self.assert_same_error(Encoder("f", kind, degenerate=True, error=1), [1.0] * n)
+        self.assert_same_error(Encoder("f", kind, degenerate=True, error=1), [1.0] * n,
+                               "feature 'f' is degenerate and cannot be encoded")

@@ -1,12 +1,15 @@
 """Training loop behavior: selection, growth, pruning, determinism."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from mofn.data import Dataset, FeatureSpec
+from mofn import encoding, network
+from mofn.data import Dataset, FeatureSpec, load_csv
 from mofn.encoding import EncodedDataset, encode_dataset
 from mofn.errors import EvaluationError, TrainingError
 from mofn.logic import function_ids, truth_row
@@ -15,7 +18,9 @@ from mofn.network import (
 )
 from mofn.encoding import encode_value
 from mofn.oracle import PlantedSpec, generate_planted
-from mofn.rules import evaluate, extract
+from mofn.rules import evaluate, extract, to_formula_table
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def xor_dataset():
@@ -72,17 +77,19 @@ class TestSelectionInvariants:
         for seed in self.SEEDS:
             p = planted(seed, n_features=5, n_rows=16, n_syndromes=1)
             net = train(p.dataset, TrainConfig())
-            enc = encode_dataset(p.dataset)
+            # the input bits, encoded row by row with the fitted encoders
+            x = np.array([[encode_value(e, v) for e, v in zip(net.encoders, row)]
+                          for row in p.dataset.rows])
             # replay the whole cascade and recount every unit's error
             cols = {}
             for r, layer in enumerate(net.layers):
                 nxt = {}
                 for idx, u in enumerate(layer):
-                    a = cols[u.left] if r else enc.matrix[:, u.left]
-                    b = enc.matrix[:, u.right]
+                    a = cols[u.left] if r else x[:, u.left]
+                    b = x[:, u.right]
                     table = np.array(truth_row(u.fn, False), dtype=np.uint8)
                     out = table[(a.astype(np.int64) << 1) | b]
-                    recount = int(np.count_nonzero(out != enc.labels))
+                    recount = int(np.count_nonzero(out != p.dataset.labels))
                     assert recount == u.error, (seed, r, idx)
                     nxt[idx] = out
                 cols = nxt
@@ -222,24 +229,24 @@ def _reference_select(candidates, beam_width):
     return kept
 
 
-def _reference_layer(enc, config, prev=None):
-    """(error, fn, left, right, outputs) of layer 1, or of the layer
-    grown on `prev` when given."""
+def _reference_layer(x, y, active, config, prev=None):
+    """(error, fn, left, right, outputs) of layer 1 over the bit matrix
+    x (rows, features) and labels y, or of the layer grown on `prev`
+    when given."""
     ids = function_ids(config.extended_catalog)
     truth = np.array([truth_row(i, config.extended_catalog) for i in ids],
                      dtype=np.uint8)
-    y = enc.labels
-    feat_err = {j: int(np.sum(enc.matrix[:, j] != y)) for j in enc.active}
+    feat_err = {j: int(np.sum(x[:, j] != y)) for j in active}
     if prev is None:
-        lefts = [(j, enc.matrix[:, j], feat_err[j]) for j in enc.active]
+        lefts = [(j, x[:, j], feat_err[j]) for j in active]
     else:
         lefts = [(p, c[4], c[0]) for p, c in enumerate(prev)]
     candidates = []
     for left, col, left_err in lefts:
-        for k in enc.active:
+        for k in active:
             if prev is None and k == left:
                 continue
-            outputs = truth[:, (col << 1) | enc.matrix[:, k]]
+            outputs = truth[:, (col << 1) | x[:, k]]
             errors = np.sum(outputs != y, axis=1)
             bound = min(left_err, feat_err[k])
             for f in np.nonzero(errors <= bound)[0]:
@@ -249,6 +256,13 @@ def _reference_layer(enc, config, prev=None):
                     (int(errors[f]), ids[f], left, k, outputs[f])
                 )
     return _reference_select(candidates, config.beam_width)
+
+
+def _words(bits):
+    """Pack a 0/1 vector: row r at bit r % 64 of word r // 64."""
+    padded = np.zeros(-(-len(bits) // 64) * 64, dtype=np.uint8)
+    padded[: len(bits)] = bits
+    return np.packbits(padded, bitorder="little").view("<u8")
 
 
 def _bits(words, n_rows):
@@ -261,29 +275,37 @@ def _bits(words, n_rows):
 
 @st.composite
 def encoded_datasets(draw):
+    """A packed EncodedDataset drawn at random, with the bit matrix and
+    labels it packs."""
     n_rows = draw(st.sampled_from([1, 63, 64, 65, 130]))
     n_features = draw(st.integers(2, 8))
     bit = st.integers(0, 1)
     matrix = draw(arrays(np.uint8, (n_rows, n_features), elements=bit))
     labels = draw(arrays(np.uint8, n_rows, elements=bit))
-    active = draw(st.lists(st.integers(0, n_features - 1), min_size=2,
-                           max_size=n_features, unique=True))
-    return EncodedDataset(
-        encoders=[], matrix=matrix, labels=labels, active=sorted(active),
+    active = sorted(draw(st.lists(st.integers(0, n_features - 1), min_size=2,
+                                  max_size=n_features, unique=True)))
+    enc = EncodedDataset(
+        encoders=[],
+        features=np.array([_words(matrix[:, j]) for j in active]),
+        labels=_words(labels),
+        ones=_words(np.ones(n_rows, dtype=np.uint8)),
+        active=active,
         feature_names=[f"f{j}" for j in range(n_features)],
     )
+    return enc, matrix, labels
 
 
 class TestPackedKernel:
     @settings(max_examples=150, deadline=None)
     @given(
-        enc=encoded_datasets(),
+        data=encoded_datasets(),
         beam_width=st.sampled_from([1, 3, 16, 1000]),
         extended=st.booleans(),
     )
-    def test_matches_per_pair_reference(self, enc, beam_width, extended):
+    def test_matches_per_pair_reference(self, data, beam_width, extended):
+        enc, x, y = data
         config = TrainConfig(beam_width=beam_width, extended_catalog=extended)
-        n_rows = len(enc.labels)
+        n_rows = len(y)
 
         def check(got, want):
             assert [(c.error, c.fn, c.left, c.right) for c in got] == [
@@ -293,8 +315,29 @@ class TestPackedKernel:
                 np.testing.assert_array_equal(_bits(c.outputs, n_rows), w[4])
 
         first = build_first_layer(enc, config)
-        ref_first = _reference_layer(enc, config)
+        ref_first = _reference_layer(x, y, enc.active, config)
         check(first, ref_first)
         if first:
             check(grow_layer(first, enc, config),
-                  _reference_layer(enc, config, ref_first))
+                  _reference_layer(x, y, enc.active, config, ref_first))
+
+
+class TestColumnFirst:
+    def test_training_from_csv_walks_no_rows(self, monkeypatch):
+        """Load, encode and grow column by column: no per-row tuple and no
+        per-value encoder call on the training path."""
+        text = (GOLDEN / "csv_mixed_s2_ext.csv").read_text()
+
+        def fit() -> str:
+            ds = load_csv(text, label_column="outcome", class_names=("well", "sick"))
+            return to_formula_table(train(ds, TrainConfig(extended_catalog=True)))
+
+        want = fit()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-row walk on the training path")
+
+        monkeypatch.setattr(Dataset, "rows", property(refuse))
+        for module in (encoding, network):
+            monkeypatch.setattr(module, "encode_value", refuse)
+        assert fit() == want
