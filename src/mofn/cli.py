@@ -26,7 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .config import TrainConfig
-from .encoding import encode_bits, encode_value
+from .encoding import encode_bits, parse_column, read_column, read_table, read_text
+from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
 from .errors import (
     CatalogError,
     DataError,
@@ -68,7 +69,7 @@ def _load_config(path: str | None) -> dict:
         raw = json.loads(Path(source).read_text())
     except FileNotFoundError:
         raise MofnError(f"config file not found: {source}") from None
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MofnError(f"config file {source}: {exc}") from None
     if not isinstance(raw, dict):
         raise MofnError(f"config file {source}: expected a JSON object")
@@ -102,6 +103,8 @@ def _read_model(path: str):
         text = Path(path).read_text()
     except FileNotFoundError:
         raise ModelFormatError(f"model file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from None
     return parse_formula_table(text)
 
 
@@ -147,11 +150,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     sc = _read_model(args.model)
-    table = list(filter(None, csv.reader(io.StringIO(Path(args.data).read_text()))))
-    if not table:
-        raise DataError("empty CSV")
-    header = [h.strip() for h in table[0]]
-    body = table[1:]
+    header, table, ragged = read_table(read_text(args.data))
     program = sc.program
     missing = [
         sc.features[i].feature for i in program.features
@@ -160,21 +159,25 @@ def cmd_classify(args) -> int:
     if missing:
         raise DataError(f"CSV lacks columns for features: {missing}")
 
-    if any(len(row) != len(header) for row in body):
-        _raise_first_bad_row(sc, header, body)
-    # a repeated column name maps to its last column
-    raw = dict(zip(header, zip(*body))) if body else dict.fromkeys(header, ())
+    n = len(table[0])
+    cells_of = dict(zip(header, table))    # a repeated name maps to its last column
     columns = []        # one bitset per referenced feature, bit r for row r
-    try:
-        for ident in program.features:
-            enc = sc.features[ident]
-            cells = raw[enc.feature]
-            values = map(str.strip, cells) if enc.kind == "nominal" else map(float, cells)
-            columns.append(encode_bits(enc, list(values)))
-    except (ValueError, EncodingError):
-        _raise_first_bad_row(sc, header, body)
-        raise
-    m1 = vote_counts(program.run(columns, len(body)), len(body))
+    bad = []            # (row, declaration index, message) of each bad column
+    for ident in program.features:
+        enc = sc.features[ident]
+        x, cells = read_column(cells_of[enc.feature], enc.kind == "nominal")
+        values = cells if enc.kind == "nominal" else x
+        if values is not None:    # else, or if encode_bits refuses, find the bad cell
+            try:
+                columns.append(encode_bits(enc, values))
+                continue
+            except EncodingError:
+                pass
+        row, message = parse_column(cells, x, enc.feature, enc.kind)[2]
+        bad.append((row, list(sc.features).index(ident), message))
+    if bad or ragged:    # cells lie above the ragged row, so a bad one wins
+        raise DataError(min(bad)[2] if bad else ragged[1])
+    m1 = vote_counts(program.run(columns, n), n)
     decided = []        # the output cells for each count of class-1 votes
     for d in (vote_decision(votes, sc.n) for votes in range(sc.n + 1)):
         label = "contradictory" if d.contradictory else sc.class_names[d.klass]
@@ -185,28 +188,6 @@ def cmd_classify(args) -> int:
     writer.writerows([str(r), *decided[v]] for r, v in enumerate(m1))
     _write(out.getvalue(), args.output)
     return EXIT_OK
-
-
-def _raise_first_bad_row(sc, header: list[str], body: list[list[str]]) -> None:
-    """Re-read the rows in order and raise the error of the first bad
-    cell: rows top down, features in declaration order."""
-    referenced = set(sc.program.features)
-    for r, row in enumerate(body):
-        if len(row) != len(header):
-            raise DataError(f"row {r} has {len(row)} cells, expected {len(header)}")
-        cells = dict(zip(header, (c.strip() for c in row)))
-        for ident, enc in sc.features.items():
-            if ident not in referenced:
-                continue
-            value = cells[enc.feature]
-            if enc.kind != "nominal":
-                try:
-                    value = float(value)
-                except ValueError:
-                    raise DataError(
-                        f"row {r}, feature {enc.feature!r}: {value!r} is not numeric"
-                    ) from None
-            encode_value(enc, value)
 
 
 def _parse_axis(spec: str | None, sc) -> list[int] | None:

@@ -5,17 +5,16 @@ row.  Features come in three kinds: quantitative (floats), boolean
 (0/1), and nominal (unordered category strings).  Kinds are inferred
 from the values unless overridden by the caller.
 
-Data is held by column.  `load_csv` checks each row's width once, then
-reads, checks and parses one column at a time, and `Dataset` keeps the
-typed columns that training encodes; `Dataset.rows` is a view built on
-demand for callers that want rows.
+Data is held by column.  `load_csv` reads cells with the readers in
+`encoding` that `mofn classify` shares, and adds the label, empty cells
+and kinds; `Dataset` keeps the typed columns that training encodes, and
+`Dataset.rows` is a view built on demand for callers that want rows.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,6 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .encoding import parse_column, read_column, read_table, read_text
 from .errors import DataError
 
 KINDS = ("quantitative", "boolean", "nominal")
@@ -137,108 +137,17 @@ class Dataset:
             )
 
 
-def _read_column(raw: Sequence[str], nominal: bool):
-    """One CSV column as (floats, cells).  A column not declared nominal
-    is tried as numbers first: float() skips the same whitespace as
-    strip(), but for the separators \\x1c-\\x1f, and rejects an empty
-    cell, so a column that parses has no empty cell and needs no strip.
-    Otherwise the cells are stripped and tried again; floats is None if
-    some cell is still not a number."""
-    if nominal:
-        return None, list(map(str.strip, raw))
-    try:
-        return list(map(float, raw)), raw
-    except ValueError:
-        cells = list(map(str.strip, raw))
-    try:
-        return list(map(float, cells)), cells
-    except ValueError:
-        return None, cells
-
-
-def _parse_column(
-    cells: Sequence[str], x: list[float] | None, name: str, kind: str | None
-):
-    """Type one column, inferring its kind unless given.
-
-    `x` is the column as floats, or None if some cell is not numeric.
-    Returns the kind, the typed values, and the column's first bad cell
-    as (row, message) or None.  Only a column with a bad cell is read
-    again, cell by cell, to find it.
-    """
-    if kind == "nominal" or (kind is None and x is None):
-        return "nominal", cells, None
-    if x is not None:
-        bits = x.count(0.0) + x.count(1.0) == len(x)
-        kind = kind or ("boolean" if bits else "quantitative")
-        if kind == "boolean" and bits:
-            return kind, list(map(int, x)), None
-        if kind == "quantitative" and all(map(math.isfinite, x)):
-            return kind, x, None
-    for row, cell in enumerate(map(str.strip, cells)):
-        where = f"feature {name!r}, row {row}"
-        try:
-            v = float(cell)
-        except ValueError:
-            return kind, None, (row, f"{where}: {cell!r} is not numeric")
-        if kind == "boolean" and v not in (0.0, 1.0):
-            return kind, None, (row, f"{where}: {cell!r} is not 0/1")
-        if kind == "quantitative" and not math.isfinite(v):
-            return kind, None, (row, f"{where}: non-finite value {cell!r}")
-
-
 def _read_cells(columns: list[tuple], label_at: int, nominal: list[bool]):
-    """The stripped label cells, each feature column as _read_column
+    """The stripped label cells, each feature column as read_column
     gives it, and the rows that hold an empty cell."""
     features = columns[:label_at] + columns[label_at + 1:]
     label = list(map(str.strip, columns[label_at]))
-    read = [_read_column(raw, nom) for raw, nom in zip(features, nominal)]
+    read = [read_column(raw, nom) for raw, nom in zip(features, nominal)]
     empty = {r for r, cell in enumerate(label) if not cell}
     for x, cells in read:
         if x is None and "" in cells:
             empty.update(r for r, cell in enumerate(cells) if not cell)
     return label, read, sorted(empty)
-
-
-def _read_table(text: str, label_column: str, drop_incomplete: bool):
-    """The stripped header and the raw cells of each column, one tuple
-    per column.  Every row must be as wide as the header; a row with an
-    empty cell above a ragged row is reported first unless incomplete
-    rows are to be dropped.  The row lists are freed on return, so the
-    garbage collector does not walk them again while the columns are
-    parsed."""
-    table = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not table:
-        raise DataError("empty CSV")
-    header = [h.strip() for h in table[0]]
-    if label_column not in header:
-        raise DataError(f"no column named {label_column!r} in header {header}")
-    body = table[1:]
-    if set(map(len, body)) - {len(header)}:
-        ragged = next(r for r, row in enumerate(body) if len(row) != len(header))
-        if not drop_incomplete:
-            for r, row in enumerate(body[:ragged]):
-                if "" in map(str.strip, row):
-                    raise DataError(f"row {r} has an empty cell")
-        width = len(body[ragged])
-        raise DataError(f"row {ragged} has {width} cells, expected {len(header)}")
-    if not body:
-        raise DataError("no complete data rows")
-    return header, list(zip(*body))
-
-
-def _read_text(source) -> str:
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        try:
-            return Path(source).read_text()
-        except FileNotFoundError:
-            raise DataError(
-                f"no such file: {str(source)!r} (CSV text given as a string "
-                "must contain a newline)"
-            ) from None
-    if isinstance(source, str):
-        return source
-    return source.read()
 
 
 def load_csv(
@@ -250,7 +159,8 @@ def load_csv(
 ) -> Dataset:
     """Read a dataset from a CSV path, file object, or literal text.
 
-    A string without a newline is a path; a missing file is a DataError.
+    A string without a newline is a path; a missing or unreadable file
+    is a DataError.
     The header row names the columns.  `label_column` selects the label;
     its values must be the two class names (default "0" and "1", or the
     pair given in `class_names`, first name = class 0).  `kinds` overrides
@@ -260,15 +170,21 @@ def load_csv(
     an empty cell, then a bad label, then a bad cell (its lowest row,
     then its earliest feature).
     """
-    header, columns = _read_table(_read_text(source), label_column, drop_incomplete)
+    header, columns, ragged = read_table(read_text(source))
+    if label_column not in header:
+        raise DataError(f"no column named {label_column!r} in header {header}")
     label_at = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_at]
     kinds = dict(kinds or {})
     nominal = [kinds.get(name) == "nominal" for name in feature_names]
     label, read, dropped = _read_cells(columns, label_at, nominal)
+    if dropped and not drop_incomplete:
+        raise DataError(f"row {dropped[0]} has an empty cell")
+    if ragged:
+        raise DataError(ragged[1])
+    if not label:
+        raise DataError("no complete data rows")
     if dropped:
-        if not drop_incomplete:
-            raise DataError(f"row {dropped[0]} has an empty cell")
         warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}")
         if len(dropped) == len(label):
             raise DataError("no complete data rows")
@@ -295,7 +211,7 @@ def load_csv(
             raise DataError(f"unknown kind {kinds[name]!r} for feature {name!r}")
 
     parsed = [
-        _parse_column(cells, x, name, kinds.get(name))
+        parse_column(cells, x, name, kinds.get(name))
         for (x, cells), name in zip(read, feature_names)
     ]
     bad = [cell for _, _, cell in parsed if cell]

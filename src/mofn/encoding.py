@@ -19,19 +19,26 @@ rule needs to classify.  `encode_bits` is the one column encoder:
 `encode_dataset` also uses it, and lays each active column's bitset out
 as the packed uint64 words that training scores.  Fitting and
 `encode_dataset` import numpy when they are first called.
+
+`read_text`, `read_table`, `read_column` and `parse_column` read the
+CSV cells that both `data.load_csv` and `mofn classify` encode, so the
+two accept the same cells and name the same first bad one.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from operator import eq, gt
-from typing import TYPE_CHECKING
+from pathlib import Path
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import EncodingError
+from .errors import DataError, EncodingError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -72,7 +79,10 @@ def encode_value(enc: Encoder, value) -> int:
             f"feature {enc.feature!r} is degenerate and cannot be encoded"
         )
     if enc.kind == "quantitative":
-        v = float(value)
+        try:
+            v = float(value)
+        except (TypeError, ValueError):
+            raise EncodingError(f"feature {enc.feature!r}: {value!r} is not numeric") from None
         if not math.isfinite(v):
             raise EncodingError(f"feature {enc.feature!r}: non-finite value {value!r}")
         return enc.polarity if v > enc.threshold else 1 - enc.polarity
@@ -111,6 +121,98 @@ def encode_bits(enc: Encoder, values) -> int:
         flags = map(eq, values, repeat(enc.category))
     digits = bytes(flags).translate(_DIGITS[enc.polarity])
     return int(digits[::-1] or b"0", 2)
+
+
+def read_text(source) -> str:
+    """The text of a CSV path, file object, or literal text.  A string
+    without a newline is a path; a file that is missing, or that cannot
+    be read or decoded as text, is a DataError."""
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        try:
+            return Path(source).read_text()
+        except FileNotFoundError:
+            raise DataError(
+                f"no such file: {str(source)!r} (CSV text given as a string "
+                "must contain a newline)"
+            ) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read {str(source)!r}: {exc}") from None
+    if isinstance(source, str):
+        return source
+    return source.read()
+
+
+def read_table(text: str):
+    """CSV text as (stripped header, raw cells of each column, ragged),
+    blank lines skipped and not counted.  The columns stop above the
+    first row whose width differs from the header's, and `ragged` is its
+    error as (row, message), or None.  The row lists are freed on return,
+    so the garbage collector does not walk them while columns are parsed."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        table = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"CSV line {reader.line_num}: {exc}") from None
+    if not table:
+        raise DataError("empty CSV")
+    header = [h.strip() for h in table[0]]
+    body = table[1:]
+    ragged = None
+    if set(map(len, body)) - {len(header)}:
+        r = next(r for r, row in enumerate(body) if len(row) != len(header))
+        ragged = (r, f"row {r} has {len(body[r])} cells, expected {len(header)}")
+        del body[r:]
+    return header, list(zip(*body)) or [()] * len(header), ragged
+
+
+def read_column(raw: Sequence[str], nominal: bool):
+    """One CSV column as (floats, cells).  A column not declared nominal
+    is tried as numbers first: float() skips the same whitespace as
+    strip(), but for the separators \\x1c-\\x1f, and rejects an empty
+    cell, so a column that parses has no empty cell and needs no strip.
+    Otherwise the cells are stripped and tried again; floats is None if
+    some cell is still not a number."""
+    if nominal:
+        return None, list(map(str.strip, raw))
+    try:
+        return list(map(float, raw)), raw
+    except ValueError:
+        cells = list(map(str.strip, raw))
+    try:
+        return list(map(float, cells)), cells
+    except ValueError:
+        return None, cells
+
+
+def parse_column(
+    cells: Sequence[str], x: list[float] | None, name: str, kind: str | None
+):
+    """Type one column, inferring its kind unless given.
+
+    `x` is the column as floats, or None if some cell is not numeric.
+    Returns the kind, the typed values, and the column's first bad cell
+    as (row, message) or None.  Only a column with a bad cell is read
+    again, cell by cell, to find it.
+    """
+    if kind == "nominal" or (kind is None and x is None):
+        return "nominal", cells, None
+    if x is not None:
+        bits = x.count(0.0) + x.count(1.0) == len(x)
+        kind = kind or ("boolean" if bits else "quantitative")
+        if kind == "boolean" and bits:
+            return kind, list(map(int, x)), None
+        if kind == "quantitative" and all(map(math.isfinite, x)):
+            return kind, x, None
+    for row, cell in enumerate(map(str.strip, cells)):
+        where = f"feature {name!r}, row {row}"
+        try:
+            v = float(cell)
+        except ValueError:
+            return kind, None, (row, f"{where}: {cell!r} is not numeric")
+        if kind == "boolean" and v not in (0.0, 1.0):
+            return kind, None, (row, f"{where}: {cell!r} is not 0/1")
+        if kind == "quantitative" and not math.isfinite(v):
+            return kind, None, (row, f"{where}: non-finite value {cell!r}")
 
 
 def _check_inputs(values, labels, feature: str) -> np.ndarray:

@@ -262,8 +262,6 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
             stale += 1
             if stale >= config.patience:
                 break
-        if new_best == 0:
-            break
 
     # Trim trailing plateau layers back to the earliest layer that
     # reached the best error, then keep only its best units.  Those

@@ -1,14 +1,21 @@
 """End-to-end runs of the command line driver, in process."""
 
+import csv
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mofn.cli import build_parser, main
 from mofn.data import load_csv
+from mofn.encoding import encode_value
+from mofn.errors import EncodingError
 from mofn.network import train
-from mofn.rules import parse_formula_table, to_formula_table
+from mofn.rules import evaluate, parse_formula_table, to_formula_table
 from mofn.tables import parse_rendered_csv
 
 ANCHOR_CSV = """\
@@ -196,7 +203,7 @@ class TestClassifyEdges:
         text = f"{ANCHOR_HEADER}\n5.0,abc,0,0,0,0,0,0\n"
         self.assert_data_error(
             self.classify(capsys, tmp_path, fixtures_dir, text),
-            "row 0, feature 'circulating_immune_complex': 'abc' is not numeric")
+            "feature 'circulating_immune_complex', row 0: 'abc' is not numeric")
 
     def test_wrong_cell_count(self, capsys, tmp_path, fixtures_dir):
         text = f"{ANCHOR_HEADER}\n{GOOD_ROW}\n5.0,100.0,0,0,0,0,0\n"
@@ -208,18 +215,18 @@ class TestClassifyEdges:
         text = f"{ANCHOR_HEADER}\n5.0,100.0,2,0,0,0,0,0\n"
         self.assert_data_error(
             self.classify(capsys, tmp_path, fixtures_dir, text),
-            "feature 'articular_syndrome': 2.0 is not 0/1")
+            "feature 'articular_syndrome', row 0: '2' is not 0/1")
 
     def test_nan_and_overflowing_cells(self, capsys, tmp_path, fixtures_dir):
-        for cell, shown in (("nan", "nan"), ("1e999", "inf"), ("-inf", "-inf")):
+        for cell in ("nan", "1e999", "-inf"):
             text = f"{ANCHOR_HEADER}\n{cell},100.0,0,0,0,0,0,0\n"
             self.assert_data_error(
                 self.classify(capsys, tmp_path, fixtures_dir, text),
-                f"feature 'leucocytes': non-finite value {shown}")
+                f"feature 'leucocytes', row 0: non-finite value {cell!r}")
         text = f"{ANCHOR_HEADER}\n5.0,100.0,nan,0,0,0,0,0\n"
         self.assert_data_error(
             self.classify(capsys, tmp_path, fixtures_dir, text),
-            "feature 'articular_syndrome': nan is not 0/1")
+            "feature 'articular_syndrome', row 0: 'nan' is not 0/1")
 
     def test_lowest_bad_row_is_reported(self, capsys, tmp_path, fixtures_dir):
         # row 2 is short, row 1 has two bad cells: row 1 wins, and within
@@ -228,7 +235,7 @@ class TestClassifyEdges:
                 "5.0,100.0,0\n")
         self.assert_data_error(
             self.classify(capsys, tmp_path, fixtures_dir, text),
-            "row 1, feature 'anhelation': 'x' is not numeric")
+            "feature 'anhelation', row 1: 'x' is not numeric")
 
     def test_first_declared_feature_is_reported(self, capsys, tmp_path, fixtures_dir):
         # b is declared before a, though a has the lower id and comes
@@ -241,11 +248,11 @@ class TestClassifyEdges:
         self.assert_data_error(
             self.classify(capsys, tmp_path, fixtures_dir, "a,b\n1,1\nu,v\n",
                           model=model),
-            "row 1, feature 'b': 'v' is not numeric")
+            "feature 'b', row 1: 'v' is not numeric")
         self.assert_data_error(
             self.classify(capsys, tmp_path, fixtures_dir, "a,b\nnan,inf\n",
                           model=model),
-            "feature 'b': non-finite value inf")
+            "feature 'b', row 0: non-finite value 'inf'")
 
     def test_header_only(self, capsys, tmp_path, fixtures_dir):
         code, out, err = self.classify(capsys, tmp_path, fixtures_dir,
@@ -281,6 +288,23 @@ class TestClassifyEdges:
         code, out, _ = self.classify(capsys, tmp_path, fixtures_dir, text)
         assert (code, out) == (0, "row,decision,value,votes\n0,IE,+6,6/9\n")
 
+    def test_separator_padded_cells_read_as_load_csv_reads_them(
+            self, capsys, tmp_path, fixtures_dir):
+        # str.strip removes the separators \x1c-\x1f; float() refuses them
+        plain = "5.0,100.0,0,0,0,0,0,0\n7.0,150.0,1,0,0,0,0,0\n"
+        padded = ("\x1c5.0,100.0\x1d,0\x1e,\x1f0,0,0,0,0\n"
+                  "7.0\x1f,\x1e150.0,1\x1c,0,0,0,0,0\n")
+        want = self.classify(capsys, tmp_path, fixtures_dir, f"{ANCHOR_HEADER}\n{plain}")
+        assert want[0] == 0
+        got = self.classify(capsys, tmp_path, fixtures_dir, f"{ANCHOR_HEADER}\n{padded}")
+        assert got == want
+
+        def labelled(rows):
+            return "".join([f"{ANCHOR_HEADER},label\n",
+                            *(f"{row},{y}\n" for row, y in zip(rows.split("\n"), "01"))])
+
+        assert load_csv(labelled(padded)).columns == load_csv(labelled(plain)).columns
+
     def test_nominal_and_boolean_columns(self, capsys, tmp_path, fixtures_dir):
         model = tmp_path / "model.rules"
         model.write_text(NOMINAL_MODEL)
@@ -290,6 +314,128 @@ class TestClassifyEdges:
         assert code == 0
         assert out == ("row,decision,value,votes\n0,yes,-1,1/1\n"
                        "1,no,+1,1/1\n2,no,+1,1/1\n3,no,+1,1/1\n")
+
+
+# Declared in an order other than id order; z is declared but feeds no unit.
+DIFF_MODEL = """\
+classes no yes
+feature 3 q kind=quantitative u=0.5 h=1
+feature 1 b kind=boolean h=0
+feature 2 z kind=quantitative u=0 h=1
+feature 0 c kind=nominal category=red h=1
+layer 1
+1 6 3 1
+2 8 0 3
+3 7 1 0
+"""
+DIFF_CELLS = ("0", "1", " 1 ", "0.0", "1e0", "0.3", "2", "-1", "", " ", "abc",
+              "nan", "inf", "-inf", "1e999", "5\x1c", "\x1d1", "0\x1f", "\x1e0.7",
+              "red", "blue", " red ", "red\x1c")
+
+
+def row_by_row_reference(sc, text):
+    """`mofn classify` as a walk over rows, the way it checked cases
+    before it shared `load_csv`'s column reader: ("ok", stdout),
+    ("ragged", message) or ("cell", row, feature) for the first bad row,
+    and in it the first bad referenced feature in declaration order."""
+    table = [row for row in csv.reader(io.StringIO(text)) if row]
+    header = [h.strip() for h in table[0]]
+    referenced = set(sc.program.features)
+    lines = ["row,decision,value,votes"]
+    for r, row in enumerate(table[1:]):
+        if len(row) != len(header):
+            return "ragged", f"row {r} has {len(row)} cells, expected {len(header)}"
+        cells = dict(zip(header, (c.strip() for c in row)))
+        bits = {}
+        for ident, enc in sc.features.items():
+            if ident not in referenced:
+                continue
+            value = cells[enc.feature]
+            try:
+                if enc.kind != "nominal":
+                    value = float(value)
+                bits[ident] = encode_value(enc, value)
+            except (ValueError, EncodingError):
+                return "cell", r, enc.feature
+        d = evaluate(sc, bits)
+        label = "contradictory" if d.contradictory else sc.class_names[d.klass]
+        lines.append(f"{r},{label},{f'{d.value:+d}' if d.value else '0'},{d.m}/{d.n}")
+    return "ok", "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def case_csvs(draw):
+    """Small case CSVs for DIFF_MODEL: columns in any order, repeated or
+    extra names, padded names, ragged rows, blank lines, and cells that
+    are padded, empty, non-numeric, non-finite or not a bit."""
+    names = draw(st.permutations(["q", "b", "c", "z", "w"]))
+    names += draw(st.lists(st.sampled_from(["q", "b", "c"]), max_size=2))
+    valid = {"q": ("0.3", "2", "-1", " 1 "), "b": ("0", "1", "0.0", " 1 "),
+             "c": ("red", "blue", " red ", "")}
+    cells = [st.sampled_from(valid.get(name, DIFF_CELLS)) for name in names]
+    bad = st.sampled_from(DIFF_CELLS)
+    padded = [draw(st.sampled_from(["{}", " {}", "{} "])).format(n) for n in names]
+    lines = [",".join(padded)]
+    for _ in range(draw(st.integers(1, 6))):
+        row = [draw(bad if draw(st.integers(0, 11)) == 0 else cell) for cell in cells]
+        width = len(row) + draw(st.sampled_from([0] * 18 + [-1, 1]))
+        lines.append(",".join((row + [draw(bad)])[:width]))
+        lines += [""] * draw(st.integers(0, 1))
+    return "\n".join(lines) + "\n"
+
+
+class TestClassifyMatchesRowByRowReference:
+    @settings(deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=case_csvs())
+    def test_same_exit_stdout_and_first_bad_cell(self, capsys, tmp_path, text):
+        model = tmp_path / "model.rules"
+        model.write_text(DIFF_MODEL)
+        data = tmp_path / "cases.csv"
+        data.write_text(text)
+        code, out, err = run(capsys, "classify", str(model), str(data))
+        want = row_by_row_reference(parse_formula_table(DIFF_MODEL), text)
+        if want[0] == "ok":
+            assert (code, out, err) == (0, want[1], "")
+        elif want[0] == "ragged":
+            assert (code, out, err) == (3, "", f"error: {want[1]}\n")
+        else:
+            assert (code, out) == (3, "")
+            named = re.fullmatch(r"error: feature '(\w+)', row (\d+): .*\n", err)
+            assert named and (int(named[2]), named[1]) == want[1:]
+
+
+UNREADABLE = ("dir", "binary")
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read as text, or a CSV field over the csv
+    module's size limit, is an error line with the exit code of the
+    file's role: 3 for data, 4 for a model, 2 for a config file."""
+
+    @pytest.fixture
+    def files(self, tmp_path, fixtures_dir):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "binary").write_bytes(b"a,label\n\xff\xfe,0\n")
+        huge = "1" * (csv.field_size_limit() + 1)
+        (tmp_path / "huge.csv").write_text(f"a,label\n{huge},0\n")
+        (tmp_path / "cases.csv").write_text(ANCHOR_CSV)
+        return {"dir": tmp_path / "dir", "binary": tmp_path / "binary",
+                "huge": tmp_path / "huge.csv", "cases": tmp_path / "cases.csv",
+                "model": fixtures_dir / "ie_srl.rules"}
+
+    @pytest.mark.parametrize("argv, code", [
+        *((("train", data), 3) for data in (*UNREADABLE, "huge")),
+        *((("classify", "model", data), 3) for data in (*UNREADABLE, "huge")),
+        *(((command, model), 4) for command in ("tabulate", "export", "import")
+          for model in UNREADABLE),
+        *((("classify", model, "cases"), 4) for model in UNREADABLE),
+        *((("train", "cases", "--config", config), 2) for config in UNREADABLE),
+    ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
+    def test_error_line_and_exit_code(self, capsys, files, argv, code):
+        got, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
+        assert (got, out) == (code, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTabulate:

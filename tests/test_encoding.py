@@ -40,6 +40,15 @@ class TestQuantitative:
         assert encode_value(enc, 5.0001) == 1
         assert encode_value(enc, -100.0) == 0
 
+    def test_non_numeric_value_is_an_encoding_error(self):
+        enc = Encoder("a", "quantitative", threshold=0.5)
+        for value in ("abc", None):
+            with pytest.raises(EncodingError) as err:
+                encode_value(enc, value)
+            assert str(err.value) == f"feature 'a': {value!r} is not numeric"
+            with pytest.raises(EncodingError):
+                enc(value)
+
     def test_error_tie_prefers_wider_gap(self):
         # both u=0.5 and u=8.0 err once; the second gap is four times wider
         enc = fit_quantitative([0.0, 1.0, 5.0, 6.0, 10.0], [0, 1, 1, 1, 0], "f")
