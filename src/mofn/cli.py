@@ -92,10 +92,15 @@ def _train_config(args, overrides: dict) -> TrainConfig:
 
 
 def _write(text: str, dest: str | None) -> None:
+    """Write to stdout, or to a file; a path that cannot be written is a
+    usage error."""
     if dest in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(dest).write_text(text)
+    except OSError as exc:
+        raise MofnError(f"cannot write {dest}: {exc.strerror or exc}") from None
 
 
 def _read_model(path: str):
@@ -305,6 +310,8 @@ def _fixture_dir(args) -> Path:
     from importlib import resources
 
     if args.fixtures:
+        if not Path(args.fixtures).is_dir():
+            raise MofnError(f"fixtures directory not found: {args.fixtures}")
         return Path(args.fixtures)
     return Path(str(resources.files("mofn") / "fixtures"))
 

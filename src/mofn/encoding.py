@@ -110,7 +110,11 @@ def encode_bits(enc: Encoder, values) -> int:
             f"feature {enc.feature!r} is degenerate and cannot be encoded"
         )
     if enc.kind == "quantitative":
-        if not all(map(math.isfinite, values)):
+        try:
+            finite = all(map(math.isfinite, values))
+        except TypeError:
+            raise EncodingError(f"feature {enc.feature!r}: values are not all numeric") from None
+        if not finite:
             raise EncodingError(f"feature {enc.feature!r}: non-finite values")
         flags = map(gt, values, repeat(enc.threshold))
     elif enc.kind == "boolean":

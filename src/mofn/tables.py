@@ -123,10 +123,16 @@ def detect_contradictions(table: DiagnosticTable) -> list[tuple[tuple[int, ...],
     return out
 
 
-def _cell_text(value: int) -> str:
-    if value == 0:
-        return "±0"
-    return f"{value:+d}"
+def _cell_rows(cells: np.ndarray, pad: bool) -> list[list[str]]:
+    """The cell texts row by row, formatting each value once: a grid of
+    decision values within ±N holds at most 2N+1 of them.  With `pad`,
+    every text is right-justified to the widest (at least 2 wide)."""
+    lo, hi = int(cells.min()), int(cells.max())
+    texts = [f"{v:+d}" if v else "±0" for v in range(lo, hi + 1)]
+    if pad:
+        width = max(2, *map(len, texts))
+        texts = [t.rjust(width) for t in texts]
+    return np.array(texts, dtype=object)[cells - lo].tolist()
 
 
 def render_text(table: DiagnosticTable) -> str:
@@ -136,44 +142,39 @@ def render_text(table: DiagnosticTable) -> str:
     varying feature on top; row features label the leading columns.
     """
     a, b = len(table.row_features), len(table.col_features)
-    n_rows, n_cols = table.shape
     col_labels = [table.feature_labels[f] for f in table.col_features]
     row_labels = [table.feature_labels[f] for f in table.row_features]
-    cells = [[_cell_text(int(v)) for v in row] for row in table.cells]
+    cells = _cell_rows(table.cells, pad=True)
 
     row_bit_w = [len(lbl) for lbl in row_labels]
     prefix_w = max(sum(row_bit_w) + a - 1, max(len(s) for s in col_labels))
-    cell_w = max(2, *(len(c) for row in cells for c in row))
+    cell_w = len(cells[0][0])
+    zero, one = "0".rjust(cell_w), "1".rjust(cell_w)
 
     lines = []
     for p in range(b - 1, -1, -1):
-        bits = " ".join(
-            str((ci >> (b - 1 - p)) & 1).rjust(cell_w) for ci in range(n_cols)
-        )
+        # bit b-1-p of the column index: 2^p runs of `half` zeros, then ones
+        half = 1 << (b - 1 - p)
+        bits = " ".join(([zero] * half + [one] * half) * (1 << p))
         lines.append(f"{col_labels[p].rjust(prefix_w)}  {bits}")
-    header = " ".join(lbl for lbl in row_labels)
-    lines.append(header.rjust(prefix_w))
-    for ri in range(n_rows):
-        bits = table.row_bits(ri)
-        left = " ".join(str(bit).rjust(w) for bit, w in zip(bits, row_bit_w))
-        body = " ".join(c.rjust(cell_w) for c in cells[ri])
-        lines.append(f"{left.rjust(prefix_w)}  {body}")
+    lines.append(" ".join(row_labels).rjust(prefix_w))
+    for ri, row in enumerate(cells):
+        left = " ".join(map(str.rjust, format(ri, f"0{a}b"), row_bit_w))
+        lines.append(f"{left.rjust(prefix_w)}  {' '.join(row)}")
     return "\n".join(lines) + "\n"
 
 
 def render_csv(table: DiagnosticTable) -> str:
     """CSV rendering: one leading column per row feature, then one
     column per column-bit combination, header tagged with its bits."""
+    a, b = len(table.row_features), len(table.col_features)
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    b = len(table.col_features)
     header = [table.feature_labels[f] for f in table.row_features]
-    header += ["".join(map(str, _bits(ci, b))) for ci in range(table.shape[1])]
-    writer.writerow(header)
-    for ri in range(table.shape[0]):
-        row = [str(bit) for bit in table.row_bits(ri)]
-        row += [_cell_text(int(v)) for v in table.cells[ri]]
-        writer.writerow(row)
+    header += [format(ci, f"0{b}b") for ci in range(table.shape[1])]
+    csv.writer(out, lineterminator="\n").writerow(header)
+    # only feature names may need quoting: row bits and cell texts never do
+    for ri, row in enumerate(_cell_rows(table.cells, pad=False)):
+        out.write(f"{','.join(format(ri, f'0{a}b'))},{','.join(row)}\n")
     return out.getvalue()
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import pathlib
 import re
 
 import numpy as np
@@ -438,6 +439,38 @@ class TestUnreadableInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestUnwritableOutput:
+    """An `-o` path that cannot be written is an error line and exit code
+    2, whatever the command: an existing directory, or a file in a
+    directory that does not exist."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, fixtures_dir):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "cases.csv").write_text(ANCHOR_CSV)
+        return {"model": str(fixtures_dir / "ie_srl.rules"),
+                "cases": str(tmp_path / "cases.csv"),
+                "dir": str(tmp_path / "dir"),
+                "missing": str(tmp_path / "missing" / "out.txt")}
+
+    @pytest.mark.parametrize("target", ["dir", "missing"])
+    @pytest.mark.parametrize("argv", [
+        ("classify", "model", "cases"),
+        ("tabulate", "model"),
+        ("tabulate", "model", "--format", "csv", "--check"),
+        ("export", "model"),
+        ("export", "model", "--format", "json"),
+        ("import", "model"),
+        ("gen", "--seed", "1"),
+    ], ids=" ".join)
+    def test_error_line_and_exit_code(self, capsys, inputs, argv, target):
+        got, out, err = run(capsys, *(inputs.get(a, a) for a in argv), "-o", inputs[target])
+        assert (got, out) == (2, "")
+        assert err.startswith(f"error: cannot write {inputs[target]}: ")
+        assert err.count("\n") == 1
+        assert not (pathlib.Path(inputs["dir"]).parent / "missing").exists()
+
+
 class TestTabulate:
     def test_default_split_matches_explicit(self, capsys, fixtures_dir):
         model = str(fixtures_dir / "ie_srl.rules")
@@ -601,6 +634,14 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--fixtures", str(tmp_path))
         assert code == 5
         assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+    @pytest.mark.parametrize("name", ["missing", "file.rules"])
+    def test_fixtures_path_that_is_no_directory(self, capsys, tmp_path, name):
+        (tmp_path / "file.rules").write_text("classes 0 1\n")
+        target = str(tmp_path / name)
+        code, out, err = run(capsys, "validate", "--fixtures", target)
+        assert (code, out) == (2, "")
+        assert err == f"error: fixtures directory not found: {target}\n"
 
 
 class TestParserBasics:

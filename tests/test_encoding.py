@@ -427,6 +427,14 @@ class TestEncodeBits:
         self.assert_same_error(Encoder("f", "boolean"), values,
                                "feature 'f': values are not all 0/1")
 
+    @given(st.data(), st.sampled_from(SIZES[1:]))
+    def test_same_error_type_on_non_numeric_quantitative_values(self, data, n):
+        values = [1.0] * n
+        values[data.draw(st.integers(0, n - 1))] = data.draw(
+            st.sampled_from(("abc", "", None, [1.0])))
+        self.assert_same_error(Encoder("f", "quantitative", threshold=0.5), values,
+                               "feature 'f': values are not all numeric")
+
     @pytest.mark.parametrize("kind", ["quantitative", "boolean", "nominal"])
     @pytest.mark.parametrize("n", SIZES)
     def test_same_error_on_degenerate_encoders(self, kind, n):

@@ -13,6 +13,13 @@ repeated values and whitespace-padded cells, a nominal and a boolean
 column, and one constant (degenerate) column.  It pins parsing, kind
 inference and every encoder fit along with growth.
 
+Each grid case renders one diagnostic table as text (`.txt`) and CSV
+(`.csv`), both named `grid_*`: the bundled models on `mofn tabulate`'s
+default splits (for ie_srl and ie_ar also their published ones) and on
+a second split, a generated 16-feature rule at the grid cap with ties
+and three-character cells, and a small rule whose feature names need
+CSV quoting.
+
 To rewrite the golden files after an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -31,9 +38,11 @@ from mofn.data import load_csv
 from mofn.encoding import encode_dataset
 from mofn.network import TrainConfig, build_first_layer, grow_layer, train
 from mofn.oracle import PlantedSpec, generate_planted
-from mofn.rules import to_formula_table
+from mofn.rules import parse_formula_table, to_formula_table
+from mofn.tables import make_table, render
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "src" / "mofn" / "fixtures"
 
 # name: (features, rows, seed, noise flips, extended catalog)
 CASES = {
@@ -55,6 +64,52 @@ CSV_CASES = {
 }
 
 WARDS = ("north", "south", "east", "west")
+
+QUOTED_RULE = """\
+classes no yes
+feature 0 "dose, mg" kind=boolean h=1
+feature 1 'say "hi"' kind=boolean h=1
+feature 2 plain kind=boolean h=0
+feature 3 x kind=boolean h=1
+layer 1
+1 6 0 1
+2 8 2 3
+3 5 1 2
+4 12 0 3
+"""
+
+
+def wide_rule(seed: int = 16, n_features: int = 16, n_syndromes: int = 12) -> str:
+    """A seeded 2-layer rule over exactly `n_features` booleans: layer 1
+    pairs the features up and every layer-1 unit feeds a syndrome.  An
+    even N of at least 10 gives both ties and three-character cells."""
+    rng = random.Random(seed)
+    fns = (0, 3, 5, 6, 7, 8, 10, 12, 13)
+    lines = ["classes neg pos"]
+    lines += [f"feature {f} w{f} kind=boolean h={rng.randint(0, 1)}"
+              for f in range(n_features)]
+    order = rng.sample(range(n_features), n_features)
+    n_first = n_features // 2
+    lines.append("layer 1")
+    lines += [f"{i + 1} {rng.choice(fns)} {order[2 * i]} {order[2 * i + 1]}"
+              for i in range(n_first)]
+    lines.append("layer 2")
+    lines += [f"{s + 1} {rng.choice(fns)} {s % n_first + 1} {rng.randrange(n_features)}"
+              for s in range(n_syndromes)]
+    return "\n".join(lines) + "\n"
+
+
+# name: (fixture file, rule text or None for wide_rule(), row features, column features)
+GRID_CASES = {
+    "grid_ie_srl": ("ie_srl.rules", [2, 5, 8, 11], [13, 14, 15, 16]),
+    "grid_ie_srl_cols_first": ("ie_srl.rules", [13, 14, 15, 16, 2], [5, 8, 11]),
+    "grid_ie_ar": ("ie_ar.rules", [9, 10, 12], [19, 20, 22]),
+    "grid_ie_ar_cols_first": ("ie_ar.rules", [22, 19], [20, 12, 10, 9]),
+    "grid_postop": ("postop.rules", [3, 4, 5, 6], [8, 9, 10]),
+    "grid_postop_one_row": ("postop.rules", [10], [3, 4, 5, 6, 8, 9]),
+    "grid_wide16": (None, list(range(8)), list(range(8, 16))),
+    "grid_quoted": (QUOTED_RULE, [0, 1], [2, 3]),
+}
 
 
 def mixed_csv(name: str) -> str:
@@ -125,11 +180,29 @@ def fit(name: str) -> tuple[str, str]:
     return to_formula_table(net), "\n".join(lines) + "\n"
 
 
+def grid_renders(name: str) -> tuple[str, str]:
+    """Text and CSV renderings of one grid case."""
+    model, rows, cols = GRID_CASES[name]
+    if model is None:
+        model = wide_rule()
+    elif model.endswith(".rules"):
+        model = (FIXTURES / model).read_text()
+    table = make_table(parse_formula_table(model), rows, cols)
+    return render(table, "text"), render(table, "csv")
+
+
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(CSV_CASES))
 def test_model_is_byte_identical(name):
     text, summary = fit(name)
     assert text == (GOLDEN / f"{name}.rules").read_text()
     assert summary == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GRID_CASES))
+def test_grid_render_is_byte_identical(name):
+    text, csv_text = grid_renders(name)
+    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert csv_text == (GOLDEN / f"{name}.csv").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -140,4 +213,9 @@ if __name__ == "__main__":
         text, summary = fit(case)
         (GOLDEN / f"{case}.rules").write_text(text)
         (GOLDEN / f"{case}.txt").write_text(summary)
+        print(f"wrote {case}")
+    for case in sorted(GRID_CASES):
+        text, csv_text = grid_renders(case)
+        (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")
+        (GOLDEN / f"{case}.csv").write_text(csv_text, encoding="utf-8")
         print(f"wrote {case}")

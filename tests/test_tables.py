@@ -1,12 +1,18 @@
 """Diagnostic table construction, rendering, and contradiction scan."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mofn.errors import TableError
 from mofn.rules import evaluate, parse_formula_table
 from mofn.tables import (
     MAX_TABLE_FEATURES,
+    DiagnosticTable,
     detect_contradictions,
     make_table,
     parse_rendered_csv,
@@ -201,3 +207,81 @@ class TestRendering:
             parse_rendered_csv("just,one,line\n")
         with pytest.raises(TableError):
             parse_rendered_csv("a,0,1\n0,+1,nope\n")
+
+
+def _reference_cell_text(value: int) -> str:
+    return "±0" if value == 0 else f"{value:+d}"
+
+
+def reference_render_text(table):
+    """The per-cell text renderer that `render_text` replaced."""
+    a, b = len(table.row_features), len(table.col_features)
+    n_rows, n_cols = table.shape
+    col_labels = [table.feature_labels[f] for f in table.col_features]
+    row_labels = [table.feature_labels[f] for f in table.row_features]
+    cells = [[_reference_cell_text(int(v)) for v in row] for row in table.cells]
+
+    row_bit_w = [len(lbl) for lbl in row_labels]
+    prefix_w = max(sum(row_bit_w) + a - 1, max(len(s) for s in col_labels))
+    cell_w = max(2, *(len(c) for row in cells for c in row))
+
+    lines = []
+    for p in range(b - 1, -1, -1):
+        bits = " ".join(
+            str((ci >> (b - 1 - p)) & 1).rjust(cell_w) for ci in range(n_cols)
+        )
+        lines.append(f"{col_labels[p].rjust(prefix_w)}  {bits}")
+    lines.append(" ".join(row_labels).rjust(prefix_w))
+    for ri in range(n_rows):
+        bits = table.row_bits(ri)
+        left = " ".join(str(bit).rjust(w) for bit, w in zip(bits, row_bit_w))
+        body = " ".join(c.rjust(cell_w) for c in cells[ri])
+        lines.append(f"{left.rjust(prefix_w)}  {body}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_render_csv(table):
+    """The per-cell CSV renderer that `render_csv` replaced."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    header = [table.feature_labels[f] for f in table.row_features]
+    header += ["".join(map(str, table.col_bits(ci))) for ci in range(table.shape[1])]
+    writer.writerow(header)
+    for ri in range(table.shape[0]):
+        row = [str(bit) for bit in table.row_bits(ri)]
+        row += [_reference_cell_text(int(v)) for v in table.cells[ri]]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+LABELS = st.one_of(
+    st.sampled_from("abxyz"),
+    st.text(alphabet=' ab,"xyz_', min_size=1, max_size=14),
+)
+
+
+@st.composite
+def random_tables(draw):
+    """Grids of 1-8 bits per axis holding any values within ±N, N from 1
+    to 25, with a random share of tie cells."""
+    a = draw(st.integers(1, 8))
+    b = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(-n, n + 1, size=(1 << a, 1 << b))
+    cells[rng.random(cells.shape) < draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))] = 0
+    labels = draw(st.lists(LABELS, min_size=a + b, max_size=a + b))
+    return DiagnosticTable(
+        row_features=list(range(a)),
+        col_features=list(range(a, a + b)),
+        cells=cells,
+        n_syndromes=n,
+        feature_labels=dict(enumerate(labels)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_tables())
+def test_renderers_match_per_cell_reference(table):
+    assert render_text(table) == reference_render_text(table)
+    assert render_csv(table) == reference_render_csv(table)
