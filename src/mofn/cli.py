@@ -47,7 +47,7 @@ from .rules import (
     symbolic,
     to_formula_table,
     vote_counts,
-    vote_decision,
+    vote_levels,
 )
 
 EXIT_OK = 0
@@ -58,6 +58,8 @@ EXIT_VALIDATION = 5
 
 CONFIG_ENV = "MOFN_CONFIG"
 CONFIG_KEYS = ("beam_width", "max_layers", "patience", "extended_catalog")
+REFERENCE_FILES = ("ie_srl.rules", "ie_srl_table.csv", "ie_ar.rules", "ie_ar_table.csv",
+                   "postop.rules")
 
 
 def _load_config(path: str | None) -> dict:
@@ -184,7 +186,7 @@ def cmd_classify(args) -> int:
         raise DataError(min(bad)[2] if bad else ragged[1])
     m1 = vote_counts(program.run(columns, n), n)
     decided = []        # the output cells for each count of class-1 votes
-    for d in (vote_decision(votes, sc.n) for votes in range(sc.n + 1)):
+    for d in vote_levels(sc.n):
         label = "contradictory" if d.contradictory else sc.class_names[d.klass]
         decided.append([label, f"{d.value:+d}" if d.value else "0", f"{d.m}/{d.n}"])
     out = io.StringIO()
@@ -206,7 +208,10 @@ def _parse_axis(spec: str | None, sc) -> list[int] | None:
         try:
             out.append(int(tok))
         except ValueError:
-            out.append(sc.feature_id(tok))
+            try:
+                out.append(sc.feature_id(tok))
+            except EvaluationError:
+                raise TableError(f"no declared feature named {tok!r}") from None
     if not out:
         raise TableError("empty axis")
     return out
@@ -307,13 +312,17 @@ def cmd_gen(args) -> int:
 
 
 def _fixture_dir(args) -> Path:
+    """The reference files' directory, refused unless it holds them all."""
     from importlib import resources
 
-    if args.fixtures:
-        if not Path(args.fixtures).is_dir():
-            raise MofnError(f"fixtures directory not found: {args.fixtures}")
-        return Path(args.fixtures)
-    return Path(str(resources.files("mofn") / "fixtures"))
+    source = args.fixtures or str(resources.files("mofn") / "fixtures")
+    fixtures = Path(source)
+    if not fixtures.is_dir():
+        raise MofnError(f"fixtures directory not found: {source}")
+    missing = [name for name in REFERENCE_FILES if not (fixtures / name).is_file()]
+    if missing:
+        raise MofnError(f"fixtures directory {source} lacks {', '.join(missing)}")
+    return fixtures
 
 
 def cmd_validate(args) -> int:

@@ -43,9 +43,7 @@ from .encoding import EncodedDataset, Encoder, encode_dataset, encode_value
 from .data import Dataset
 from .errors import EvaluationError, TrainingError
 from .logic import function_ids, truth_row
-from .rules import (
-    SignedDecision, SlotProgram, extract, vote_counts, vote_decision, vote_values,
-)
+from .rules import SignedDecision, SlotProgram, extract, vote_counts, vote_levels
 
 
 @dataclass(frozen=True)
@@ -107,10 +105,6 @@ class Network:
     def program(self) -> SlotProgram:
         """The slot program of the extracted complex, built on first use."""
         return extract(self).program
-
-    def referenced_features(self) -> set[int]:
-        """Feature indices reachable from the final layer."""
-        return set(self.program.features)
 
 
 @dataclass(frozen=True)
@@ -276,7 +270,8 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     ]
     final = [int.from_bytes(c.outputs.astype("<u8").tobytes(), "little") for c in layers[-1]]
     m1 = vote_counts(final, ds.n)
-    values = vote_values(np.frombuffer(m1, m1.typecode).astype(np.int64), len(final))
+    levels = np.array([d.value for d in vote_levels(len(final))], dtype=np.int64)
+    values = levels[np.frombuffer(m1, m1.typecode)]
     correct = np.where(ds.labels == 1, values < 0, values > 0)
     report = TrainReport(
         layer_sizes=[len(layer) for layer in layers],
@@ -305,4 +300,4 @@ def classify(net: Network, row: Mapping[str, object]) -> SignedDecision:
         if name not in row:
             raise EvaluationError(f"missing value for feature {name!r}")
         bits.append(encode_value(net.encoders[j], row[name]))
-    return vote_decision(sum(program.run(bits, 1)), len(program.outputs))
+    return vote_levels(len(program.outputs))[sum(program.run(bits, 1))]

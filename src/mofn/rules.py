@@ -14,7 +14,9 @@ of the previous layer (in layer 1, to a feature x_k).  Function ids
 are catalog ids and are never renumbered.
 
 Every decision runs one SlotProgram, compiled once per complex, over
-bitset columns: a single case, a batch of rows and a grid alike.
+bitset columns: a single case, a batch of rows and a grid alike.  A
+count of class-1 votes becomes a decision only through vote_levels,
+vote_decision tabulated for m1 = 0..N, indexed by the count.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import shlex
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, Sequence, Union
 
 from .encoding import Encoder
@@ -34,6 +36,7 @@ from .logic import function_ids, truth_row
 __all__ = [
     "SignedDecision",
     "vote_decision",
+    "vote_levels",
     "describe_decision",
     "FeatureRef",
     "FnNode",
@@ -45,7 +48,6 @@ __all__ = [
     "evaluate",
     "syndrome_bits",
     "vote_counts",
-    "vote_values",
     "decision_levels",
     "to_formula_table",
     "parse_formula_table",
@@ -100,11 +102,11 @@ def vote_decision(m1: int, n: int) -> SignedDecision:
     return SignedDecision(value=0, m=m0, n=n, m1=m1)
 
 
-def vote_values(m1, n: int):
-    """Array form of vote_decision's value: +m0, -m1, or 0 on a tie.
-    m1 is a signed integer array."""
-    m0 = n - m1
-    return (m0 > m1) * m0 - (m1 > m0) * m1
+@cache
+def vote_levels(n: int) -> tuple[SignedDecision, ...]:
+    """vote_decision(m1, n) for m1 = 0..n, built once per n: index it
+    with a class-1 count to decide."""
+    return tuple(vote_decision(m1, n) for m1 in range(n + 1))
 
 
 def describe_decision(d: SignedDecision, class_names: tuple[str, str] = ("0", "1")) -> str:
@@ -238,9 +240,8 @@ def vote_counts(bitsets: Sequence[int], n: int) -> array:
 
 @dataclass
 class SyndromeComplex:
-    """N syndromes over declared features, with their layered source rows."""
+    """N syndromes over declared features, held as their layered rows."""
 
-    syndromes: list[Expr]
     features: dict[int, Encoder]
     layers: list[list[Row]]
     class_names: tuple[str, str] = ("0", "1")
@@ -248,7 +249,22 @@ class SyndromeComplex:
 
     @property
     def n(self) -> int:
-        return len(self.syndromes)
+        return len(self.layers[-1])
+
+    @cached_property
+    def syndromes(self) -> list[Expr]:
+        """Expression trees of the final-layer units, built on first use."""
+        prev: dict[int, Expr] = {}
+        for r, layer in enumerate(self.layers):
+            prev = {
+                row.ident: FnNode(
+                    row.fn,
+                    FeatureRef(row.left) if r == 0 else prev[row.left],
+                    FeatureRef(row.right),
+                )
+                for row in layer
+            }
+        return [prev[row.ident] for row in self.layers[-1]]
 
     @cached_property
     def program(self) -> SlotProgram:
@@ -285,30 +301,9 @@ def extract(net) -> SyndromeComplex:
         ]
         for r, layer in enumerate(net.layers)
     ])
-    sc = SyndromeComplex(
-        syndromes=_syndromes(layers),
-        features={},
-        layers=layers,
-        class_names=tuple(net.class_names),
-        extended=net.config.extended_catalog,
-    )
+    sc = SyndromeComplex({}, layers, tuple(net.class_names), net.config.extended_catalog)
     sc.features = {j: net.encoders[j] for j in sc.program.features}
     return sc
-
-
-def _syndromes(layers: list[list[Row]]) -> list[Expr]:
-    """Expression trees of the final-layer units."""
-    prev: dict[int, Expr] = {}
-    for r, layer in enumerate(layers):
-        prev = {
-            row.ident: FnNode(
-                row.fn,
-                FeatureRef(row.left) if r == 0 else prev[row.left],
-                FeatureRef(row.right),
-            )
-            for row in layer
-        }
-    return [prev[row.ident] for row in layers[-1]]
 
 
 def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[int]:
@@ -326,8 +321,7 @@ def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[in
 
 def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
     """Majority vote of all syndromes on one assignment."""
-    bits = syndrome_bits(sc, assignment)
-    return vote_decision(sum(bits), len(bits))
+    return vote_levels(sc.n)[sum(syndrome_bits(sc, assignment))]
 
 
 def symbolic(sc: SyndromeComplex) -> list[str]:
@@ -540,13 +534,7 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
         if not layer:
             raise ModelFormatError(f"layer {r} has no units")
 
-    return SyndromeComplex(
-        syndromes=_syndromes(layers),
-        features=features,
-        layers=layers,
-        class_names=class_names,
-        extended=use_extended,
-    )
+    return SyndromeComplex(features, layers, class_names, use_extended)
 
 
 def _check_row(
@@ -575,7 +563,7 @@ def _check_row(
             raise ModelFormatError(
                 f"line {lineno}: undeclared feature x_{row.left}"
             )
-        if _declared_degenerate(features, row.left) or _declared_degenerate(features, row.right):
+        if features[row.left].degenerate or features[row.right].degenerate:
             raise ModelFormatError(
                 f"line {lineno}: unit reads a degenerate feature"
             )
@@ -584,11 +572,7 @@ def _check_row(
             raise ModelFormatError(
                 f"line {lineno}: unit y_{row.left} is not defined in layer {len(layers) - 1}"
             )
-        if _declared_degenerate(features, row.right):
+        if features[row.right].degenerate:
             raise ModelFormatError(
                 f"line {lineno}: unit reads a degenerate feature"
             )
-
-
-def _declared_degenerate(features: dict[int, Encoder], ident: int) -> bool:
-    return features[ident].degenerate

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import TableError
-from .rules import SyndromeComplex, vote_counts, vote_values
+from .rules import SyndromeComplex, vote_counts, vote_levels
 
 MAX_TABLE_FEATURES = 16
 
@@ -90,7 +90,8 @@ def make_table(
     # cell i is a case: the feature at position p of `order` is bit q-1-p of i
     column = {feat: _cell_bit_column(q - 1 - p, total) for p, feat in enumerate(order)}
     m1 = vote_counts(program.run([column[f] for f in program.features], total), total)
-    values = vote_values(np.frombuffer(m1, m1.typecode).astype(np.int64), sc.n)
+    levels = np.array([d.value for d in vote_levels(sc.n)], dtype=np.int64)
+    values = levels[np.frombuffer(m1, m1.typecode)]
     labels = {
         f: (sc.features[f].feature if f in sc.features else f"x_{f}")
         for f in order

@@ -517,7 +517,16 @@ class TestTabulate:
         model = str(fixtures_dir / "ie_srl.rules")
         code, _, err = run(capsys, "tabulate", model,
                            "--rows", "leucocytes,haircolor", "--cols", "13")
-        assert code == 4
+        assert code == 2
+        assert err == "error: no declared feature named 'haircolor'\n"
+
+    @pytest.mark.parametrize("token", ["bogus", "99"])
+    def test_axis_token_naming_no_feature_is_usage_error(self, capsys, fixtures_dir, token):
+        model = str(fixtures_dir / "ie_ar.rules")
+        code, out, err = run(capsys, "tabulate", model, "--rows", token, "--cols", "19")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert token in err
 
 
 class TestExportImport:
@@ -634,6 +643,20 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--fixtures", str(tmp_path))
         assert code == 5
         assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+    @pytest.mark.parametrize("absent", [
+        ["ie_srl.rules", "ie_srl_table.csv", "ie_ar.rules", "ie_ar_table.csv", "postop.rules"],
+        ["ie_ar_table.csv"],
+    ])
+    def test_fixtures_missing_a_reference_file(self, capsys, tmp_path, fixtures_dir, absent):
+        """Refused before any check runs, with one error line naming
+        every file that is missing."""
+        for f in fixtures_dir.iterdir():
+            if f.name not in absent:
+                (tmp_path / f.name).write_text(f.read_text())
+        code, out, err = run(capsys, "validate", "--fixtures", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: fixtures directory {tmp_path} lacks {', '.join(absent)}\n"
 
     @pytest.mark.parametrize("name", ["missing", "file.rules"])
     def test_fixtures_path_that_is_no_directory(self, capsys, tmp_path, name):

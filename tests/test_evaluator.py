@@ -9,6 +9,7 @@ own tree walk at batch sizes around the 8- and 64-bit boundaries.
 
 import contextlib
 import io
+import itertools
 import random
 import tempfile
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 from mofn.cli import main
 from mofn.logic import function_ids
 from mofn.oracle import exhaustive_decision_check
-from mofn.rules import FeatureRef, evaluate, parse_formula_table
+from mofn.rules import FeatureRef, evaluate, parse_formula_table, vote_counts
 from mofn.tables import make_table
 
 BATCH_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
@@ -123,3 +124,43 @@ def test_every_path_agrees_with_the_oracle(text, n, seed):
                 assign = dict(zip(table.row_features, table.row_bits(ri)))
                 assign.update(zip(table.col_features, table.col_bits(ci)))
                 assert table.cells[ri, ci] == evaluate(sc, assign).value
+
+
+def test_every_path_agrees_past_byte_wide_counts(tmp_path):
+    """300 layer-1 syndromes over 4 boolean features: vote_counts needs
+    16-bit lanes, and cells count up to 300 votes for either class or
+    tie at 150."""
+    units = [(0, 0, 1)] * 150 + [(6, 2, 3)] * 100 + [(5, 1, 2)] * 50    # and, or, xor
+    text = "\n".join([
+        "classes no yes",
+        *(f"feature {j} f{j} kind=boolean h=1" for j in range(4)),
+        "layer 1",
+        *(f"{i} {fn} {a} {b}" for i, (fn, a, b) in enumerate(units, start=1)),
+    ]) + "\n"
+    sc = parse_formula_table(text)
+    assert sc.n == 300
+    cases = list(itertools.product((0, 1), repeat=4))
+    assert vote_counts(sc.program.run([0] * 4, len(cases)), len(cases)).typecode == "H"
+
+    exhaustive = exhaustive_decision_check(sc)
+    table = make_table(sc, [0, 1], [2, 3])
+    for ri, ci in itertools.product(range(4), range(4)):
+        key = table.row_bits(ri) + table.col_bits(ci)
+        want = exhaustive[key]
+        assert same(evaluate(sc, dict(enumerate(key))), want)
+        assert table.cells[ri, ci] == want.value
+    assert {-300, -250, 0, 300} <= set(table.cells.ravel().tolist())
+
+    model, data = tmp_path / "model.rules", tmp_path / "cases.csv"
+    model.write_text(text)
+    data.write_text("f0,f1,f2,f3\n" + "".join(",".join(map(str, c)) + "\n" for c in cases))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", str(model), str(data)]) == 0
+    got = out.getvalue().splitlines()
+    assert len(got) == len(cases) + 1
+    for r, case in enumerate(cases):
+        d = evaluate(sc, dict(enumerate(case)))
+        label = "contradictory" if d.contradictory else sc.class_names[d.klass]
+        value = f"{d.value:+d}" if d.value else "0"
+        assert got[r + 1] == f"{r},{label},{value},{d.m}/{d.n}"

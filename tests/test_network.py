@@ -17,7 +17,7 @@ from mofn.network import (
     TrainConfig, build_first_layer, classify, grow_layer, train,
 )
 from mofn.encoding import encode_value
-from mofn.oracle import PlantedSpec, generate_planted
+from mofn.oracle import PlantedSpec, exhaustive_decision_check, generate_planted
 from mofn.rules import evaluate, extract, to_formula_table
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -203,6 +203,25 @@ class TestClassifyCoherence:
         net = train(xor_dataset(), TrainConfig(beam_width=8))
         with pytest.raises(EvaluationError, match="'a'"):
             classify(net, {"b": 0})
+
+    @pytest.mark.parametrize("seed", [3, 4, 10, 14])
+    def test_vote_error_matches_an_oracle_recount(self, seed):
+        """Noisy planted data whose trained rule has an even N: a row
+        whose vote ties counts as an error, like a wrong one."""
+        with pytest.warns(UserWarning, match="conflicting labels"):
+            p = planted(seed, n_features=8, n_rows=60, n_syndromes=5, noise_flips=6)
+        net = train(p.dataset)
+        sc = extract(net)
+        assert sc.n % 2 == 0
+        decide = exhaustive_decision_check(sc)
+        feats = sc.referenced_features()
+        recount = [
+            decide[tuple(encode_value(net.encoders[j], row[j]) for j in feats)]
+            for row in p.dataset.rows
+        ]
+        assert any(d.contradictory for d in recount)
+        wrong = sum(d.klass != int(y) for d, y in zip(recount, p.dataset.labels))
+        assert net.report.vote_error == wrong
 
     def test_report_lines_render(self):
         net = train(xor_dataset(), TrainConfig(beam_width=8))

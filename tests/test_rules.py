@@ -22,7 +22,7 @@ from mofn.rules import (
     to_formula_table,
     vote_counts,
     vote_decision,
-    vote_values,
+    vote_levels,
 )
 
 TINY = """\
@@ -59,6 +59,13 @@ class TestVoteDecision:
             vote_decision(m1=-1, n=4)
         with pytest.raises(EvaluationError):
             vote_decision(m1=0, n=0)
+
+    def test_levels_tabulate_vote_decision_once_per_n(self):
+        for n in (1, 2, 9, 300):
+            assert vote_levels(n) == tuple(vote_decision(m1, n) for m1 in range(n + 1))
+            assert vote_levels(n) is vote_levels(n)
+        with pytest.raises(EvaluationError):
+            vote_levels(0)
 
     def test_describe(self):
         assert "IE" in describe_decision(vote_decision(2, 9), ("IE", "SRL"))
@@ -348,13 +355,6 @@ layer 2
         sc = parse_formula_table(self.DEAD)
         with pytest.raises(EvaluationError, match="no bit assigned for feature 1"):
             evaluate(sc, {0: 1, 2: 0})
-
-    def test_vote_values_match_vote_decision(self):
-        for n in (1, 2, 9, 18):
-            m1 = np.arange(n + 1)
-            assert vote_values(m1, n).tolist() == [
-                vote_decision(int(m), n).value for m in m1
-            ]
 
     @pytest.mark.parametrize("n_sets", [1, 255, 256, 300])
     def test_vote_counts_match_per_case_sums(self, n_sets):
