@@ -22,7 +22,10 @@ as the packed uint64 words that training scores.  Fitting and
 
 `read_text`, `read_table`, `read_column` and `parse_column` read the
 CSV cells that both `data.load_csv` and `mofn classify` encode, so the
-two accept the same cells and name the same first bad one.
+two accept the same cells and name the same first bad one.  CSV text
+without quotes, carriage returns or NULs, and with no line over the
+csv field limit, is split with str methods; only other text goes
+through csv.reader, and both give the same table and the same errors.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, gt
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -146,27 +149,53 @@ def read_text(source) -> str:
     return source.read()
 
 
+def _split_cells(text: str):
+    """Text with no quote, no carriage return and no NUL, whose lines all
+    fit the csv field limit, read as csv.reader reads it: every non-blank
+    line is a record, and its cells are the text between its commas.
+    Returns (width of each record, all their cells in one list), or None
+    for text of another kind."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    records = list(filter(None, text.split("\n")))    # blank lines hold no record
+    if max(map(len, records), default=0) > csv.field_size_limit():
+        return None
+    widths = [commas + 1 for commas in map(str.count, records, repeat(","))]
+    return widths, ",".join(records).split(",")
+
+
+def _csv_cells(text: str):
+    """Any text read by csv.reader, as (widths, cells) like _split_cells."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        records = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"CSV line {reader.line_num}: {exc}") from None
+    return list(map(len, records)), list(chain.from_iterable(records))
+
+
 def read_table(text: str):
     """CSV text as (stripped header, raw cells of each column, ragged),
     blank lines skipped and not counted.  The columns stop above the
     first row whose width differs from the header's, and `ragged` is its
-    error as (row, message), or None.  The row lists are freed on return,
-    so the garbage collector does not walk them while columns are parsed."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        table = [row for row in reader if row]
-    except csv.Error as exc:
-        raise DataError(f"CSV line {reader.line_num}: {exc}") from None
-    if not table:
+    error as (row, message), or None.
+
+    Text with no `"`, no `\\r`, no NUL and no line longer than
+    csv.field_size_limit() is split on newlines and commas with str
+    methods; any other text goes through csv.reader.  Either way the
+    cells come as one flat list, and each column is a slice of it."""
+    widths, cells = _split_cells(text) or _csv_cells(text)
+    if not widths:
         raise DataError("empty CSV")
-    header = [h.strip() for h in table[0]]
-    body = table[1:]
+    w = widths[0]
+    n = len(widths) - 1
     ragged = None
-    if set(map(len, body)) - {len(header)}:
-        r = next(r for r, row in enumerate(body) if len(row) != len(header))
-        ragged = (r, f"row {r} has {len(body[r])} cells, expected {len(header)}")
-        del body[r:]
-    return header, list(zip(*body)) or [()] * len(header), ragged
+    if widths.count(w) != len(widths):
+        n = next(r for r, width in enumerate(widths[1:]) if width != w)
+        ragged = (n, f"row {n} has {widths[n + 1]} cells, expected {w}")
+    header = [h.strip() for h in cells[:w]]
+    end = (n + 1) * w    # the rows above the ragged one all have w cells
+    return header, [cells[j:end:w] for j in range(w, 2 * w)], ragged
 
 
 def read_column(raw: Sequence[str], nominal: bool):

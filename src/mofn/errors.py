@@ -38,3 +38,7 @@ class EvaluationError(MofnError):
 
 class TableError(MofnError):
     """A diagnostic table request is inconsistent with the rule set."""
+
+
+class ValidationError(MofnError):
+    """A reference file of `mofn validate` cannot be read or parsed."""

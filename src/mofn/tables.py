@@ -127,13 +127,17 @@ def detect_contradictions(table: DiagnosticTable) -> list[tuple[tuple[int, ...],
 def _cell_rows(cells: np.ndarray, pad: bool) -> list[list[str]]:
     """The cell texts row by row, formatting each value once: a grid of
     decision values within ±N holds at most 2N+1 of them.  With `pad`,
-    every text is right-justified to the widest (at least 2 wide)."""
+    every text is right-justified to the widest (at least 2 wide).  The
+    texts of the negative values sit at the end of the lookup, where a
+    negative index wraps to them, so the grid indexes it as it is,
+    without a shifted grid-sized copy."""
     lo, hi = int(cells.min()), int(cells.max())
-    texts = [f"{v:+d}" if v else "±0" for v in range(lo, hi + 1)]
+    values = [*range(max(hi, 0) + 1), *range(min(lo, 0), 0)]
+    texts = [f"{v:+d}" if v else "±0" for v in values]
     if pad:
         width = max(2, *map(len, texts))
         texts = [t.rjust(width) for t in texts]
-    return np.array(texts, dtype=object)[cells - lo].tolist()
+    return np.array(texts, dtype=object)[cells].tolist()
 
 
 def render_text(table: DiagnosticTable) -> str:

@@ -342,7 +342,9 @@ def row_by_row_reference(sc, text):
     table = [row for row in csv.reader(io.StringIO(text)) if row]
     header = [h.strip() for h in table[0]]
     referenced = set(sc.program.features)
-    lines = ["row,decision,value,votes"]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["row", "decision", "value", "votes"])
     for r, row in enumerate(table[1:]):
         if len(row) != len(header):
             return "ragged", f"row {r} has {len(row)} cells, expected {len(header)}"
@@ -360,8 +362,8 @@ def row_by_row_reference(sc, text):
                 return "cell", r, enc.feature
         d = evaluate(sc, bits)
         label = "contradictory" if d.contradictory else sc.class_names[d.klass]
-        lines.append(f"{r},{label},{f'{d.value:+d}' if d.value else '0'},{d.m}/{d.n}")
-    return "ok", "".join(line + "\n" for line in lines)
+        writer.writerow([r, label, f"{d.value:+d}" if d.value else "0", f"{d.m}/{d.n}"])
+    return "ok", out.getvalue()
 
 
 @st.composite
@@ -404,6 +406,62 @@ class TestClassifyMatchesRowByRowReference:
             assert (code, out) == (3, "")
             named = re.fullmatch(r"error: feature '(\w+)', row (\d+): .*\n", err)
             assert named and (int(named[2]), named[1]) == want[1:]
+
+
+def quote_cells(text):
+    """The same CSV with every header and cell wrapped in "...", which
+    csv.reader reads as the same cells; read_table reads it with
+    csv.reader and not with str.split."""
+    return "\n".join(",".join(f'"{c}"' for c in line.split(",")) if line else ""
+                     for line in text.split("\n"))
+
+
+def wide_csv(rng, n_rows, label=True):
+    """Rows like the benchmark's wide inputs: 96 features uniform on
+    [0, 100) to four decimals, labelled by a 2-of-3 vote on three."""
+    values = rng.uniform(0, 100, size=(n_rows, 96))
+    votes = (values[:, 3] > 50).astype(int) + (values[:, 13] > 40) + (values[:, 47] < 60)
+    header = [f"f{j}" for j in range(96)] + ["label"] * label
+    rows = [[f"{v:.4f}" for v in row] + [str(int(y >= 2))] * label
+            for row, y in zip(values, votes)]
+    return "".join(",".join(cells) + "\n" for cells in [header, *rows])
+
+
+class TestQuotedCsvGivesTheSameBytes:
+    """`mofn train` and `mofn classify` write the same bytes, on stdout
+    and stderr, for a CSV and for the same CSV with every cell quoted."""
+
+    def run_both(self, capsys, tmp_path, text, argv):
+        results = []
+        for name, data in (("plain.csv", text), ("quoted.csv", quote_cells(text))):
+            (tmp_path / name).write_text(data)
+            results.append(run(capsys, *(str(tmp_path / name) if a == "DATA" else a
+                                         for a in argv)))
+        assert results[0] == results[1]
+        return results[0]
+
+    def test_wide_input(self, capsys, tmp_path):
+        rng = np.random.default_rng(1)
+        code, model, err = self.run_both(capsys, tmp_path, wide_csv(rng, 200),
+                                         ["train", "DATA", "--max-layers", "2"])
+        assert code == 0 and model.startswith("classes ") and "layer 1:" in err
+        (tmp_path / "model.rules").write_text(model)
+        cases = wide_csv(rng, 300, label=False)
+        code, out, err = self.run_both(capsys, tmp_path, cases,
+                                       ["classify", str(tmp_path / "model.rules"), "DATA"])
+        assert (code, err) == (0, "")
+        assert out == row_by_row_reference(parse_formula_table(model), cases)[1]
+
+    def test_quoted_class_names(self, capsys, tmp_path):
+        model = DIFF_MODEL.replace("classes no yes", """classes 'no, "never"' 'yes sir'""")
+        (tmp_path / "model.rules").write_text(model)
+        cases = "q,b,c,z\n" + "".join(f"{q},{b},{c},0\n" for q in ("0.3", "2")
+                                      for b in "01" for c in ("red", "blue"))
+        code, out, err = self.run_both(capsys, tmp_path, cases,
+                                       ["classify", str(tmp_path / "model.rules"), "DATA"])
+        assert (code, err) == (0, "")
+        assert out == row_by_row_reference(parse_formula_table(model), cases)[1]
+        assert '"no, ""never"""' in out and "yes sir" in out
 
 
 UNREADABLE = ("dir", "binary")
@@ -643,6 +701,26 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", "--fixtures", str(tmp_path))
         assert code == 5
         assert any(ln.startswith("FAIL") for ln in out.splitlines())
+
+    @pytest.mark.parametrize("name, damage, reason", [
+        ("ie_srl.rules", lambda text: text.encode() + b"\xff\n",
+         "'utf-8' codec can't decode byte 0xff"),
+        ("ie_ar_table.csv",
+         lambda text: text.replace("000,001,010,011,100,101,110,111", "a,b,c,d,e,f,g,h").encode(),
+         "no bit pattern columns in CSV header"),
+    ])
+    def test_damaged_reference_file(self, capsys, tmp_path, fixtures_dir, name, damage,
+                                    reason):
+        """A reference file that cannot be read or parsed is a validation
+        failure, reported before any check runs, on one error line."""
+        for f in fixtures_dir.iterdir():
+            (tmp_path / f.name).write_text(f.read_text())
+        target = tmp_path / name
+        target.write_bytes(damage(target.read_text()))
+        code, out, err = run(capsys, "validate", "--fixtures", str(tmp_path))
+        assert (code, out) == (5, "")
+        assert err.startswith(f"error: reference file {target}: {reason}")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("absent", [
         ["ie_srl.rules", "ie_srl_table.csv", "ie_ar.rules", "ie_ar_table.csv", "postop.rules"],

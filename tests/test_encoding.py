@@ -1,3 +1,6 @@
+import contextlib
+import csv
+import io
 import math
 
 import numpy as np
@@ -15,8 +18,9 @@ from mofn.encoding import (
     fit_feature,
     fit_nominal,
     fit_quantitative,
+    read_table,
 )
-from mofn.errors import EncodingError
+from mofn.errors import DataError, EncodingError
 from mofn.oracle import ThresholdResult, brute_force_threshold
 
 
@@ -440,3 +444,91 @@ class TestEncodeBits:
     def test_same_error_on_degenerate_encoders(self, kind, n):
         self.assert_same_error(Encoder("f", kind, degenerate=True, error=1), [1.0] * n,
                                "feature 'f' is degenerate and cannot be encoded")
+
+
+def csv_reader_table(text):
+    """read_table as it was when csv.reader read every text: the
+    reference the split path is held to."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        table = [row for row in reader if row]
+    except csv.Error as exc:
+        raise DataError(f"CSV line {reader.line_num}: {exc}") from None
+    if not table:
+        raise DataError("empty CSV")
+    header = [h.strip() for h in table[0]]
+    body = table[1:]
+    ragged = None
+    if set(map(len, body)) - {len(header)}:
+        r = next(r for r, row in enumerate(body) if len(row) != len(header))
+        ragged = (r, f"row {r} has {len(body[r])} cells, expected {len(header)}")
+        del body[r:]
+    return header, list(zip(*body)) or [()] * len(header), ragged
+
+
+@contextlib.contextmanager
+def field_size_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+# csv syntax (quote, CR, NUL), whitespace that str.strip or str.splitlines
+# treats apart from csv (\t, \x1c, \x85, \u2028, \xa0), and plain cells
+CSV_ALPHABET = ',\n\r"\0 \t\x1c\x85\u2028\xa0' + "0123456789abcxyz"
+PLAIN_CELL = st.text(alphabet=" \t\x1c\x85\u2028.-e0123456789abc", max_size=6)
+
+
+@st.composite
+def csv_texts(draw):
+    """Header and rows of plain cells, most the header's width, some
+    ragged, with blank lines and a few syntax characters dropped in; or
+    text over the whole alphabet."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(alphabet=CSV_ALPHABET, min_size=1, max_size=40))
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 7))):
+        n = width + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        lines.append(",".join(draw(st.lists(PLAIN_CELL, min_size=n, max_size=n))))
+        lines += [""] * draw(st.integers(0, 1))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(CSV_ALPHABET)) + text[at:]
+    return text
+
+
+def read_either(read, text):
+    try:
+        header, columns, ragged = read(text)
+    except DataError as exc:
+        return "error", str(exc)
+    return header, [list(column) for column in columns], ragged
+
+
+class TestReadTableMatchesCsvReader:
+    """The str.split path of read_table gives the table and the errors
+    that csv.reader gives, and the csv.reader path is the reference."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(text=csv_texts(), limit=st.sampled_from([131072, 4]))
+    @example(text="a,b\n", limit=131072)          # header only
+    @example(text="\n\n", limit=131072)           # blank lines only
+    @example(text="a,b\n1,2\n\n3\nx,y\n", limit=131072)    # ragged below good rows
+    @example(text="a,b\n1,x\n3\n", limit=131072)    # ragged below a bad cell
+    @example(text="a,b\n3\n1,x\n", limit=131072)    # ragged above a bad cell
+    @example(text="a,b\n12345,6\n", limit=4)     # a line and a field over the limit
+    @example(text="a,b\n1234,5678\n", limit=4)   # a line over the limit, no field
+    def test_same_table_and_errors(self, text, limit):
+        with field_size_limit(limit):
+            assert read_either(read_table, text) == read_either(csv_reader_table, text)
+
+    def test_bench_like_wide_table(self):
+        rng = np.random.default_rng(1)
+        values = rng.uniform(0, 100, size=(300, 96))
+        text = "".join([",".join(f"f{j}" for j in range(96)) + "\n",
+                        *(",".join(f"{v:.4f}" for v in row) + "\n" for row in values)])
+        assert read_either(read_table, text) == read_either(csv_reader_table, text)

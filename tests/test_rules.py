@@ -1,8 +1,10 @@
 """Formula extraction, the table text format, and vote semantics."""
 
+import shlex
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mofn.data import Dataset, FeatureSpec
@@ -23,6 +25,8 @@ from mofn.rules import (
     vote_counts,
     vote_decision,
     vote_levels,
+    _SHELL_SYNTAX,
+    _split_line,
 )
 
 TINY = """\
@@ -498,3 +502,38 @@ class TestParserFuzz:
         d = evaluate(again, {f: 0 for f in again.referenced_features()})
         assert d.n == sc.n
 
+
+def shlex_split(line):
+    return shlex.split(line, comments=True)
+
+
+def tokens_or_error(split, line):
+    try:
+        return split(line)
+    except ValueError as exc:
+        return str(exc)
+
+
+# The shell syntax the fast path must leave to shlex, every whitespace
+# character str.split and shlex disagree on, and plain model text.
+SHELL_CHARS = "'\"\\# \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000é"
+PLAIN_CHARS = " \t=.-+_0123456789abcdefkluhx\x00\x01\x1b\x7f"
+
+
+class TestLineTokens:
+    """A model line is split as shlex.split(line, comments=True) splits
+    it, whether or not it takes the str.split path."""
+
+    @settings(max_examples=500)
+    @given(line=st.text(alphabet=PLAIN_CHARS + SHELL_CHARS, max_size=30))
+    @example(line="feature 0 'left arm' kind=boolean h=1 # note")
+    @example(line="classes a\x1cb c")
+    @example(line='unterminated "quote')
+    def test_same_tokens_as_shlex(self, line):
+        assert tokens_or_error(_split_line, line) == tokens_or_error(shlex_split, line)
+
+    @settings(max_examples=300)
+    @given(line=st.text(alphabet=PLAIN_CHARS, max_size=40))
+    def test_plain_lines_take_str_split(self, line):
+        assert line.isascii() and _SHELL_SYNTAX.search(line) is None
+        assert line.split() == tokens_or_error(shlex_split, line)
