@@ -115,10 +115,14 @@ class Dataset:
     def _warn_contradictions(self) -> None:
         # Rows that differ in some columns differ.  Hash the rows on the
         # first 1, 2, 4, ... columns, then on all of them: as soon as no
-        # two rows are equal, none conflict.  Continuous data is cleared
-        # after one or two columns; the exact walk runs only on duplicates.
+        # two rows share a hash, none are equal and none conflict.
+        # Continuous data is cleared after one or two columns; the exact
+        # walk runs only on duplicates or hash collisions.  The sets hold
+        # ints, not row tuples, so they start no cyclic garbage collection.
         widths = [1 << k for k in range((self.m - 1).bit_length())] + [self.m]
-        if self.m and any(len(set(zip(*self.columns[:w]))) == self.n for w in widths):
+        if self.m and any(
+            len(set(map(hash, zip(*self.columns[:w])))) == self.n for w in widths
+        ):
             return
         seen: dict[tuple, tuple[int, int]] = {}
         flagged = []

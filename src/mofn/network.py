@@ -12,16 +12,22 @@ with row r at bit r % 64 of word r // 64 and the tail bits zero.
 `encode_dataset` packs the active features, the labels and the row mask
 in this layout once per fit, and every layer reads them from that
 `EncodedDataset`.  A layer is scored in blocks of left operands against
-all right features at once.  The four minterms of each pair (~a&~b, ~a&b, a&~b, a&b) are
-popcounted against the labels and their complement, which gives every
-catalog function's error as a matrix product with the truth tables.
-Output words are built only for survivors, as the OR of the minterms
-their truth row selects.  Layer 1 skips j == k; later layers drop
-candidates whose words equal their left parent's (no-progress clones).
+all right features at once, with two popcounts per pair: a & b and
+a & b & y.  The positive and total row counts of all four minterms
+(~a&~b, ~a&b, a&~b, a&b) follow from those two and from each operand's
+own error, so every catalog function's error is integer arithmetic on
+(function, left, feature) planes.  Nothing goes through a float matrix
+product, which would hand the work to a BLAS thread pool.  Layer 1
+skips j == k.  No output words are built while scoring.
 
-Survivors are sorted by (error, fn, left, right), deduplicated on their
-output words keeping the first of each, and the layer is cut to a beam
-width.  Growth stops when a layer reaches error zero, when no candidate
+Survivors are sorted by (error, fn, left, right).  That order is then
+walked a chunk at a time: each chunk's output words are built as the OR
+of the minterms their truth row selects, later layers drop candidates
+whose words equal their left parent's (no-progress clones), and a word
+seen before is a duplicate and is dropped.  The walk stops once the
+layer holds its beam width of units.
+
+Growth stops when a layer reaches error zero, when no candidate
 survives, when a grown layer would regress the best error, when the
 best error stalls past the configured patience, or at a depth cap.  The
 network then ends at the earliest layer that reached the best error,
@@ -116,84 +122,138 @@ class _Candidate:
     outputs: np.ndarray = field(compare=False)   # packed words, as EncodedDataset
 
 
-_BLOCK = 32   # left operands scored per pass; temporaries are O(_BLOCK * F * words)
+_BLOCK_WORDS = 1 << 18   # bound on the words of one scoring pass's temporaries
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
-def _truth_matrix(extended: bool) -> tuple[np.ndarray, np.ndarray]:
+def _catalog(extended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Function ids, truth rows (fns, 4) and error coefficients (4, fns).
+
+    With d_t = rows - 2 * positive rows in minterm t, a function errs on
+    P + the sum of d_t over the minterms its truth row maps to 1, and
+    d00 = e0 - ea - eb + x, d01 = eb - x, d10 = ea - x, d11 = x (see
+    `_survivors`).  So its error is P + (k0, ka, kb, kx) . (e0, ea, eb, x).
+    """
     ids = np.array(function_ids(extended))
-    rows = np.array([truth_row(i, extended) for i in ids], dtype=np.int64)
-    return ids, rows
+    truth = np.array([truth_row(i, extended) for i in ids], dtype=np.int64)
+    t00, t01, t10, t11 = truth.T
+    return ids, truth, np.stack([t00, t10 - t00, t01 - t00, t11 - t10 - t01 + t00])
 
 
 def _survivors(
-    left: np.ndarray, left_errors: np.ndarray, data: EncodedDataset, extended: bool
-) -> tuple[np.ndarray, ...]:
-    """Every g_fn(left[i], features[k]) whose error exceeds neither
-    input's, as arrays (error, fn, i, k, packed outputs).
+    left: np.ndarray,
+    left_errors: np.ndarray,
+    data: EncodedDataset,
+    extended: bool,
+    skip_diagonal: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every g(left[i], features[k]) whose error exceeds neither input's,
+    as arrays (error, cell), where cell = (t * L + i) * F + k for truth
+    index t, L left operands and F features; pairs i == k are skipped
+    when asked.
 
-    Per pair, the minterm popcounts say how many positive and negative
-    rows each input combination holds.  A function errs on the negatives
-    of the minterms its truth row maps to 1 and on the positives of the
-    rest.
+    Over n rows, P of them positive, e0 = n - 2P, an operand's error is
+    P + e with e = |a| - 2|a & y|, and a pair adds x = |a & b| - 2|a & b & y|.
+    So two popcounts per pair give every function's error as integer
+    arithmetic on (function, left, feature) planes.
     """
-    ids, truth = _truth_matrix(extended)
-    y, b = data.labels, data.features[None]
-    parts = []
-    for start in range(0, max(len(left), 1), _BLOCK):   # one pass even if empty
-        a = left[start : start + _BLOCK, None, :]
-        both = a & b
-        # rows where (a, b) is (0,0), (0,1), (1,0), (1,1): truth-row order
-        minterms = (data.ones & ~(a | b), b ^ both, a ^ both, both)
-        pos = np.stack([_popcount(m & y) for m in minterms], axis=-1)
-        neg = np.stack([_popcount(m & ~y) for m in minterms], axis=-1)
-        errors = neg @ truth.T + pos @ (1 - truth).T     # (block, F, fns)
-        bound = np.minimum(
-            left_errors[start : start + _BLOCK, None], data.feature_errors[None, :]
-        )
-        i, k, f = np.nonzero(errors <= bound[..., None])
-        outputs = np.zeros((len(i), left.shape[1]), dtype=np.uint64)
-        for t, m in enumerate(minterms):
-            outputs |= np.where(truth[f, t, None] == 1, m[i, k], 0)
-        parts.append((errors[i, k, f], ids[f], i + start, k, outputs))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    k0, ka, kb, kx = _catalog(extended)[2]
+    n_pos = int(_popcount(data.labels))
+    e0 = int(_popcount(data.ones)) - 2 * n_pos
+    ea = left_errors - n_pos
+    eb = data.feature_errors - n_pos
+    base = (n_pos + k0 * e0)[:, None] + kb[:, None] * eb   # (fns, F)
+    n_left, n_feat = len(left), len(eb)
+    block = max(1, _BLOCK_WORDS // max(data.features.size, 1))
+    errors_out, cells_out = [], []
+    for start in range(0, max(n_left, 1), block):   # one pass even if empty
+        a, a_err = left[start : start + block], ea[start : start + block]
+        both = a[:, None, :] & data.features
+        x = _popcount(both)
+        both &= data.labels
+        x -= 2 * _popcount(both)
+        # (fns, block, F), built in place: each fresh temporary this
+        # large may be mapped from the OS and page-faulted anew
+        errors = np.multiply.outer(kx, x)
+        errors += base[:, None, :]
+        errors += (ka[:, None] * a_err)[..., None]
+        ok = errors <= np.minimum(a_err[:, None], eb) + n_pos
+        if skip_diagonal:
+            rows = np.arange(len(a))
+            ok[:, rows, rows + start] = False
+        cells = np.flatnonzero(ok)
+        t, rest = np.divmod(cells, len(a) * n_feat)
+        errors_out.append(errors.ravel()[cells])
+        cells_out.append((t * n_left + start) * n_feat + rest)
+    return np.concatenate(errors_out), np.concatenate(cells_out)
 
 
 def _select(
     error: np.ndarray,
-    fn: np.ndarray,
+    cell: np.ndarray,
     left: np.ndarray,
-    right: np.ndarray,
-    outputs: np.ndarray,
-    beam_width: int,
+    data: EncodedDataset,
+    config: TrainConfig,
+    left_ids: np.ndarray,
+    drop_clones: bool,
 ) -> list[_Candidate]:
-    """Order by (error, fn, left, right), drop duplicate output vectors,
+    """Order by (error, fn, left, right), drop duplicate output words,
     cut to the beam.  Duplicates share an error, so keeping the first
-    keeps the lowest (fn, left, right)."""
-    order = np.lexsort((right, left, fn, error))
-    rows = np.ascontiguousarray(outputs[order])
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))
-    _, first = np.unique(keys.ravel(), return_index=True)
-    kept = order[np.sort(first)[:beam_width]]
-    return [
-        _Candidate(int(error[c]), int(fn[c]), int(left[c]), int(right[c]), out)
-        for c, out in zip(kept, outputs[kept])
-    ]
+    keeps the lowest (fn, left, right).
+
+    `cell` orders as (fn, left, right) does, because function ids,
+    `left_ids` and the active features all ascend.  Output words are
+    built only while the beam fills, a chunk of the order at a time.
+    With `drop_clones`, a candidate whose words equal its left
+    operand's makes no progress and is dropped before deduplication.
+    """
+    ids, truth, _ = _catalog(config.extended_catalog)
+    masks = np.where(truth == 1, ~np.uint64(0), np.uint64(0))
+    right_ids = np.array(data.active, dtype=np.int64)
+    n_feat = len(right_ids)
+    order = np.lexsort((cell, error))
+    seen: set[bytes] = set()
+    kept: list[_Candidate] = []
+    step = 4 * config.beam_width
+    for start in range(0, len(order), step):
+        chunk = order[start : start + step]
+        t, rest = np.divmod(cell[chunk], len(left) * n_feat)
+        i, k = np.divmod(rest, n_feat)
+        a, b, m = left[i], data.features[k], masks[t]
+        both = a & b
+        # rows where (a, b) is (0,0), (0,1), (1,0), (1,1): truth-row order
+        outputs = (
+            m[:, 0, None] & data.ones & ~(a | b)
+            | m[:, 1, None] & (b ^ both)
+            | m[:, 2, None] & (a ^ both)
+            | m[:, 3, None] & both
+        )
+        fresh = np.any(outputs != a, axis=1) if drop_clones else slice(None)
+        rows = zip(
+            error[chunk][fresh].tolist(), ids[t][fresh].tolist(),
+            left_ids[i][fresh].tolist(), right_ids[k][fresh].tolist(), outputs[fresh],
+        )
+        for err, fn, j, r, out in rows:
+            key = out.tobytes()
+            if key not in seen:
+                seen.add(key)
+                kept.append(_Candidate(err, fn, j, r, out))
+                if len(kept) == config.beam_width:
+                    return kept
+    return kept
 
 
 def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> list[_Candidate]:
     """All surviving g_i(x_j, x_k) over ordered pairs of active features."""
-    error, fn, j, k, outputs = _survivors(
-        enc.features, enc.feature_errors, enc, config.extended_catalog
+    error, cell = _survivors(
+        enc.features, enc.feature_errors, enc, config.extended_catalog, skip_diagonal=True
     )
-    keep = j != k
-    active = np.array(enc.active, dtype=np.int64)
     return _select(
-        error[keep], fn[keep], active[j[keep]], active[k[keep]], outputs[keep],
-        config.beam_width,
+        error, cell, enc.features, enc, config,
+        left_ids=np.array(enc.active, dtype=np.int64), drop_clones=False,
     )
 
 
@@ -205,17 +265,16 @@ def grow_layer(
     """All surviving g_i(y_j, x_k) over the previous layer and features.
 
     Candidates whose outputs equal their own left parent's are dropped
-    as no-progress clones before selection.
+    as no-progress clones before deduplication.
     """
     parents = np.stack([c.outputs for c in prev])
-    error, fn, p, k, outputs = _survivors(
-        parents, np.array([c.error for c in prev]), enc, config.extended_catalog
+    error, cell = _survivors(
+        parents, np.array([c.error for c in prev]), enc, config.extended_catalog,
+        skip_diagonal=False,
     )
-    keep = np.any(outputs != parents[p], axis=1)
-    active = np.array(enc.active, dtype=np.int64)
     return _select(
-        error[keep], fn[keep], p[keep], active[k[keep]], outputs[keep],
-        config.beam_width,
+        error, cell, parents, enc, config,
+        left_ids=np.arange(len(prev)), drop_clones=True,
     )
 
 

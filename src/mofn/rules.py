@@ -479,9 +479,11 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
     file_extended: bool | None = None
     in_layers = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines would also cut a quoted name
+    # at \x1c-\x1e, \x85, \u2028, \v or \f.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         try:
-            tokens = _split_line(raw)
+            tokens = _split_line(raw.removesuffix("\r"))
         except ValueError as exc:
             raise ModelFormatError(f"line {lineno}: {exc}") from None
         if not tokens:

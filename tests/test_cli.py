@@ -634,6 +634,31 @@ class TestExportImport:
             for argv in (("import", str(model)), ("classify", str(model), str(data))):
                 assert run(capsys, *argv) == (4, "", message)
 
+    @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\v", "\f"],
+                             ids=ascii)
+    def test_names_with_line_break_characters_round_trip(self, capsys, tmp_path, char):
+        """str.splitlines breaks lines at these characters; a model line
+        holding one inside a quoted name still parses as one line."""
+        data = tmp_path / "data.csv"
+        rows = ["0,0,0", "0,1,0", "1,0,0", "1,1,1", "1,1,1", "0,0,0"]
+        data.write_text("\n".join([f"a{char}b,c,label", *rows]) + "\n", encoding="utf-8")
+        model = tmp_path / "model.rules"
+        assert run(capsys, "train", str(data), "-o", str(model))[0] == 0
+        written = model.read_bytes()
+        assert f"a{char}b".encode() in written
+        again = tmp_path / "again.rules"
+        assert run(capsys, "import", str(model), "-o", str(again))[0] == 0
+        assert again.read_bytes() == written
+
+    def test_crlf_model_parses(self, capsys, tmp_path, fixtures_dir):
+        text = (fixtures_dir / "ie_srl.rules").read_text()
+        crlf = text.replace("\n", "\r\n")
+        canonical = to_formula_table(parse_formula_table(text))
+        assert to_formula_table(parse_formula_table(crlf)) == canonical
+        model = tmp_path / "crlf.rules"
+        model.write_bytes(crlf.encode())
+        assert run(capsys, "import", str(model)) == (0, canonical, "")
+
     def test_import_normalizes_and_is_idempotent(self, capsys, tmp_path,
                                                  fixtures_dir):
         messy = tmp_path / "messy.rules"

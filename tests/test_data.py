@@ -167,6 +167,41 @@ class TestContradictionsThroughLoadCsv:
         with pytest.warns(UserWarning, match="1 duplicate row pair.*: 0 vs 1$"):
             load_csv("a,b,label\n-0.0,x,0\n0,x,1\n5,y,1\n")
 
+    def test_rows_whose_hashes_collide_are_not_duplicates(self):
+        import warnings
+
+        assert hash((-1.0,)) == hash((-2.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = load_csv("a,label\n-1,0\n-2,1\n")
+        assert ds.n == 2
+
+    def test_distinct_rows_start_no_garbage_collection(self):
+        """The check hashes rows to ints; a set of row tuples would make
+        the cyclic collector run every few hundred rows."""
+        import gc
+
+        # column a alone repeats, so the check reaches the width of two
+        text = "a,b,c,label\n" + "".join(
+            f"{r % 50},{r // 50},{'xyz'[r % 3]},{r % 2}\n" for r in range(5000)
+        )
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        load_csv(text)   # the first load imports modules and compiles patterns
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            ds = load_csv(text)
+        finally:
+            gc.callbacks.remove(count)
+        assert ds.n == 5000
+        assert collections == []
+
 
 class TestDatasetInvariants:
     def test_conflicting_duplicate_rows_warn(self):

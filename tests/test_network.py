@@ -295,11 +295,17 @@ def _bits(words, n_rows):
 @st.composite
 def encoded_datasets(draw):
     """A packed EncodedDataset drawn at random, with the bit matrix and
-    labels it packs."""
-    n_rows = draw(st.sampled_from([1, 63, 64, 65, 130]))
+    labels it packs.  Columns may copy or complement earlier ones, so
+    many pairs give the same output words and selection must drop them."""
+    n_rows = draw(st.sampled_from([1, 63, 64, 65, 130, 200]))
     n_features = draw(st.integers(2, 8))
     bit = st.integers(0, 1)
-    matrix = draw(arrays(np.uint8, (n_rows, n_features), elements=bit))
+    matrix = draw(arrays(np.uint8, (n_rows, n_features), elements=bit)).copy()
+    for j in range(1, n_features):
+        source = matrix[:, draw(st.integers(0, j - 1))]
+        how = draw(st.sampled_from(["drawn", "copy", "complement"]))
+        if how != "drawn":
+            matrix[:, j] = source if how == "copy" else 1 - source
     labels = draw(arrays(np.uint8, n_rows, elements=bit))
     active = sorted(draw(st.lists(st.integers(0, n_features - 1), min_size=2,
                                   max_size=n_features, unique=True)))
@@ -318,7 +324,7 @@ class TestPackedKernel:
     @settings(max_examples=150, deadline=None)
     @given(
         data=encoded_datasets(),
-        beam_width=st.sampled_from([1, 3, 16, 1000]),
+        beam_width=st.sampled_from([1, 2, 3, 16, 64, 1000]),
         extended=st.booleans(),
     )
     def test_matches_per_pair_reference(self, data, beam_width, extended):
