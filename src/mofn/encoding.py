@@ -1,17 +1,18 @@
 """Per-feature binary encoders.
 
-Each feature is reduced to one bit before training.  Quantitative
-features get a threshold u and a polarity h chosen to minimize the
-standalone misclassification count e against the labels: the encoded
-bit is h when the value exceeds u and 1-h otherwise.  Boolean features
-keep identity or complement, nominal features become the best
-one-vs-rest indicator.
+Each feature is reduced to one bit before training: a quantitative
+feature by a threshold u and polarity h (the bit is h when the value
+exceeds u, 1-h otherwise), a boolean one by identity or complement, a
+nominal one by a one-vs-rest indicator.  `fit_feature` fits all three
+with one scorer, `_best_cut`: each kind only supplies candidate cuts,
+each as the rows inside and how many of them are labelled 1.
 
-A feature whose best encoder is no better than always predicting the
-majority class carries no standalone signal.  It is marked degenerate
-with e equal to the minority class count, and refuses to encode.  The
-comparison is strict: an encoder that merely ties the majority-class
-error is kept, since it can still pay off in combination with others.
+A feature that no cut splits, or whose best cut is worse than always
+predicting the majority class, carries no standalone signal.  It is
+marked degenerate with e equal to the minority class count, and
+refuses to encode.  The comparison is strict: an encoder that merely
+ties the majority-class error is kept, since it can still pay off in
+combination with others.
 
 Applying an encoder needs no numpy: `encode_value` maps one value and
 `encode_bits` a whole column to an int bitset, which is all a trained
@@ -248,134 +249,119 @@ def parse_column(
             return kind, None, (row, f"{where}: non-finite value {cell!r}")
 
 
-def _check_inputs(values, labels, feature: str) -> np.ndarray:
+def _best_cut(inside, ones, y: np.ndarray, rank=None) -> tuple[int | None, int, int]:
+    """The best candidate cut of a column, as (candidate, bit inside, error).
+
+    Cut c puts inside[c] rows inside, ones[c] of them labelled 1: reading
+    1 inside errs on e = inside - 2 * ones + P rows, reading 0 on n - e.
+    Least error wins, then lowest rank, then the first cut, then bit 1
+    inside.  A column that no cut splits, or whose best cut errs on more
+    rows than its minority class holds, is degenerate: the candidate is
+    None and the error is the minority count."""
     import numpy as np
 
-    y = np.asarray(labels, dtype=np.uint8)
-    if len(values) != len(y):
-        raise EncodingError(
-            f"feature {feature!r}: {len(values)} values but {len(y)} labels"
-        )
-    if len(y) < 2:
-        raise EncodingError(f"feature {feature!r}: need at least two rows")
-    return y
+    n, p = len(y), int(np.count_nonzero(y))
+    inside = np.asarray(inside, dtype=np.int64)
+    e1 = inside - 2 * np.asarray(ones, dtype=np.int64) + p    # reading 1 inside
+    e = np.minimum(e1, n - e1)
+    error, floor = int(e.min(initial=n)), min(p, n - p)
+    least = e == error
+    # A cut with every row or none inside splits nothing.  It errs on
+    # exactly floor rows, so only then can it be among the least.
+    if error == floor:
+        least &= (inside > 0) & (inside < n)
+    if error > floor or not least.any():
+        return None, 0, floor
+    if rank is not None:
+        least &= rank == rank[least].min()
+    c = int(np.argmax(least))
+    return c, int(e1[c] == error), error
 
 
-def _degenerate(feature: str, kind: str, y: np.ndarray) -> Encoder:
-    c1 = int(y.sum())
-    return Encoder(
-        feature=feature,
-        kind=kind,
-        degenerate=True,
-        error=min(len(y) - c1, c1),
-    )
-
-
-def fit_quantitative(values, labels, feature: str = "") -> Encoder:
-    """Scan all interval boundaries for the (u, h) of least error.
-
-    Each boundary lies between two consecutive distinct sorted values lo
-    and hi.  Its threshold u is their midpoint (lo + hi) / 2, or
-    lo / 2 + hi / 2 where the sum overflows, so u stays finite, and lo
-    where the midpoint rounds to hi, so hi stays above it.  Of the
-    candidates (u, h) over every boundary and both polarities, the first
-    in the order (error, -gap, u, h), gap = hi - lo, is taken: least
-    error, then the widest gap, then the smallest threshold, then h=0.
-    """
+def _quantitative_cuts(values, y: np.ndarray, feature: str):
+    """A cut per boundary between distinct values lo < hi, in ascending
+    order, with the rows at or below it inside (so h = 1 - bit) and the
+    widest gap hi - lo ranked first.  Its u is (lo + hi) / 2, lo / 2 +
+    hi / 2 where the sum overflows, or lo where the midpoint rounds to
+    hi, so that lo <= u < hi."""
     import numpy as np
 
     v = np.asarray(values, dtype=float)
-    y = _check_inputs(v, labels, feature)
     if not np.all(np.isfinite(v)):
         raise EncodingError(f"feature {feature!r}: non-finite values")
-
     order = np.argsort(v)    # the order of equal values does not matter:
-    sv, sy = v[order], y[order]    # boundaries only fall between distinct ones
+    sv = v[order]            # boundaries only fall between distinct ones
     distinct = np.nonzero(sv[1:] > sv[:-1])[0]    # boundary after sorted index i
-    if len(distinct) == 0:
-        return _degenerate(feature, "quantitative", y)
-
-    total1 = int(sy.sum())
-    n = len(sy)
-    ones_below = np.cumsum(sy, dtype=np.int64)[distinct]    # labels 1 with value <= u
-    count_below = distinct + 1
-    # h=1: predict 1 above u, 0 at or below; errors = 1s below + 0s above
-    e_h1 = ones_below + (n - count_below) - (total1 - ones_below)
-    e_h0 = n - e_h1
     with np.errstate(over="ignore"):    # an infinite gap is the widest
         gaps = sv[distinct + 1] - sv[distinct]
-    # The order (error, -gap, u, h) as a chain of masks.  Thresholds
-    # strictly increase with the boundary, so the first boundary left
-    # has the smallest u, and only its two polarities can still tie.
-    error = int(min(e_h0.min(), e_h1.min()))
-    least = (e_h0 == error) | (e_h1 == error)
-    b = int(np.argmax(least & (gaps == gaps[least].max())))
-    h = 0 if e_h0[b] == error else 1
-    if error > min(n - total1, total1):
-        return _degenerate(feature, "quantitative", y)
-    lo, hi = float(sv[distinct[b]]), float(sv[distinct[b] + 1])
-    u = (lo + hi) / 2.0
-    if math.isinf(u):    # the sum overflowed
-        u = lo / 2 + hi / 2
-    if u == hi:    # adjacent floats: the bit is v > u
-        u = lo
-    return Encoder(
-        feature=feature, kind="quantitative", polarity=h, threshold=u, error=error,
-    )
+
+    def fields(c: int, bit: int) -> dict:
+        lo, hi = float(sv[distinct[c]]), float(sv[distinct[c] + 1])
+        u = (lo + hi) / 2.0
+        if math.isinf(u):    # the sum overflowed
+            u = lo / 2 + hi / 2
+        return {"polarity": 1 - bit, "threshold": lo if u == hi else u}
+
+    return distinct + 1, np.cumsum(y[order], dtype=np.int64)[distinct], -gaps, fields
 
 
-def fit_boolean(values, labels, feature: str = "") -> Encoder:
-    """Pick identity or complement, whichever matches the labels better."""
+def _boolean_cuts(values, y: np.ndarray, feature: str):
+    """One cut, the rows that are 1: identity reads 1 inside."""
     import numpy as np
 
     v = np.asarray(values)
-    y = _check_inputs(v, labels, feature)
     if not set(np.unique(v)) <= {0, 1, False, True}:
         raise EncodingError(f"feature {feature!r}: values are not all 0/1")
-    bits = v.astype(np.uint8)
-    if bits.min() == bits.max():
-        return _degenerate(feature, "boolean", y)
-    e_identity = int(np.sum(bits != y))
-    e_complement = len(y) - e_identity
-    h, e = (1, e_identity) if e_identity <= e_complement else (0, e_complement)
-    c1 = int(y.sum())
-    if e > min(len(y) - c1, c1):
-        return _degenerate(feature, "boolean", y)
-    return Encoder(feature=feature, kind="boolean", polarity=h, error=e)
+    inside = v == 1
+    return [inside.sum()], [y[inside].sum()], None, lambda c, bit: {"polarity": bit}
 
 
-def fit_nominal(values, labels, feature: str = "") -> Encoder:
-    """Best one-vs-rest indicator over the observed categories.
-
-    Ties are broken toward the category seen first and identity polarity.
-    """
-    y = _check_inputs(values, labels, feature)
+def _nominal_cuts(values, y: np.ndarray, feature: str):
+    """A cut per category, first seen first: identity reads 1 inside."""
     rows = Counter(values)    # category -> rows, first seen first
     ones = Counter(compress(values, y.tolist()))    # category -> rows labelled 1
     cats = list(rows)
-    if len(cats) < 2:
-        return _degenerate(feature, "nominal", y)
-    n, c1 = len(y), int(y.sum())
-    keys = []
-    for ci, cat in enumerate(cats):
-        e_identity = rows[cat] - 2 * ones[cat] + c1    # 0s inside, 1s outside
-        keys += [(e_identity, ci, 0), (n - e_identity, ci, 1)]
-    e, ci, flip = min(keys)    # least error, first-seen category, h=1 before h=0
-    if e > min(n - c1, c1):
-        return _degenerate(feature, "nominal", y)
-    return Encoder(
-        feature=feature, kind="nominal", polarity=1 - flip, category=cats[ci], error=e,
-    )
+    return (list(rows.values()), [ones[cat] for cat in cats], None,
+            lambda c, bit: {"polarity": bit, "category": cats[c]})
+
+
+_CUTS = {"quantitative": _quantitative_cuts, "boolean": _boolean_cuts,
+         "nominal": _nominal_cuts}
 
 
 def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
-    if kind == "quantitative":
-        return fit_quantitative(values, labels, feature)
-    if kind == "boolean":
-        return fit_boolean(values, labels, feature)
-    if kind == "nominal":
-        return fit_nominal(values, labels, feature)
-    raise EncodingError(f"feature {feature!r}: unknown kind {kind!r}")
+    """Fit one column's encoder: its kind supplies the cuts, and
+    `_best_cut` picks one or finds the column degenerate."""
+    import numpy as np
+
+    if kind not in _CUTS:
+        raise EncodingError(f"feature {feature!r}: unknown kind {kind!r}")
+    y = np.asarray(labels, dtype=np.uint8)
+    if len(values) != len(y):
+        raise EncodingError(f"feature {feature!r}: {len(values)} values but {len(y)} labels")
+    if len(y) < 2:
+        raise EncodingError(f"feature {feature!r}: need at least two rows")
+    inside, ones, rank, fields = _CUTS[kind](values, y, feature)
+    c, bit, error = _best_cut(inside, ones, y, rank)
+    if c is None:
+        return Encoder(feature=feature, kind=kind, degenerate=True, error=error)
+    return Encoder(feature=feature, kind=kind, error=error, **fields(c, bit))
+
+
+def fit_quantitative(values, labels, feature: str = "") -> Encoder:
+    """The threshold u and polarity h of least error, the bit being h
+    above u; ties go to the widest gap, then the smallest u, then h=0."""
+    return fit_feature(values, labels, "quantitative", feature)
+
+
+def fit_boolean(values, labels, feature: str = "") -> Encoder:
+    """Identity or complement, whichever matches the labels better."""
+    return fit_feature(values, labels, "boolean", feature)
+
+
+def fit_nominal(values, labels, feature: str = "") -> Encoder:
+    """The best one-vs-rest indicator over the observed categories."""
+    return fit_feature(values, labels, "nominal", feature)
 
 
 @dataclass

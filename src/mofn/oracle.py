@@ -97,6 +97,12 @@ def _walk(expr, bits: dict[int, int]) -> int:
     raise TypeError(f"not an expression: {expr!r}")
 
 
+def _features(expr) -> set[int]:
+    if isinstance(expr, FeatureRef):
+        return {expr.feature}
+    return _features(expr.left) | _features(expr.right)
+
+
 def _own_vote(m1: int, n: int) -> SignedDecision:
     m0 = n - m1
     if m0 > m1:
@@ -115,10 +121,10 @@ def exhaustive_decision_check(
 ) -> dict[tuple[int, ...], SignedDecision]:
     """Decision for every assignment of the referenced features.
 
-    Assignment keys are bit tuples over the referenced features in
+    Assignment keys are bit tuples over the features the trees read, in
     ascending id order.  Refuses rules wider than `max_features`.
     """
-    feats = sc.referenced_features()
+    feats = sorted(set().union(*map(_features, sc.syndromes)))
     if len(feats) > max_features:
         raise ValueError(
             f"{len(feats)} features is over the exhaustive cap {max_features}"

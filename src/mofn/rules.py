@@ -591,6 +591,12 @@ def _check_row(
             raise ModelFormatError(
                 f"line {lineno}: unit reads a degenerate feature"
             )
+        if row.left == row.right:
+            g = truth_row(row.fn, bool(extended))
+            if g[0] == g[3]:    # g(x, x) takes only the values g(0, 0) and g(1, 1)
+                raise ModelFormatError(
+                    f"line {lineno}: g_{row.fn}(x_{row.left}, x_{row.left}) is a constant bit"
+                )
     else:
         if not any(prev.ident == row.left for prev in layers[-2]):
             raise ModelFormatError(

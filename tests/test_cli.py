@@ -634,6 +634,22 @@ class TestExportImport:
             for argv in (("import", str(model)), ("classify", str(model), str(data))):
                 assert run(capsys, *argv) == (4, "", message)
 
+    @pytest.mark.parametrize("fn, catalog", [(3, ""), (5, ""), (8, ""), (10, ""), (12, ""),
+                                             (1, "catalog extended\n")])
+    def test_constant_self_pairs_are_model_errors(self, capsys, tmp_path, fn, catalog):
+        """A layer-1 unit that reads one feature twice through a function
+        with g(0, 0) == g(1, 1) computes a constant bit; import and
+        classify both refuse it with exit 4."""
+        model = tmp_path / "model.rules"
+        model.write_text(f"{catalog}classes 0 1\nfeature 0 a kind=boolean h=1\n"
+                         f"layer 1\n1 6 0 0\n2 {fn} 0 0\n")
+        data = tmp_path / "cases.csv"
+        data.write_text("a\n1\n")
+        line = 5 + bool(catalog)
+        message = f"error: line {line}: g_{fn}(x_0, x_0) is a constant bit\n"
+        for argv in (("import", str(model)), ("classify", str(model), str(data))):
+            assert run(capsys, *argv) == (4, "", message)
+
     @pytest.mark.parametrize("char", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\v", "\f"],
                              ids=ascii)
     def test_names_with_line_break_characters_round_trip(self, capsys, tmp_path, char):

@@ -206,6 +206,16 @@ class TestNominal:
         assert (enc.error, enc.category, enc.polarity) == best
         assert sum(encode_value(enc, v) != y for v, y in zip(values, labels)) == enc.error
 
+    @pytest.mark.parametrize("kind, values, labels", [
+        ("quantitative", [1.5, 2.5, 1.5], [0, 1, 1]), ("quantitative", [1.0, 1.0], [0, 1]),
+        ("boolean", [0, 1, 1], [0, 1, 0]), ("boolean", [1, 1], [0, 1]),
+        ("nominal", ["a", "b", "a"], [0, 1, 1]), ("nominal", ["a", "a"], [0, 1]),
+    ])
+    def test_fields_are_python_scalars(self, kind, values, labels):
+        """Encoders reach model files and reprs: no field is a numpy scalar."""
+        enc = fit_feature(values, np.array(labels, dtype=np.uint8), kind, "f")
+        assert {type(v) for v in vars(enc).values()} <= {str, int, float, bool, type(None)}
+
     def test_kind_dispatch(self):
         assert fit_feature([1.5, 2.5], [0, 1], "quantitative", "f").kind == "quantitative"
         assert fit_feature([0, 1], [0, 1], "boolean", "f").kind == "boolean"
@@ -315,6 +325,77 @@ class TestAgainstOracle:
         bits = np.array([encode_value(enc, v) for v in values])
         assert int(np.sum(bits != labels)) == enc.error
         assert enc.error <= min(c0, c1)
+
+
+def brute_force_indicator(values, labels, candidates):
+    """Try every (candidate, polarity) by explicit counting.
+
+    Candidate c reads 1 inside (h=1) or 0 inside (h=0) on the rows whose
+    value equals it.  A candidate with every row or none inside splits
+    nothing.  Ties prefer the first candidate, then h=1, and a result
+    strictly worse than the majority class is degenerate.  Returns
+    (candidate, h, e, degenerate)."""
+    ys = [int(y) for y in labels]
+    floor = min(sum(ys), len(ys) - sum(ys))
+    best = None
+    for c, candidate in enumerate(candidates):
+        inside = [v == candidate for v in values]
+        if all(inside) or not any(inside):
+            continue
+        for order, h in enumerate((1, 0)):
+            e = 0
+            for x, y in zip(inside, ys):
+                bit = h if x else 1 - h
+                if bit != y:
+                    e += 1
+            if best is None or (e, c, order) < best[0]:
+                best = ((e, c, order), candidate, h)
+    if best is None or best[0][0] > floor:
+        return None, None, floor, True
+    return best[1], best[2], best[0][0], False
+
+
+def found(enc):
+    """An encoder as brute_force_indicator reports it."""
+    if enc.degenerate:
+        return None, None, enc.error, True
+    return enc.category, enc.polarity, enc.error, False
+
+
+class TestIndicatorsAgainstBruteForce:
+    """fit_boolean and fit_nominal against a plain loop over every
+    (candidate, polarity), including constant columns, single-class
+    labels and ties."""
+
+    @given(st.lists(st.tuples(st.sampled_from((0, 1, False, True)), st.integers(0, 1)),
+                    min_size=2, max_size=40))
+    @example([(0, 0), (1, 0), (0, 1), (1, 1)])     # e == n - e: identity wins
+    @example([(1, 0), (1, 1), (1, 1)])             # constant column
+    @example([(0, 1), (1, 1), (1, 1)])             # one class: every split errs
+    @settings(deadline=None, max_examples=300)
+    def test_boolean(self, pairs):
+        values = [v for v, _ in pairs]
+        labels = [y for _, y in pairs]
+        enc = fit_boolean(values, labels, "f")
+        _, *want = brute_force_indicator(values, labels, [1])
+        category, *got = found(enc)
+        assert got == want
+        assert category is None and enc.threshold is None
+
+    @given(st.lists(st.tuples(st.sampled_from("abcd"), st.integers(0, 1)),
+                    min_size=2, max_size=40))
+    @example([("a", 0), ("b", 1), ("c", 1), ("c", 0)])    # a at h=0 ties b at h=1
+    @example([("b", 1), ("c", 0), ("b", 1), ("c", 0)])    # b and c tie at e=0
+    @example([("a", 0), ("a", 1), ("b", 0), ("b", 1)])    # e == n - e: h=1 wins
+    @example([("x", 0), ("x", 1), ("x", 1)])              # one category
+    @example([("a", 1), ("b", 1), ("a", 1)])              # one class
+    @settings(deadline=None, max_examples=300)
+    def test_nominal(self, pairs):
+        values = [v for v, _ in pairs]
+        labels = [y for _, y in pairs]
+        enc = fit_nominal(values, labels, "f")
+        assert found(enc) == brute_force_indicator(values, labels, list(dict.fromkeys(values)))
+        assert enc.threshold is None
 
 
 class TestEncodeDataset:

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mofn.cli import main
-from mofn.logic import function_ids
+from mofn.logic import function_ids, truth_row
 from mofn.oracle import exhaustive_decision_check
 from mofn.rules import FeatureRef, evaluate, parse_formula_table, vote_counts
 from mofn.tables import make_table
@@ -44,9 +44,12 @@ def models(draw):
         lines.append(f"layer {r}")
         units = draw(st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True))
         for unit in units:
-            fn = draw(st.sampled_from(function_ids(extended)))
             left = draw(st.sampled_from(prev if prev else ids))
-            lines.append(f"{unit} {fn} {left} {draw(st.sampled_from(ids))}")
+            right = draw(st.sampled_from(ids))
+            fns = function_ids(extended)
+            if r == 1 and left == right:    # the parser refuses a constant self-pair
+                fns = [fn for fn in fns if truth_row(fn, True)[0] != truth_row(fn, True)[3]]
+            lines.append(f"{unit} {draw(st.sampled_from(fns))} {left} {right}")
         prev = units
     return "\n".join(lines) + "\n"
 

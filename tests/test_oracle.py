@@ -11,7 +11,7 @@ from mofn.oracle import (
     exhaustive_decision_check,
     generate_planted,
 )
-from mofn.rules import evaluate, parse_formula_table
+from mofn.rules import SyndromeComplex, evaluate, parse_formula_table
 
 XOR = """\
 classes 0 1
@@ -82,6 +82,20 @@ class TestExhaustiveCheck:
         for bits, d in list(dec.items())[::7]:
             e = evaluate(sc, dict(zip(feats, bits)))
             assert (d.value, d.m, d.n, d.m1) == (e.value, e.m, e.n, e.m1)
+
+    @pytest.mark.parametrize("corrupt", [lambda feats: feats[::-1],
+                                         lambda feats: feats[1:],
+                                         lambda feats: feats + [99]],
+                             ids=["reversed", "one-short", "one-extra"])
+    def test_finds_its_own_features(self, ie_ar_text, monkeypatch, corrupt):
+        """The features come from the oracle's own walk of the trees, not
+        from the compiled program under test."""
+        sc = parse_formula_table(ie_ar_text)
+        want = exhaustive_decision_check(sc)
+        feats = sc.referenced_features()
+        monkeypatch.setattr(SyndromeComplex, "referenced_features",
+                            lambda self: corrupt(feats))
+        assert exhaustive_decision_check(sc) == want
 
     def test_width_cap(self, ie_srl_text):
         sc = parse_formula_table(ie_srl_text)

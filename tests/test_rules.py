@@ -14,6 +14,7 @@ from mofn.network import TrainConfig, train
 from mofn.rules import (
     FeatureRef,
     FnNode,
+    Row,
     decision_levels,
     describe_decision,
     evaluate,
@@ -266,6 +267,20 @@ class TestParseErrors:
             "feature 0 a kind=boolean h=1", "feature 0 a kind=boolean degenerate"
         )
         self.check(bad, "degenerate")
+
+    def test_constant_self_pair(self):
+        """g(x, x) is constant exactly when g(0, 0) == g(1, 1)."""
+        for fn in (3, 5, 8, 10, 12):
+            self.check(TINY.replace("5 5 0 1", f"5 {fn} 1 1"),
+                       rf"line 5: g_{fn}\(x_1, x_1\) is a constant bit")
+        self.check("catalog extended\n" + TINY.replace("5 5 0 1", "5 1 0 0"),
+                   r"line 6: g_1\(x_0, x_0\) is a constant bit")
+        for fn in (0, 6, 7, 13):
+            sc = parse_formula_table(TINY.replace("5 5 0 1", f"5 {fn} 0 0"))
+            assert sc.layers[0][0].fn == fn
+        # from layer 2 on, "k l" is a unit y_k and a feature x_l even when k == l
+        unit0 = TINY.replace("5 5 0 1", "0 5 0 1") + "layer 2\n1 5 0 0\n"
+        assert parse_formula_table(unit0).layers[1][0] == Row(1, 5, 0, 0)
 
     def test_row_before_any_layer(self):
         self.check(TINY.replace("layer 1\n", ""), "unexpected directive")
