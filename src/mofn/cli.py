@@ -5,8 +5,12 @@ classify new cases, tabulate a rule as a diagnostic table, export and
 re-import model files, validate the bundled reference models, and
 generate synthetic benchmark data.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 model error,
-5 validation failure.
+Exit codes come from one table, `EXIT_CODES`, of (error class, code)
+pairs: 0 success, 2 usage or configuration error, 3 data error, 4 model
+error, 5 validation failure.  `main` catches every `MofnError` in one
+place and exits with the code of the first class that matches.  The
+model, config and reference files are read by one reader, `_read_file`,
+which names the file's role in its errors.
 
 Applying a rule (classify, import, export) loads no numpy: the modules
 that need it are imported by the commands that use them (train,
@@ -22,11 +26,12 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .config import TrainConfig
-from .encoding import encode_bits, parse_column, read_column, read_table, read_text
+from .encoding import KINDS, encode_bits, parse_column, read_column, read_table, read_text
 from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
 from .errors import (
     CatalogError,
@@ -51,47 +56,68 @@ from .rules import (
     vote_levels,
 )
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DATA = 3
-EXIT_MODEL = 4
-EXIT_VALIDATION = 5
+# The exit code of each error class.  The first class that an error is
+# an instance of gives the code, so a class comes before its bases.
+EXIT_CODES = (
+    (DataError, 3), (EncodingError, 3), (TrainingError, 3),
+    (ModelFormatError, 4), (CatalogError, 4), (EvaluationError, 4),
+    (TableError, 2), (ValidationError, 5),
+    (MofnError, 2),
+)
 
 CONFIG_ENV = "MOFN_CONFIG"
-CONFIG_KEYS = ("beam_width", "max_layers", "patience", "extended_catalog")
+CONFIG_KEYS = tuple(field.name for field in fields(TrainConfig))
 REFERENCE_FILES = ("ie_srl.rules", "ie_srl_table.csv", "ie_ar.rules", "ie_ar_table.csv",
                    "postop.rules")
 
 
+def _read_file(path, error_class: type[MofnError], role: str) -> str:
+    """The text of a file; one that is missing, or cannot be read or
+    decoded as text, is an error_class error naming the file's role."""
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise error_class(f"{role} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error_class(f"{role} file {path}: {exc}") from None
+
+
 def _load_config(path: str | None) -> dict:
-    """Defaults from a JSON file; --config beats $MOFN_CONFIG."""
+    """Defaults from a JSON file; --config beats $MOFN_CONFIG.  Each value
+    must have its TrainConfig field's type: true or false for a flag,
+    an integer, not a boolean, for a count."""
     source = path or os.environ.get(CONFIG_ENV)
     if not source:
         return {}
-    try:
-        raw = json.loads(Path(source).read_text())
-    except FileNotFoundError:
-        raise MofnError(f"config file not found: {source}") from None
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    text = _read_file(source, MofnError, "config")
+    try:    # ValueError: not JSON, or an integer too long to convert
+        raw = json.loads(text)
+    except (ValueError, RecursionError) as exc:    # or nested too deep
         raise MofnError(f"config file {source}: {exc}") from None
     if not isinstance(raw, dict):
         raise MofnError(f"config file {source}: expected a JSON object")
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise MofnError(f"config file {source}: unknown keys {sorted(unknown)}")
+    for key, value in raw.items():
+        default = getattr(TrainConfig, key)
+        if type(value) is not type(default):
+            expected = "true or false" if type(default) is bool else "an integer"
+            raise MofnError(
+                f"config file {source}: {key} must be {expected}, got {json.dumps(value)}"
+            )
     return raw
 
 
 def _train_config(args, overrides: dict) -> TrainConfig:
-    """TrainConfig defaults, then the config file, then the flags given."""
-    flags = {
-        "beam_width": args.beam,
-        "max_layers": args.max_layers,
-        "patience": args.patience,
-        "extended_catalog": args.extended_catalog or None,
-    }
-    given = {key: value for key, value in flags.items() if value is not None}
-    return TrainConfig(**{**overrides, **given})
+    """TrainConfig defaults, then the config file, then the flags given;
+    each flag's dest is its field's name.  A value TrainConfig refuses
+    is a usage error."""
+    given = {key: getattr(args, key) for key in CONFIG_KEYS if getattr(args, key) is not None}
+    try:
+        return TrainConfig(**{**overrides, **given})
+    except TrainingError as exc:
+        raise MofnError(str(exc)) from None
 
 
 def _write(text: str, dest: str | None) -> None:
@@ -107,13 +133,7 @@ def _write(text: str, dest: str | None) -> None:
 
 
 def _read_model(path: str):
-    try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise ModelFormatError(f"model file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"model file {path}: {exc}") from None
-    return parse_formula_table(text)
+    return parse_formula_table(_read_file(path, ModelFormatError, "model"))
 
 
 def _parse_kinds(pairs: list[str]) -> dict[str, str]:
@@ -153,7 +173,7 @@ def cmd_train(args) -> int:
     report = net.report
     for line in report.lines(net.feature_names):
         print(line, file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def cmd_classify(args) -> int:
@@ -196,7 +216,7 @@ def cmd_classify(args) -> int:
         tails.append(out.getvalue())
     lines = map("{},{}".format, range(n), map(tails.__getitem__, m1))
     _write("row,decision,value,votes\n" + "".join(lines), args.output)
-    return EXIT_OK
+    return 0
 
 
 def _parse_axis(spec: str | None, sc) -> list[int] | None:
@@ -241,7 +261,7 @@ def cmd_tabulate(args) -> int:
                 f"  rows={''.join(map(str, rb))} cols={''.join(map(str, cb))}",
                 file=sys.stderr,
             )
-    return EXIT_OK
+    return 0
 
 
 def cmd_export(args) -> int:
@@ -275,13 +295,13 @@ def cmd_export(args) -> int:
             ],
         }
         _write(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
+    return 0
 
 
 def cmd_import(args) -> int:
     sc = _read_model(args.model)
     _write(to_formula_table(sc), args.output)
-    return EXIT_OK
+    return 0
 
 
 def cmd_gen(args) -> int:
@@ -310,7 +330,7 @@ def cmd_gen(args) -> int:
         )
         if planted.flipped:
             print(f"flipped rows: {planted.flipped}", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def _fixture_dir(args) -> Path:
@@ -330,9 +350,10 @@ def _fixture_dir(args) -> Path:
 def _read_reference(path: Path, parse):
     """A reference file, parsed; one that cannot be read or parsed fails
     validation."""
+    text = _read_file(path, ValidationError, "reference")
     try:
-        return parse(path.read_text())
-    except (OSError, UnicodeDecodeError, MofnError) as exc:
+        return parse(text)
+    except MofnError as exc:
         raise ValidationError(f"reference file {path}: {exc}") from None
 
 
@@ -414,7 +435,7 @@ def cmd_validate(args) -> int:
 
     failed = checks.count(False)
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return EXIT_OK if failed == 0 else EXIT_VALIDATION
+    return 0 if failed == 0 else dict(EXIT_CODES)[ValidationError]
 
 
 @functools.cache
@@ -433,17 +454,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label", default="label", help="label column name")
     p.add_argument("--classes", help="two class names, e.g. IE,SRL (first = class 0)")
     p.add_argument("--kind", action="append", default=[], metavar="NAME=KIND",
-                   help="override a feature kind (quantitative/boolean/nominal)")
+                   help=f"override a feature kind ({'/'.join(KINDS)})")
     p.add_argument("--drop-incomplete", action="store_true",
                    help="drop rows with empty cells instead of failing")
-    p.add_argument("--beam", type=int,
+    p.add_argument("--beam", type=int, dest="beam_width", metavar="BEAM",
                    help=f"units kept per layer (default {TrainConfig.beam_width})")
     p.add_argument("--max-layers", type=int,
                    help=f"depth cap (default {TrainConfig.max_layers})")
     p.add_argument("--patience", type=int,
                    help="layers without improvement before stopping "
                         f"(default {TrainConfig.patience})")
-    p.add_argument("--extended-catalog", action="store_true",
+    p.add_argument("--extended-catalog", action="store_true", default=None,
                    help="allow the tenth function g_1 during training")
     p.add_argument("--config", help="JSON file with default settings")
     p.set_defaults(func=cmd_train)
@@ -494,28 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, EncodingError, TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (ModelFormatError, CatalogError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except TableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except MofnError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

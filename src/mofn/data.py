@@ -23,10 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import parse_column, read_column, read_table, read_text
+from .encoding import KINDS, parse_column, read_column, read_table, read_text
 from .errors import DataError
-
-KINDS = ("quantitative", "boolean", "nominal")
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,9 @@ def _nominal_cuts(values, y: np.ndarray, feature: str):
 
 _CUTS = {"quantitative": _quantitative_cuts, "boolean": _boolean_cuts,
          "nominal": _nominal_cuts}
+# The feature kinds.  `FeatureSpec`, `load_csv`, the model parser and
+# `fit_feature` all check a kind against this one tuple.
+KINDS = tuple(_CUTS)
 
 
 def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:

@@ -47,10 +47,11 @@ def brute_force_threshold(values, labels) -> ThresholdResult:
     """Try every interval boundary and polarity by explicit counting.
 
     Implements the same contract as the fitted encoder: candidate
-    thresholds are midpoints of consecutive distinct sorted values (the
-    lower value where the midpoint rounds up to the higher), ties prefer the widest gap, then the smallest threshold, then
-    polarity 0, and a result strictly worse than the majority class
-    is degenerate.
+    thresholds are midpoints of consecutive distinct sorted values (each
+    half summed where the sum overflows, and the lower value where the
+    midpoint rounds up to the higher), ties prefer the widest gap, then
+    the smallest threshold, then polarity 0, and a result strictly worse
+    than the majority class is degenerate.
     """
     vals = [float(v) for v in values]
     ys = [int(y) for y in labels]
@@ -63,6 +64,8 @@ def brute_force_threshold(values, labels) -> ThresholdResult:
     candidates = []
     for lo, hi in zip(distinct, distinct[1:]):
         u = (lo + hi) / 2.0
+        if u in (float("inf"), float("-inf")):    # lo + hi overflowed: halve first
+            u = lo / 2.0 + hi / 2.0
         if u == hi:     # lo and hi adjacent floats: keep hi above u
             u = lo
         gap = hi - lo

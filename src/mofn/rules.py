@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Mapping, Sequence, Union
 
-from .encoding import Encoder
+from .encoding import KINDS, Encoder
 from .errors import EvaluationError, ModelFormatError
 from .logic import function_ids, truth_row
 
@@ -433,7 +433,7 @@ def _parse_feature_line(tokens: list[str], lineno: int) -> tuple[int, Encoder]:
             raise ModelFormatError(
                 f"line {lineno}: bad value {val!r} for attribute {key!r}"
             ) from None
-    if kind not in ("quantitative", "boolean", "nominal"):
+    if kind not in KINDS:
         raise ModelFormatError(f"line {lineno}: unknown kind {kind!r}")
     if kind == "quantitative" and threshold is None and not degenerate:
         raise ModelFormatError(

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TableError
+from .encoding import read_table
+from .errors import DataError, TableError
 from .rules import SyndromeComplex, vote_counts, vote_levels
 
 MAX_TABLE_FEATURES = 16
@@ -196,31 +197,30 @@ def parse_rendered_csv(text: str) -> np.ndarray:
 
     The number of row-feature columns is inferred from the header: bit
     pattern headers consist of 0/1 characters only.  Returns the signed
-    value matrix; "±0" maps to 0.
+    value matrix; "±0" maps to 0.  The text is read by
+    `encoding.read_table`, so a row of the wrong width is named.
     """
-    reader = csv.reader(io.StringIO(text))
-    table = [row for row in reader if row]
-    if len(table) < 2:
+    try:
+        header, columns, ragged = read_table(text)
+    except DataError as exc:
+        raise TableError(str(exc)) from None
+    if ragged:
+        raise TableError(f"ragged CSV table: {ragged[1]}")
+    if not columns[0]:
         raise TableError("CSV table needs a header and at least one row")
-    header = table[0]
-    first_bits = None
-    for i, cell in enumerate(header):
-        if cell and set(cell) <= {"0", "1"}:
-            first_bits = i
-            break
+    first_bits = next(
+        (i for i, cell in enumerate(header) if cell and set(cell) <= {"0", "1"}), None
+    )
     if first_bits is None:
         raise TableError("no bit pattern columns in CSV header")
     values = []
-    for row in table[1:]:
+    for column in columns[first_bits:]:
         cells = []
-        for cell in row[first_bits:]:
+        for cell in column:
             cell = cell.strip().replace("±", "")
             try:
                 cells.append(int(cell))
             except ValueError:
                 raise TableError(f"bad cell value {cell!r}") from None
         values.append(cells)
-    grid = np.array(values, dtype=np.int64)
-    if grid.shape[1] != len(header) - first_bits:
-        raise TableError("ragged CSV table")
-    return grid
+    return np.array(values, dtype=np.int64).T

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mofn import cli, errors
 from mofn.cli import build_parser, main
 from mofn.data import load_csv
 from mofn.encoding import encode_value
@@ -130,6 +131,26 @@ class TestConfig:
         code, _, err = run(capsys, "train", str(data), "--config", str(cfg))
         assert code == 2
         assert "unknown keys" in err
+
+    @pytest.mark.parametrize("config, flags, key", [
+        *(({"beam_width": value}, (), "beam_width") for value in ("x", 2.5, None, [1], True)),
+        ({"extended_catalog": "no"}, (), "extended_catalog"),
+        ({"extended_catalog": 1}, (), "extended_catalog"),
+        *(({key: 0}, (), key) for key in ("beam_width", "max_layers", "patience")),
+        *(({}, (flag, "0"), key) for flag, key in (
+            ("--beam", "beam_width"), ("--max-layers", "max_layers"),
+            ("--patience", "patience"))),
+    ], ids=repr)
+    def test_bad_setting_is_a_usage_error(self, capsys, tmp_path, config, flags, key):
+        """A config value of the wrong JSON type, or a setting TrainConfig
+        refuses, exits 2 with one error line that names the key."""
+        data = self.gen_data(capsys, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run(capsys, "train", str(data), "--config", str(cfg), *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         data = self.gen_data(capsys, tmp_path)
@@ -464,13 +485,14 @@ class TestQuotedCsvGivesTheSameBytes:
         assert '"no, ""never"""' in out and "yes sir" in out
 
 
-UNREADABLE = ("dir", "binary")
+UNREADABLE = ("dir", "binary", "missing")
 
 
 class TestUnreadableInputs:
-    """A file that cannot be read as text, or a CSV field over the csv
-    module's size limit, is an error line with the exit code of the
-    file's role: 3 for data, 4 for a model, 2 for a config file."""
+    """A file that is missing or cannot be read as text, a CSV field over
+    the csv module's size limit, or JSON nested deeper than the parser's
+    recursion limit, is an error line with the exit code of the file's
+    role: 3 for data, 4 for a model, 2 for a config file."""
 
     @pytest.fixture
     def files(self, tmp_path, fixtures_dir):
@@ -479,8 +501,10 @@ class TestUnreadableInputs:
         huge = "1" * (csv.field_size_limit() + 1)
         (tmp_path / "huge.csv").write_text(f"a,label\n{huge},0\n")
         (tmp_path / "cases.csv").write_text(ANCHOR_CSV)
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
         return {"dir": tmp_path / "dir", "binary": tmp_path / "binary",
                 "huge": tmp_path / "huge.csv", "cases": tmp_path / "cases.csv",
+                "missing": tmp_path / "missing", "deep": tmp_path / "deep.json",
                 "model": fixtures_dir / "ie_srl.rules"}
 
     @pytest.mark.parametrize("argv, code", [
@@ -489,12 +513,37 @@ class TestUnreadableInputs:
         *(((command, model), 4) for command in ("tabulate", "export", "import")
           for model in UNREADABLE),
         *((("classify", model, "cases"), 4) for model in UNREADABLE),
-        *((("train", "cases", "--config", config), 2) for config in UNREADABLE),
+        *((("train", "cases", "--config", config), 2) for config in (*UNREADABLE, "deep")),
     ], ids=lambda value: " ".join(value) if isinstance(value, tuple) else None)
     def test_error_line_and_exit_code(self, capsys, files, argv, code):
         got, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestExitCodes:
+    """Every error class of `mofn.errors` ends a command with the exit code
+    the README documents for its kind of problem."""
+
+    DOCUMENTED = {
+        errors.MofnError: 2, errors.TableError: 2,
+        errors.DataError: 3, errors.EncodingError: 3, errors.TrainingError: 3,
+        errors.ModelFormatError: 4, errors.CatalogError: 4, errors.EvaluationError: 4,
+        errors.ValidationError: 5,
+    }
+
+    def test_every_error_class_has_its_code(self, capsys, monkeypatch):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        line = re.search(r"^Exit codes:(.*\n.*)$", readme, re.M).group(1)
+        assert set(map(int, re.findall(r"`(\d)`", line))) == {0, *self.DOCUMENTED.values()}
+        classes = {value for value in vars(errors).values()
+                   if isinstance(value, type) and issubclass(value, errors.MofnError)}
+        assert classes == set(self.DOCUMENTED)
+        for cls, code in self.DOCUMENTED.items():
+            def fail(path, cls=cls):
+                raise cls("boom")
+            monkeypatch.setattr(cli, "_read_model", fail)
+            assert run(capsys, "import", "model") == (code, "", "error: boom\n"), cls
 
 
 class TestUnwritableOutput:
@@ -749,6 +798,8 @@ class TestValidate:
         ("ie_ar_table.csv",
          lambda text: text.replace("000,001,010,011,100,101,110,111", "a,b,c,d,e,f,g,h").encode(),
          "no bit pattern columns in CSV header"),
+        ("ie_srl_table.csv", lambda text: text.replace(",+5,-5\n", ",+5\n").encode(),
+         "ragged CSV table: row 2 has 19 cells, expected 20\n"),
     ])
     def test_damaged_reference_file(self, capsys, tmp_path, fixtures_dir, name, damage,
                                     reason):
@@ -815,4 +866,5 @@ class TestParserBasics:
         assert "feature 0 a kind=quantitative" in inferred[1]
         assert run(capsys, "train", str(data), "--kind", "a=nominal", "--beam", "1") == nominal
         args = build_parser().parse_args(["train", str(data)])
-        assert (args.kind, args.beam, args.max_layers, args.patience) == ([], None, None, None)
+        assert (args.kind, args.beam_width, args.max_layers, args.patience,
+                args.extended_catalog) == ([], None, None, None, None)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mofn import data, encoding
 from mofn.data import Dataset, FeatureSpec, load_csv, to_csv
 from mofn.errors import DataError
 
@@ -69,6 +70,12 @@ class TestLoadCsv:
     def test_override_unknown_kind(self):
         with pytest.raises(DataError, match="unknown kind"):
             load_csv(BASIC, kinds={"fever": "fuzzy"})
+
+    def test_kinds_are_the_encoders_kinds(self):
+        assert data.KINDS is encoding.KINDS
+        assert {spec.kind for spec in load_csv(BASIC).features} == set(encoding.KINDS)
+        with pytest.raises(DataError, match="unknown feature kind"):
+            FeatureSpec("age", "fuzzy")
 
     def test_duplicate_feature_names(self):
         text = BASIC.replace("age,fever", "age,age")

@@ -263,16 +263,35 @@ class TestAgainstOracle:
                 assert enc.threshold == want.u, trial
                 assert enc.polarity == want.h, trial
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overflowing_midpoint_matches_brute_force(self, sign):
+        # (lo + hi) / 2 overflows: both must halve first, to 1.35e308
+        values = [sign * v for v in (1e308, 1.7e308, 1e308, 1.7e308)]
+        labels = [0, 1, 0, 1]
+        enc = fit_quantitative(values, labels, "f")
+        want = brute_force_threshold(values, labels)
+        assert want == ThresholdResult(sign * 1.35e308, int(sign > 0), 0, False)
+        assert (enc.threshold, enc.polarity, enc.error, enc.degenerate) == (
+            want.u, want.h, want.e, want.degenerate)
+
     @given(
         st.lists(
-            st.tuples(st.integers(-20, 20), st.integers(0, 1)),
+            st.tuples(
+                st.one_of(
+                    st.integers(-20, 20).map(lambda v: v / 2.0),
+                    # near the float limit, where a midpoint's sum overflows
+                    st.floats(1e308, 1.7e308),
+                    st.floats(-1.7e308, -1e308),
+                ),
+                st.integers(0, 1),
+            ),
             min_size=2,
             max_size=24,
         ).filter(lambda ps: len({y for _, y in ps}) == 2)
     )
     @settings(deadline=None, max_examples=150)
     def test_property_matches_brute_force(self, pairs):
-        values = [float(v) / 2.0 for v, _ in pairs]
+        values = [v for v, _ in pairs]
         labels = [y for _, y in pairs]
         enc = fit_quantitative(values, labels, "f")
         want = brute_force_threshold(values, labels)

@@ -208,6 +208,19 @@ class TestRendering:
         with pytest.raises(TableError):
             parse_rendered_csv("a,0,1\n0,+1,nope\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,0,1\n0,+1,-1\n1,+2\n", "ragged CSV table: row 1 has 2 cells, expected 3"),
+        ("a,0,1\n0,+1,-1,+3\n", "ragged CSV table: row 0 has 4 cells, expected 3"),
+        ("", "empty CSV"),
+        ("a,0,1\n", "CSV table needs a header and at least one row"),
+        (f'a,0,1\n0,"{"1" * (csv.field_size_limit() + 1)}",1\n',
+         f"CSV line 2: field larger than field limit ({csv.field_size_limit()})"),
+    ], ids=["short row", "long row", "empty", "header only", "field over the limit"])
+    def test_parse_rendered_csv_names_a_malformed_grid(self, text, message):
+        with pytest.raises(TableError) as err:
+            parse_rendered_csv(text)
+        assert str(err.value) == message
+
 
 def _reference_cell_text(value: int) -> str:
     return "±0" if value == 0 else f"{value:+d}"
