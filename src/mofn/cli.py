@@ -38,6 +38,7 @@ from .errors import (
     DataError,
     EncodingError,
     EvaluationError,
+    KindOverrideError,
     ModelFormatError,
     MofnError,
     TableError,
@@ -59,7 +60,7 @@ from .rules import (
 # The exit code of each error class.  The first class that an error is
 # an instance of gives the code, so a class comes before its bases.
 EXIT_CODES = (
-    (DataError, 3), (EncodingError, 3), (TrainingError, 3),
+    (KindOverrideError, 2), (DataError, 3), (EncodingError, 3), (TrainingError, 3),
     (ModelFormatError, 4), (CatalogError, 4), (EvaluationError, 4),
     (TableError, 2), (ValidationError, 5),
     (MofnError, 2),
@@ -142,6 +143,8 @@ def _parse_kinds(pairs: list[str]) -> dict[str, str]:
         name, sep, kind = pair.partition("=")
         if not sep or not name or not kind:
             raise MofnError(f"--kind expects name=kind, got {pair!r}")
+        if kind not in KINDS:
+            raise MofnError(f"--kind {pair!r}: unknown kind {kind!r} (one of {', '.join(KINDS)})")
         kinds[name] = kind
     return kinds
 

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoding import KINDS, parse_column, read_column, read_table, read_text
-from .errors import DataError
+from .errors import DataError, KindOverrideError
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,10 @@ def load_csv(
     The header row names the columns.  `label_column` selects the label;
     its values must be the two class names (default "0" and "1", or the
     pair given in `class_names`, first name = class 0).  `kinds` overrides
-    inferred kinds per feature name.  Incomplete rows (empty cells) are an
-    error unless `drop_incomplete` is set, which discards them with a
-    warning.  Errors name the first bad row: a ragged row or a row with
+    inferred kinds per feature name; an override that names no feature
+    or no kind is a KindOverrideError, checked before any cell.
+    Incomplete rows (empty cells) are an error unless `drop_incomplete`
+    is set, which discards them with a warning.  Errors name the first bad row: a ragged row or a row with
     an empty cell, then a bad label, then a bad cell (its lowest row,
     then its earliest feature).
     """
@@ -178,6 +179,11 @@ def load_csv(
     label_at = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_at]
     kinds = dict(kinds or {})
+    for name in kinds:
+        if name not in feature_names:
+            raise KindOverrideError(f"kind override for unknown feature {name!r}")
+        if kinds[name] not in KINDS:
+            raise KindOverrideError(f"unknown kind {kinds[name]!r} for feature {name!r}")
     nominal = [kinds.get(name) == "nominal" for name in feature_names]
     label, read, dropped = _read_cells(columns, label_at, nominal)
     if dropped and not drop_incomplete:
@@ -205,12 +211,6 @@ def load_csv(
         r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
         raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
     labels = np.array(label) == names[1]
-
-    for name in kinds:
-        if name not in feature_names:
-            raise DataError(f"kind override for unknown feature {name!r}")
-        if kinds[name] not in KINDS:
-            raise DataError(f"unknown kind {kinds[name]!r} for feature {name!r}")
 
     parsed = [
         parse_column(cells, x, name, kinds.get(name))

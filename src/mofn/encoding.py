@@ -3,9 +3,10 @@
 Each feature is reduced to one bit before training: a quantitative
 feature by a threshold u and polarity h (the bit is h when the value
 exceeds u, 1-h otherwise), a boolean one by identity or complement, a
-nominal one by a one-vs-rest indicator.  `fit_feature` fits all three
-with one scorer, `_best_cut`: each kind only supplies candidate cuts,
-each as the rows inside and how many of them are labelled 1.
+nominal one by a one-vs-rest indicator.  Every kind is fitted by one
+scorer, `_best_cut`, over a block of F columns: each kind only supplies
+candidate cuts as (F, C) arrays of the rows inside and how many of them
+are labelled 1, and `fit_feature` is a block of one column.
 
 A feature that no cut splits, or whose best cut is worse than always
 predicting the majority class, carries no standalone signal.  It is
@@ -16,9 +17,12 @@ combination with others.
 
 Applying an encoder needs no numpy: `encode_value` maps one value and
 `encode_bits` a whole column to an int bitset, which is all a trained
-rule needs to classify.  `encode_bits` is the one column encoder:
-`encode_dataset` also uses it, and lays each active column's bitset out
-as the packed uint64 words that training scores.  Fitting and
+rule needs to classify.  Training packs its columns into the uint64
+words it scores, laid out as `_pack_words` lays out an `encode_bits`
+bitset.  `encode_dataset` fits a dataset's quantitative columns as
+(columns, rows) blocks, each with one sort and one cumulative sum, and
+packs their bits from the same blocks; boolean and nominal columns are
+fitted one at a time and encoded by `encode_bits`.  Fitting and
 `encode_dataset` import numpy when they are first called.
 
 `read_text`, `read_table`, `read_column` and `parse_column` read the
@@ -249,80 +253,88 @@ def parse_column(
             return kind, None, (row, f"{where}: non-finite value {cell!r}")
 
 
-def _best_cut(inside, ones, y: np.ndarray, rank=None) -> tuple[int | None, int, int]:
-    """The best candidate cut of a column, as (candidate, bit inside, error).
+def _best_cut(inside, ones, y: np.ndarray, rank=None, valid=None):
+    """The best candidate cut of each of F columns, as (cut, bit inside,
+    error, degenerate) arrays of length F.
 
-    Cut c puts inside[c] rows inside, ones[c] of them labelled 1: reading
-    1 inside errs on e = inside - 2 * ones + P rows, reading 0 on n - e.
-    Least error wins, then lowest rank, then the first cut, then bit 1
-    inside.  A column that no cut splits, or whose best cut errs on more
-    rows than its minority class holds, is degenerate: the candidate is
-    None and the error is the minority count."""
+    Cut c of column f puts inside[f, c] rows inside, ones[f, c] of them
+    labelled 1: reading 1 inside errs on e = inside - 2 * ones + P rows,
+    reading 0 on n - e.  `valid` marks the cuts that exist (all, if
+    None); `rank` broadcasts like them.  Least error wins, then lowest
+    rank, then the first cut, then bit 1 inside.  A column whose cuts
+    all put every row or none inside, or whose best cut errs on more
+    rows than its minority class holds, is degenerate: its error is the
+    minority count."""
     import numpy as np
 
     n, p = len(y), int(np.count_nonzero(y))
+    floor = min(p, n - p)
     inside = np.asarray(inside, dtype=np.int64)
     e1 = inside - 2 * np.asarray(ones, dtype=np.int64) + p    # reading 1 inside
-    e = np.minimum(e1, n - e1)
-    error, floor = int(e.min(initial=n)), min(p, n - p)
-    least = e == error
-    # A cut with every row or none inside splits nothing.  It errs on
-    # exactly floor rows, so only then can it be among the least.
-    if error == floor:
-        least &= (inside > 0) & (inside < n)
-    if error > floor or not least.any():
-        return None, 0, floor
+    splits = (inside > 0) & (inside < n)
+    if valid is not None:
+        splits = splits & valid
+    e = np.where(splits, np.minimum(e1, n - e1), n + 1)    # n + 1: more than any cut errs on
+    error = e.min(axis=1)
+    least = e == error[:, None]
     if rank is not None:
-        least &= rank == rank[least].min()
-    c = int(np.argmax(least))
-    return c, int(e1[c] == error), error
+        least &= rank == rank.min(axis=1, where=least, initial=np.inf, keepdims=True)
+    cut = least.argmax(axis=1)
+    bit = (e1[np.arange(len(cut)), cut] == error).astype(np.int64)
+    degenerate = error > floor
+    return cut, bit, np.where(degenerate, floor, error), degenerate
 
 
-def _quantitative_cuts(values, y: np.ndarray, feature: str):
-    """A cut per boundary between distinct values lo < hi, in ascending
-    order, with the rows at or below it inside (so h = 1 - bit) and the
-    widest gap hi - lo ranked first.  Its u is (lo + hi) / 2, lo / 2 +
-    hi / 2 where the sum overflows, or lo where the midpoint rounds to
-    hi, so that lo <= u < hi."""
+def _quantitative_cuts(block, y: np.ndarray, features: Sequence[str]):
+    """The cuts of F columns of n values, as (F, n - 1) arrays: cut c of
+    a row is the boundary between its sorted values c and c + 1, valid
+    where they differ, with the lower c + 1 inside (so h = 1 - bit) and
+    the widest gap ranked first.  Its u is (lo + hi) / 2, lo / 2 + hi /
+    2 where the sum overflows, or lo where the midpoint rounds to hi, so
+    that lo <= u < hi."""
     import numpy as np
 
-    v = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise EncodingError(f"feature {feature!r}: non-finite values")
-    order = np.argsort(v)    # the order of equal values does not matter:
-    sv = v[order]            # boundaries only fall between distinct ones
-    distinct = np.nonzero(sv[1:] > sv[:-1])[0]    # boundary after sorted index i
+    v = np.asarray(block, dtype=float)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        raise EncodingError(f"feature {features[int(finite.argmin())]!r}: non-finite values")
+    order = np.argsort(v, axis=1)    # the order of equal values does not matter:
+    sv = np.take_along_axis(v, order, axis=1)    # boundaries fall between distinct ones
+    ones = np.cumsum(y[order], axis=1, dtype=np.int64)[:, :-1]
+    valid = sv[:, 1:] > sv[:, :-1]
     with np.errstate(over="ignore"):    # an infinite gap is the widest
-        gaps = sv[distinct + 1] - sv[distinct]
+        rank = sv[:, :-1] - sv[:, 1:]
 
-    def fields(c: int, bit: int) -> dict:
-        lo, hi = float(sv[distinct[c]]), float(sv[distinct[c] + 1])
+    def fields(f: int, c: int, bit: int) -> dict:
+        lo, hi = float(sv[f, c]), float(sv[f, c + 1])
         u = (lo + hi) / 2.0
         if math.isinf(u):    # the sum overflowed
             u = lo / 2 + hi / 2
         return {"polarity": 1 - bit, "threshold": lo if u == hi else u}
 
-    return distinct + 1, np.cumsum(y[order], dtype=np.int64)[distinct], -gaps, fields
+    return np.arange(1, len(y)), ones, rank, valid, fields
 
 
-def _boolean_cuts(values, y: np.ndarray, feature: str):
-    """One cut, the rows that are 1: identity reads 1 inside."""
+def _boolean_cuts(block, y: np.ndarray, features: Sequence[str]):
+    """One cut of one column, the rows that are 1: identity reads 1 inside."""
     import numpy as np
 
-    v = np.asarray(values)
+    v = np.asarray(block[0])
     if not set(np.unique(v)) <= {0, 1, False, True}:
-        raise EncodingError(f"feature {feature!r}: values are not all 0/1")
+        raise EncodingError(f"feature {features[0]!r}: values are not all 0/1")
     inside = v == 1
-    return [inside.sum()], [y[inside].sum()], None, lambda c, bit: {"polarity": bit}
+    return [[inside.sum()]], [[y[inside].sum()]], None, None, lambda f, c, bit: {"polarity": bit}
 
 
-def _nominal_cuts(values, y: np.ndarray, feature: str):
-    """A cut per category, first seen first: identity reads 1 inside."""
+def _nominal_cuts(block, y: np.ndarray, features: Sequence[str]):
+    """A cut per category of one column, first seen first: identity
+    reads 1 inside."""
+    values = block[0]
     rows = Counter(values)    # category -> rows, first seen first
     ones = Counter(compress(values, y.tolist()))    # category -> rows labelled 1
     cats = list(rows)
-    return (list(rows.values()), [ones[cat] for cat in cats], None,
-            lambda c, bit: {"polarity": bit, "category": cats[c]})
+    return ([list(rows.values())], [[ones[cat] for cat in cats]], None, None,
+            lambda f, c, bit: {"polarity": bit, "category": cats[c]})
 
 
 _CUTS = {"quantitative": _quantitative_cuts, "boolean": _boolean_cuts,
@@ -332,9 +344,22 @@ _CUTS = {"quantitative": _quantitative_cuts, "boolean": _boolean_cuts,
 KINDS = tuple(_CUTS)
 
 
+def _fit_block(block, y: np.ndarray, kind: str, features: Sequence[str]) -> list[Encoder]:
+    """Fit the encoders of F columns of one kind at once: the kind
+    supplies every column's cuts, and `_best_cut` picks one per column
+    or finds it degenerate."""
+    inside, ones, rank, valid, fields = _CUTS[kind](block, y, features)
+    cut, bit, error, degenerate = _best_cut(inside, ones, y, rank, valid)
+    return [
+        Encoder(feature=name, kind=kind, degenerate=True, error=e) if d
+        else Encoder(feature=name, kind=kind, error=e, **fields(f, c, b))
+        for f, (name, c, b, e, d) in enumerate(zip(
+            features, cut.tolist(), bit.tolist(), error.tolist(), degenerate.tolist()))
+    ]
+
+
 def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
-    """Fit one column's encoder: its kind supplies the cuts, and
-    `_best_cut` picks one or finds the column degenerate."""
+    """Fit one column's encoder: a block of one column."""
     import numpy as np
 
     if kind not in _CUTS:
@@ -344,11 +369,7 @@ def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
         raise EncodingError(f"feature {feature!r}: {len(values)} values but {len(y)} labels")
     if len(y) < 2:
         raise EncodingError(f"feature {feature!r}: need at least two rows")
-    inside, ones, rank, fields = _CUTS[kind](values, y, feature)
-    c, bit, error = _best_cut(inside, ones, y, rank)
-    if c is None:
-        return Encoder(feature=feature, kind=kind, degenerate=True, error=error)
-    return Encoder(feature=feature, kind=kind, error=error, **fields(c, bit))
+    return _fit_block([values], y, kind, [feature])[0]
 
 
 def fit_quantitative(values, labels, feature: str = "") -> Encoder:
@@ -405,25 +426,60 @@ def _pack_words(bits: int, n_rows: int) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(-(-n_rows // 64) * 8, "little"), "<u8")
 
 
-def encode_dataset(ds: Dataset) -> EncodedDataset:
-    """Fit every feature of a dataset and pack the active columns' bits."""
+def _pack_rows(flags: np.ndarray) -> np.ndarray:
+    """(k, n) 0/1 flags as (k, words) uint64 words laid out as
+    `_pack_words` lays out one bitset."""
     import numpy as np
 
-    encoders = [
-        fit_feature(column, ds.labels, spec.kind, spec.name)
-        for spec, column in zip(ds.features, ds.columns)
-    ]
-    active = [j for j, enc in enumerate(encoders) if not enc.degenerate]
-    words = -(-ds.n // 64)
-    features = np.array(
-        [_pack_words(encode_bits(encoders[j], ds.columns[j]), ds.n) for j in active],
-        dtype="<u8",
-    ).reshape(len(active), words)
-    labels = np.packbits(ds.labels, bitorder="little")
+    k, n = flags.shape
+    out = np.zeros((k, -(-n // 64) * 8), dtype=np.uint8)
+    out[:, : -(-n // 8)] = np.packbits(flags, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
+# encode_dataset fits and packs quantitative columns in blocks of at most
+# this many values (or one column), so that each of a block's (columns,
+# rows) arrays stays at 128 kB or less however large the dataset.
+_BLOCK_VALUES = 1 << 14
+
+
+def encode_dataset(ds: Dataset) -> EncodedDataset:
+    """Fit every feature of a dataset and pack the active columns' bits.
+
+    The quantitative columns are fitted as (columns, rows) blocks of up
+    to _BLOCK_VALUES values, and the bits of the active ones are packed
+    from the same block: h where the value exceeds u, 1 - h elsewhere.
+    Each other column is fitted and encoded on its own, by `fit_feature`
+    and `encode_bits`."""
+    import numpy as np
+
+    y = np.asarray(ds.labels, dtype=np.uint8)
+    quantitative = [j for j, spec in enumerate(ds.features) if spec.kind == "quantitative"]
+    encoders = [None] * ds.m
+    words = {}    # active feature -> its packed words
+    step = max(1, _BLOCK_VALUES // ds.n)
+    for at in range(0, len(quantitative), step):
+        columns = quantitative[at:at + step]
+        block = np.array([ds.columns[j] for j in columns], dtype=float)
+        fits = _fit_block(block, y, "quantitative", [ds.features[j].name for j in columns])
+        live = [not enc.degenerate for enc in fits]
+        u = np.array([enc.threshold for enc in compress(fits, live)])
+        h = np.array([enc.polarity for enc in compress(fits, live)], dtype=bool)
+        packed = _pack_rows((block[live] > u[:, None]) == h[:, None])
+        words.update(zip(compress(columns, live), packed))
+        for j, enc in zip(columns, fits):
+            encoders[j] = enc
+    for j, spec in enumerate(ds.features):
+        if encoders[j] is None:
+            enc = encoders[j] = fit_feature(ds.columns[j], y, spec.kind, spec.name)
+            if not enc.degenerate:
+                words[j] = _pack_words(encode_bits(enc, ds.columns[j]), ds.n)
+    active = sorted(words)
+    features = np.array([words[j] for j in active], dtype="<u8")
     return EncodedDataset(
         encoders=encoders,
-        features=features,
-        labels=_pack_words(int.from_bytes(labels.tobytes(), "little"), ds.n),
+        features=features.reshape(len(active), -(-ds.n // 64)),
+        labels=_pack_rows(y[None])[0],
         ones=_pack_words((1 << ds.n) - 1, ds.n),
         active=active,
         feature_names=[f.name for f in ds.features],

@@ -20,6 +20,10 @@ class DataError(MofnError):
     """A dataset is malformed: bad labels, ragged rows, missing values."""
 
 
+class KindOverrideError(DataError):
+    """A kind override names no column of the dataset, or no kind."""
+
+
 class EncodingError(MofnError):
     """An encoder cannot be fitted or applied to a value."""
 

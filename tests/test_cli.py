@@ -521,12 +521,31 @@ class TestUnreadableInputs:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestKindOverrides:
+    """A `--kind` that is not name=kind, names no kind, or names no column
+    of the CSV is a usage mistake: one error line and exit code 2, before
+    any cell is read."""
+
+    @pytest.mark.parametrize("pair, message", [
+        ("a", "--kind expects name=kind, got 'a'"),
+        ("f1=fuzzy", "--kind 'f1=fuzzy': unknown kind 'fuzzy' "
+                     "(one of quantitative, boolean, nominal)"),
+        ("nosuch=boolean", "kind override for unknown feature 'nosuch'"),
+    ])
+    def test_error_line_and_exit_code(self, capsys, tmp_path, pair, message):
+        data = tmp_path / "gen.csv"
+        assert run(capsys, "gen", "--seed", "1", "-o", str(data))[0] == 0
+        with data.open("a") as f:    # a bad label must not be reported first
+            f.write("1,2,3,4,5,6,maybe\n")
+        assert run(capsys, "train", str(data), "--kind", pair) == (2, "", f"error: {message}\n")
+
+
 class TestExitCodes:
     """Every error class of `mofn.errors` ends a command with the exit code
     the README documents for its kind of problem."""
 
     DOCUMENTED = {
-        errors.MofnError: 2, errors.TableError: 2,
+        errors.MofnError: 2, errors.TableError: 2, errors.KindOverrideError: 2,
         errors.DataError: 3, errors.EncodingError: 3, errors.TrainingError: 3,
         errors.ModelFormatError: 4, errors.CatalogError: 4, errors.EvaluationError: 4,
         errors.ValidationError: 5,

@@ -9,8 +9,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mofn.data import Dataset, FeatureSpec
+from mofn import encoding
 from mofn.encoding import (
     Encoder,
+    _fit_block,
+    _pack_words,
     encode_bits,
     encode_dataset,
     encode_value,
@@ -346,6 +349,96 @@ class TestAgainstOracle:
         assert enc.error <= min(c0, c1)
 
 
+def _adjacent(k: int) -> float:
+    """The k-th float above the float just above 1.0: its neighbours'
+    midpoints round up to the higher one for every other k."""
+    x = math.nextafter(1.0, 2.0)
+    for _ in range(k):
+        x = math.nextafter(x, 2.0)
+    return x
+
+
+def _column(n: int):
+    """One column of n values: a half-integer grid (tied values and
+    gaps), a constant, values near the float limit, or adjacent floats."""
+    return st.one_of(
+        st.lists(st.integers(-6, 6).map(lambda v: v / 2.0), min_size=n, max_size=n),
+        st.floats(-1e3, 1e3).map(lambda v: [v] * n),
+        st.lists(st.one_of(st.floats(1e308, 1.7e308), st.floats(-1.7e308, -1e308)),
+                 min_size=n, max_size=n),
+        st.lists(st.integers(0, 3).map(_adjacent), min_size=n, max_size=n),
+    )
+
+
+@st.composite
+def blocks(draw):
+    """(columns, labels): up to six columns of n rows, labels of one or
+    both classes."""
+    n = draw(st.integers(2, 24))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return draw(st.lists(_column(n), min_size=1, max_size=6)), labels
+
+
+def _result(enc) -> ThresholdResult:
+    """An encoder as brute_force_threshold reports it."""
+    if enc.degenerate:
+        return ThresholdResult(None, None, enc.error, True)
+    return ThresholdResult(enc.threshold, enc.polarity, enc.error, False)
+
+
+class TestBlockFit:
+    """Fitting the quantitative columns of a dataset as one block gives
+    each column the encoder it gets alone, and brute_force_threshold's
+    (u, h, e, degenerate)."""
+
+    @staticmethod
+    def assert_columns_fit_alone(columns, labels):
+        names = [f"f{j}" for j in range(len(columns))]
+        block = np.array(columns, dtype=float)
+        got = _fit_block(block, np.array(labels, dtype=np.uint8), "quantitative", names)
+        assert len(got) == len(columns)
+        for values, name, enc in zip(columns, names, got):
+            assert enc == fit_quantitative(values, labels, name)
+            assert _result(enc) == brute_force_threshold(values, labels)
+
+    @given(blocks())
+    @example(([[1.0, 1.0]], [0, 1]))                          # n = 2, constant
+    @example(([[1.0, 2.0], [2.0, 1.0], [5.0, 5.0]], [0, 1]))  # n = 2, both polarities
+    @example(([[1e308, 1.7e308, 1e308], [-1.7e308, 1.7e308, 0.0]], [1, 1, 1]))  # one class
+    @example(([[_adjacent(0), _adjacent(1), _adjacent(0), _adjacent(1)]], [0, 1, 0, 1]))
+    @settings(deadline=None, max_examples=300)
+    def test_property_block_matches_each_column(self, block):
+        self.assert_columns_fit_alone(*block)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 60])
+    def test_seeded_blocks_match_each_column(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(4):
+            labels = rng.integers(0, 2, size=n).tolist()
+            if trial == 3:
+                labels = [trial % 2] * n    # one class
+            columns = []
+            for j in range(40):
+                style = j % 5
+                if style == 0:      # a quarter grid: tied values and gaps
+                    col = rng.integers(-8, 9, size=n) / 4.0
+                elif style == 1:    # constant
+                    col = np.full(n, rng.uniform(-50, 50))
+                elif style == 2:    # near the float limit
+                    col = rng.choice([1, -1], size=n) * rng.uniform(1e308, 1.7e308, size=n)
+                elif style == 3:    # adjacent floats
+                    col = np.array([_adjacent(int(k)) for k in rng.integers(0, 4, size=n)])
+                else:               # distinct values
+                    col = rng.uniform(-1e3, 1e3, size=n)
+                columns.append(col.tolist())
+            self.assert_columns_fit_alone(columns, labels)
+
+    def test_non_finite_names_its_feature(self):
+        block = np.array([[1.0, 2.0], [1.0, math.inf], [math.nan, 0.0]])
+        with pytest.raises(EncodingError, match="^feature 'b': non-finite values$"):
+            _fit_block(block, np.array([0, 1], dtype=np.uint8), "quantitative", ["a", "b", "c"])
+
+
 def brute_force_indicator(values, labels, candidates):
     """Try every (candidate, polarity) by explicit counting.
 
@@ -448,11 +541,50 @@ class TestEncodeDataset:
         assert list(enc.feature_errors) == [0, 0, 0]
 
     def test_encoded_bits_match_scalar_encoder(self):
-        ds = self._dataset()
-        enc = encode_dataset(ds)
-        for words, j in zip(enc.features, enc.active):
-            want = [encode_value(enc.encoders[j], value) for value in ds.columns[j]]
-            assert _int(words) == _bits(want)
+        # Quantitative columns are packed from the fitted block, the
+        # others by encode_bits: both must lay words out as encode_bits.
+        for ds in [self._dataset(), *map(self._mixed, (2, 63, 64, 65, 200))]:
+            enc = encode_dataset(ds)
+            assert len(enc.active) == ds.m - 1    # the constant column is left out
+            for words, j in zip(enc.features, enc.active):
+                want = [encode_value(enc.encoders[j], value) for value in ds.columns[j]]
+                assert _int(words) == _bits(want)
+                assert words.tolist() == _pack_words(
+                    encode_bits(enc.encoders[j], ds.columns[j]), ds.n).tolist()
+
+    @pytest.mark.parametrize("block_values", [1, 400, 600])
+    def test_any_block_size_gives_the_same_encoding(self, monkeypatch, block_values):
+        # five quantitative columns of 200 rows: one column per block, then
+        # blocks of two and of three columns, against all five in one
+        ds = self._mixed(200)
+        want = encode_dataset(ds)
+        monkeypatch.setattr(encoding, "_BLOCK_VALUES", block_values)
+        got = encode_dataset(ds)
+        assert (got.encoders, got.active) == (want.encoders, want.active)
+        assert got.features.tolist() == want.features.tolist()
+
+    @staticmethod
+    def _mixed(n):
+        """n rows of every kind, quantitative columns in between the
+        others, one of them constant and so degenerate."""
+        rng = np.random.default_rng(n)
+        labels = rng.integers(0, 2, size=n)
+        labels[:2] = (0, 1)
+        noisy = labels ^ (rng.random(n) < 0.2)    # each column follows these
+        noisy[:2] = labels[:2]
+        columns = [
+            (rng.integers(0, 9, size=n) / 2.0 + 3 * noisy).tolist(),
+            noisy.tolist(),
+            (rng.normal(size=n) - 3 * noisy).tolist(),
+            [7.0] * n,
+            np.where(noisy, "a", rng.choice(["b", "c"], size=n)).tolist(),
+            (rng.uniform(1e308, 1.7e308, size=n) * (2 * noisy - 1)).tolist(),
+            [_adjacent(k) for k in noisy.tolist()],    # u = lo: rows at u stay 1 - h
+        ]
+        kinds = ("quantitative", "boolean", "quantitative", "quantitative", "nominal",
+                 "quantitative", "quantitative")
+        return Dataset(features=[FeatureSpec(f"x{j}", kind) for j, kind in enumerate(kinds)],
+                       columns=columns, labels=labels)
 
     @pytest.mark.parametrize("n", [2, 63, 64, 65, 130])
     def test_labels_and_row_mask_words(self, n):

@@ -11,7 +11,10 @@ Each CSV case starts one step earlier, from the committed CSV text
 (`.csv`) through `load_csv`: mixed kinds, quantitative columns with
 repeated values and whitespace-padded cells, a nominal and a boolean
 column, and one constant (degenerate) column.  It pins parsing, kind
-inference and every encoder fit along with growth.
+inference and every encoder fit along with growth.  The wide CSV case
+(`csv_wide*`) holds 96 continuous columns of 200 rows on a 0.1 grid,
+so its columns repeat values and tie on gap widths, with one constant
+column: it pins every quantitative fit of a wide dataset at once.
 
 Each grid case renders one diagnostic table as text (`.txt`) and CSV
 (`.csv`), both named `grid_*`: the bundled models on `mofn tabulate`'s
@@ -61,6 +64,11 @@ CSV_CASES = {
     "csv_mixed_s1": (1, 80, 0, False, "label", ("0", "1")),
     "csv_mixed_s2_ext": (2, 150, 6, True, "outcome", ("well", "sick")),
     "csv_mixed_s3_noise": (3, 300, 30, False, "label", ("0", "1")),
+}
+
+# name: (seed, features, rows, label flips)
+WIDE_CSV_CASES = {
+    "csv_wide96x200_s5": (5, 96, 200, 10),
 }
 
 WARDS = ("north", "south", "east", "west")
@@ -145,6 +153,29 @@ def mixed_csv(name: str) -> str:
     return out.getvalue()
 
 
+def wide_csv(name: str) -> str:
+    """The CSV text of one wide case: the hidden bits and noisy labels of
+    an `oracle.generate_planted` rule, each bit drawn as a value 0.1 to
+    8.0 above or below its feature's threshold on a 0.1 grid.  The last
+    column is constant."""
+    seed, n_features, n_rows, flips = WIDE_CSV_CASES[name]
+    planted = generate_planted(PlantedSpec(
+        seed=seed, n_features=n_features, n_rows=n_rows, noise_flips=flips,
+    ))
+    rng = random.Random(seed)
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([f"f{j + 1}" for j in range(n_features)] + ["label"])
+    for bits, y in zip(planted.bits.tolist(), planted.dataset.labels.tolist()):
+        cells = [
+            f"{u + gap if bit else u - gap:.1f}"
+            for u, bit, gap in zip(planted.thresholds, bits,
+                                   (rng.randint(1, 80) / 10 for _ in bits))
+        ]
+        writer.writerow(cells[:-1] + ["50.0", str(int(y))])
+    return out.getvalue()
+
+
 def _rows(title: str, rows) -> list[str]:
     return [title] + [" ".join(map(str, row)) for row in rows]
 
@@ -155,6 +186,9 @@ def fit(name: str) -> tuple[str, str]:
         _, _, _, extended, label, classes = CSV_CASES[name]
         ds = load_csv((GOLDEN / f"{name}.csv").read_text(),
                       label_column=label, class_names=classes)
+    elif name in WIDE_CSV_CASES:
+        extended = False
+        ds = load_csv((GOLDEN / f"{name}.csv").read_text())
     else:
         n_features, n_rows, seed, noise, extended = CASES[name]
         ds = generate_planted(PlantedSpec(
@@ -177,6 +211,10 @@ def fit(name: str) -> tuple[str, str]:
     for r, beam in enumerate((first, grow_layer(first, enc, config)), start=1):
         lines += _rows(f"beam {r}: error fn left right",
                        [(c.error, c.fn, c.left, c.right) for c in beam])
+    if name in WIDE_CSV_CASES:    # every fit, not only those the model reads
+        lines += _rows("encoders: feature threshold polarity error degenerate",
+                       [(e.feature, repr(e.threshold), e.polarity, e.error, e.degenerate)
+                        for e in enc.encoders])
     return to_formula_table(net), "\n".join(lines) + "\n"
 
 
@@ -191,7 +229,7 @@ def grid_renders(name: str) -> tuple[str, str]:
     return render(table, "text"), render(table, "csv")
 
 
-@pytest.mark.parametrize("name", sorted(CASES) + sorted(CSV_CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(CSV_CASES) + sorted(WIDE_CSV_CASES))
 def test_model_is_byte_identical(name):
     text, summary = fit(name)
     assert text == (GOLDEN / f"{name}.rules").read_text()
@@ -209,7 +247,9 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for case in sorted(CSV_CASES):
         (GOLDEN / f"{case}.csv").write_text(mixed_csv(case))
-    for case in sorted(CASES) + sorted(CSV_CASES):
+    for case in sorted(WIDE_CSV_CASES):
+        (GOLDEN / f"{case}.csv").write_text(wide_csv(case))
+    for case in sorted(CASES) + sorted(CSV_CASES) + sorted(WIDE_CSV_CASES):
         text, summary = fit(case)
         (GOLDEN / f"{case}.rules").write_text(text)
         (GOLDEN / f"{case}.txt").write_text(summary)

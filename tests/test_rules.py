@@ -323,7 +323,7 @@ class TestParseErrors:
     def test_bundled_and_golden_models_still_parse(self, fixtures_dir):
         golden = fixtures_dir.parents[2] / "tests" / "golden"
         paths = sorted(fixtures_dir.glob("*.rules")) + sorted(golden.glob("*.rules"))
-        assert len(paths) == 13    # 3 bundled, 7 planted and 3 CSV golden cases
+        assert len(paths) == 14    # 3 bundled, 7 planted and 4 CSV golden cases
         for path in paths:
             parse_formula_table(path.read_text())
 
