@@ -14,7 +14,9 @@ which names the file's role in its errors.
 
 Applying a rule (classify, import, export) loads no numpy: the modules
 that need it are imported by the commands that use them (train,
-tabulate, validate, gen).
+tabulate, validate, gen).  Nor does it load `dataclasses`, `inspect` or
+`typing`, and `json` is imported only to read a config file or write
+JSON.
 """
 
 from __future__ import annotations
@@ -23,10 +25,8 @@ import argparse
 import csv
 import functools
 import io
-import json
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
@@ -35,10 +35,10 @@ from .encoding import KINDS, encode_bits, parse_column, read_column, read_table,
 from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
 from .errors import (
     CatalogError,
+    ColumnChoiceError,
     DataError,
     EncodingError,
     EvaluationError,
-    KindOverrideError,
     ModelFormatError,
     MofnError,
     TableError,
@@ -60,14 +60,14 @@ from .rules import (
 # The exit code of each error class.  The first class that an error is
 # an instance of gives the code, so a class comes before its bases.
 EXIT_CODES = (
-    (KindOverrideError, 2), (DataError, 3), (EncodingError, 3), (TrainingError, 3),
+    (ColumnChoiceError, 2), (DataError, 3), (EncodingError, 3), (TrainingError, 3),
     (ModelFormatError, 4), (CatalogError, 4), (EvaluationError, 4),
     (TableError, 2), (ValidationError, 5),
     (MofnError, 2),
 )
 
 CONFIG_ENV = "MOFN_CONFIG"
-CONFIG_KEYS = tuple(field.name for field in fields(TrainConfig))
+CONFIG_KEYS = TrainConfig._fields
 REFERENCE_FILES = ("ie_srl.rules", "ie_srl_table.csv", "ie_ar.rules", "ie_ar_table.csv",
                    "postop.rules")
 
@@ -87,6 +87,8 @@ def _load_config(path: str | None) -> dict:
     """Defaults from a JSON file; --config beats $MOFN_CONFIG.  Each value
     must have its TrainConfig field's type: true or false for a flag,
     an integer, not a boolean, for a count."""
+    import json
+
     source = path or os.environ.get(CONFIG_ENV)
     if not source:
         return {}
@@ -274,6 +276,8 @@ def cmd_export(args) -> int:
     elif args.format == "symbolic":
         _write("\n".join(symbolic(sc)) + "\n", args.output)
     else:
+        import json
+
         n1, n = decision_levels(sc)
         payload = {
             "classes": list(sc.class_names),

@@ -6,12 +6,11 @@ line help does, does not load numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import TrainingError
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TrainConfig:
     beam_width: int = 64
     max_layers: int = 10

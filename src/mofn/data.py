@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from itertools import compress
 from typing import Mapping, Sequence
@@ -24,10 +23,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoding import KINDS, parse_column, read_column, read_table, read_text
-from .errors import DataError, KindOverrideError
+from .errors import ColumnChoiceError, DataError
+from .record import record
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FeatureSpec:
     """Name and kind of one feature column."""
 
@@ -165,9 +165,10 @@ def load_csv(
     is a DataError.
     The header row names the columns.  `label_column` selects the label;
     its values must be the two class names (default "0" and "1", or the
-    pair given in `class_names`, first name = class 0).  `kinds` overrides
-    inferred kinds per feature name; an override that names no feature
-    or no kind is a KindOverrideError, checked before any cell.
+    pair given in `class_names`, first name = class 0); a label column
+    the header lacks is a ColumnChoiceError.  `kinds` overrides inferred
+    kinds per feature name; an override that names no feature or no kind
+    is a ColumnChoiceError too.  Both are checked before any cell.
     Incomplete rows (empty cells) are an error unless `drop_incomplete`
     is set, which discards them with a warning.  Errors name the first bad row: a ragged row or a row with
     an empty cell, then a bad label, then a bad cell (its lowest row,
@@ -175,15 +176,15 @@ def load_csv(
     """
     header, columns, ragged = read_table(read_text(source))
     if label_column not in header:
-        raise DataError(f"no column named {label_column!r} in header {header}")
+        raise ColumnChoiceError(f"no column named {label_column!r} in header {header}")
     label_at = header.index(label_column)
     feature_names = [h for i, h in enumerate(header) if i != label_at]
     kinds = dict(kinds or {})
     for name in kinds:
         if name not in feature_names:
-            raise KindOverrideError(f"kind override for unknown feature {name!r}")
+            raise ColumnChoiceError(f"kind override for unknown feature {name!r}")
         if kinds[name] not in KINDS:
-            raise KindOverrideError(f"unknown kind {kinds[name]!r} for feature {name!r}")
+            raise ColumnChoiceError(f"unknown kind {kinds[name]!r} for feature {name!r}")
     nominal = [kinds.get(name) == "nominal" for name in feature_names]
     label, read, dropped = _read_cells(columns, label_at, nominal)
     if dropped and not drop_incomplete:

@@ -39,16 +39,18 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import eq, gt
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataError, EncodingError
+from .record import record
 
+TYPE_CHECKING = False    # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     import numpy as np
 
     from .data import Dataset
@@ -64,7 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Encoder:
     """Fitted one-bit encoder for a single feature."""
 
@@ -234,8 +236,8 @@ def parse_column(
     """
     if kind == "nominal" or (kind is None and x is None):
         return "nominal", cells, None
-    if x is not None:
-        bits = x.count(0.0) + x.count(1.0) == len(x)
+    if x is not None:    # most columns are ruled out by their first value, uncounted
+        bits = not x or (x[0] in (0.0, 1.0) and x.count(0.0) + x.count(1.0) == len(x))
         kind = kind or ("boolean" if bits else "quantitative")
         if kind == "boolean" and bits:
             return kind, list(map(int, x)), None
@@ -388,7 +390,7 @@ def fit_nominal(values, labels, feature: str = "") -> Encoder:
     return fit_feature(values, labels, "nominal", feature)
 
 
-@dataclass
+@record
 class EncodedDataset:
     """The packed training bits of a dataset, one encoder per feature.
 

@@ -20,8 +20,9 @@ class DataError(MofnError):
     """A dataset is malformed: bad labels, ragged rows, missing values."""
 
 
-class KindOverrideError(DataError):
-    """A kind override names no column of the dataset, or no kind."""
+class ColumnChoiceError(DataError):
+    """The caller's choice of columns does not fit the data: the label
+    column or a kind override names no column, or an override no kind."""
 
 
 class EncodingError(MofnError):

@@ -14,9 +14,8 @@ by default; model files that need it say so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CatalogError
+from .record import record
 
 # id -> (truth row, formula), by id.  Id 1 is the extension.
 _CATALOG: dict[int, tuple[tuple[int, int, int, int], str]] = {
@@ -36,7 +35,7 @@ EXTENDED_IDS: tuple[int, ...] = tuple(_CATALOG)
 STANDARD_IDS: tuple[int, ...] = tuple(i for i in EXTENDED_IDS if i != 1)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LogicFunction:
     """One catalog entry: an id and its truth table."""
 

@@ -38,7 +38,6 @@ non-increasing by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
@@ -49,10 +48,11 @@ from .encoding import EncodedDataset, Encoder, encode_dataset, encode_value
 from .data import Dataset
 from .errors import EvaluationError, TrainingError
 from .logic import function_ids, truth_row
+from .record import record
 from .rules import SignedDecision, SlotProgram, extract, vote_counts, vote_levels
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Unit:
     """One trained unit: y = g_fn(left, right).
 
@@ -67,7 +67,7 @@ class Unit:
     error: int
 
 
-@dataclass
+@record
 class TrainReport:
     """Summary of one training run."""
 
@@ -92,7 +92,7 @@ class TrainReport:
         return out
 
 
-@dataclass
+@record
 class Network:
     """A trained network plus the encoders that feed it."""
 
@@ -113,13 +113,13 @@ class Network:
         return extract(self).program
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Candidate:
     error: int
     fn: int
     left: int
     right: int
-    outputs: np.ndarray = field(compare=False)   # packed words, as EncodedDataset
+    outputs: np.ndarray    # packed words, as EncodedDataset
 
 
 _BLOCK_WORDS = 1 << 18   # bound on the words of one scoring pass's temporaries

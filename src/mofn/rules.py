@@ -16,7 +16,8 @@ are catalog ids and are never renumbered.
 A line is tokenized as shlex.split(line, comments=True) reads it; a
 line with no quote, backslash, # or non-ASCII character, and no
 whitespace that str.split and shlex disagree on, is split by str.split,
-which gives the same tokens faster.
+which gives the same tokens faster; shlex is imported only for the
+other lines, and by to_formula_table to quote names.
 
 Every decision runs one SlotProgram, compiled once per complex, over
 bitset columns: a single case, a batch of rows and a grid alike.  A
@@ -28,16 +29,18 @@ from __future__ import annotations
 
 import math
 import re
-import shlex
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Mapping, Sequence, Union
 
 from .encoding import KINDS, Encoder
 from .errors import EvaluationError, ModelFormatError
 from .logic import function_ids, truth_row
+from .record import record
+
+TYPE_CHECKING = False    # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Mapping, Sequence
 
 __all__ = [
     "SignedDecision",
@@ -61,7 +64,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SignedDecision:
     """Outcome of one majority vote.
 
@@ -121,14 +124,14 @@ def describe_decision(d: SignedDecision, class_names: tuple[str, str] = ("0", "1
     return f"{class_names[d.klass]} ({d.value:+d}, {d.m}/{d.n})"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FeatureRef:
     """Leaf: the encoded bit of feature x_<feature>."""
 
     feature: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FnNode:
     """Interior node: g_<fn> applied to two subexpressions."""
 
@@ -137,10 +140,10 @@ class FnNode:
     right: "Expr"
 
 
-Expr = Union[FeatureRef, FnNode]
+Expr = FeatureRef | FnNode
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Row:
     """One formula table line: y_ident = g_fn(y_left, x_right)."""
 
@@ -150,7 +153,7 @@ class Row:
     right: int
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SlotProgram:
     """A complex compiled to straight-line code over numbered slots.
 
@@ -244,7 +247,7 @@ def vote_counts(bitsets: Sequence[int], n: int) -> array:
     return counts
 
 
-@dataclass
+@record
 class SyndromeComplex:
     """N syndromes over declared features, held as their layered rows."""
 
@@ -348,12 +351,12 @@ def symbolic(sc: SyndromeComplex) -> list[str]:
     return lines
 
 
-def _format_feature(ident: int, enc: Encoder) -> str:
-    parts = ["feature", str(ident), shlex.quote(enc.feature), f"kind={enc.kind}"]
+def _format_feature(ident: int, enc: Encoder, quote) -> str:
+    parts = ["feature", str(ident), quote(enc.feature), f"kind={enc.kind}"]
     if enc.kind == "quantitative" and enc.threshold is not None:
         parts.append(f"u={enc.threshold!r}")
     if enc.kind == "nominal" and enc.category is not None:
-        parts.append(f"category={shlex.quote(enc.category)}")
+        parts.append(f"category={quote(enc.category)}")
     if not enc.degenerate:
         parts.append(f"h={enc.polarity}")
     if enc.error is not None:
@@ -371,13 +374,15 @@ def to_formula_table(model) -> str:
     rows in stored order.  Parsing and reprinting canonical text is the
     identity.
     """
+    from shlex import quote
+
     sc = model if isinstance(model, SyndromeComplex) else extract(model)
     lines = []
     if sc.extended:
         lines.append("catalog extended")
-    lines.append(f"classes {shlex.quote(sc.class_names[0])} {shlex.quote(sc.class_names[1])}")
+    lines.append(f"classes {quote(sc.class_names[0])} {quote(sc.class_names[1])}")
     for ident in sorted(sc.features):
-        lines.append(_format_feature(ident, sc.features[ident]))
+        lines.append(_format_feature(ident, sc.features[ident], quote))
     for r, layer in enumerate(sc.layers, start=1):
         lines.append(f"layer {r}")
         for row in layer:
@@ -443,10 +448,7 @@ def _parse_feature_line(tokens: list[str], lineno: int) -> tuple[int, Encoder]:
         raise ModelFormatError(
             f"line {lineno}: nominal feature {name!r} needs a category="
         )
-    return ident, Encoder(
-        feature=name, kind=kind, polarity=polarity, threshold=threshold,
-        category=category, error=error, degenerate=degenerate,
-    )
+    return ident, Encoder(name, kind, polarity, threshold, category, error, degenerate)
 
 
 # Where shlex and str.split can differ on an ASCII line: quotes, escapes,
@@ -462,6 +464,8 @@ def _split_line(raw: str) -> list[str]:
     gives them; an ASCII line without shell syntax is split by str.split."""
     if raw.isascii() and _SHELL_SYNTAX.search(raw) is None:
         return raw.split()
+    import shlex
+
     return shlex.split(raw, comments=True)
 
 
@@ -568,8 +572,7 @@ def _check_row(
     lineno: int,
 ) -> None:
     row = layers[-1][-1]
-    valid_ids = set(function_ids(bool(extended)))
-    if row.fn not in valid_ids:
+    if row.fn not in function_ids(bool(extended)):
         raise ModelFormatError(
             f"line {lineno}: unknown function id {row.fn}"
             + ("" if extended else " (standard catalog)")

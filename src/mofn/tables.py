@@ -12,19 +12,19 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .encoding import read_table
 from .errors import DataError, TableError
+from .record import record
 from .rules import SyndromeComplex, vote_counts, vote_levels
 
 MAX_TABLE_FEATURES = 16
 
 
-@dataclass
+@record
 class DiagnosticTable:
     """Signed decision values for every assignment of the split features."""
 
@@ -97,14 +97,8 @@ def make_table(
         f: (sc.features[f].feature if f in sc.features else f"x_{f}")
         for f in order
     }
-    return DiagnosticTable(
-        row_features=rows,
-        col_features=cols,
-        cells=values.reshape(1 << a, 1 << b),
-        n_syndromes=sc.n,
-        feature_labels=labels,
-        class_names=sc.class_names,
-    )
+    return DiagnosticTable(rows, cols, values.reshape(1 << a, 1 << b), sc.n, labels,
+                           sc.class_names)
 
 
 def _cell_bit_column(k: int, total: int) -> int:

@@ -99,7 +99,16 @@ class TestTrain:
         data = tmp_path / "data.csv"
         data.write_text("a,b,y\n1,2,0\n3,4,1\n")
         code, _, err = run(capsys, "train", str(data))
-        assert code == 3
+        assert code == 2    # a usage mistake, like a --kind naming no column
+
+    def test_label_naming_no_column_is_a_usage_error(self, capsys, tmp_path):
+        data = tmp_path / "gen.csv"
+        assert run(capsys, "gen", "--seed", "1", "-o", str(data))[0] == 0
+        with data.open("a") as f:    # a bad cell must not be reported first
+            f.write("1,2,x,4,5,6,maybe\n")
+        header = data.read_text().splitlines()[0].split(",")
+        assert run(capsys, "train", str(data), "--label", "nosuch") == (
+            2, "", f"error: no column named 'nosuch' in header {header}\n")
 
 
 class TestConfig:
@@ -545,7 +554,7 @@ class TestExitCodes:
     the README documents for its kind of problem."""
 
     DOCUMENTED = {
-        errors.MofnError: 2, errors.TableError: 2, errors.KindOverrideError: 2,
+        errors.MofnError: 2, errors.TableError: 2, errors.ColumnChoiceError: 2,
         errors.DataError: 3, errors.EncodingError: 3, errors.TrainingError: 3,
         errors.ModelFormatError: 4, errors.CatalogError: 4, errors.EvaluationError: 4,
         errors.ValidationError: 5,

@@ -26,6 +26,13 @@ class TestLoadCsv:
         assert ds.rows[0] == (61.5, 1, "north")
         assert list(ds.labels) == [0, 1, 0, 1]
 
+    @given(st.lists(st.sampled_from(["0", "1", "-0", "1.0", "0e0", " 1", "2", "0.5", "-1", "nan"]),
+                    min_size=1, max_size=8))
+    def test_boolean_kind_is_read_from_every_value(self, raw):
+        x, cells = encoding.read_column(raw, False)
+        kind = encoding.parse_column(cells, x, "f", None)[0]
+        assert kind == ("boolean" if all(v in (0.0, 1.0) for v in x) else "quantitative")
+
     def test_named_classes(self):
         text = BASIC.replace(",0\n", ",sick\n").replace(",1\n", ",well\n")
         ds = load_csv(text, class_names=("sick", "well"))

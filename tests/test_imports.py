@@ -2,7 +2,8 @@
 
 Applying a finished rule must not pay for numpy: `import mofn` and the
 commands that only read and apply a model load none of the modules that
-need it.
+need it.  Nor do they load `dataclasses`, `inspect`, `json` or `typing`,
+which cost more to import than a small classification costs to run.
 """
 
 import os
@@ -15,23 +16,51 @@ import pytest
 import mofn
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 HEAVY = ("numpy", "mofn.network", "mofn.data", "mofn.tables", "mofn.oracle")
 
-# Runs the command line as `python -m mofn.cli ARGS` does, then prints
-# which of HEAVY it loaded.
-PROBE = f"""
-import runpy, sys
+# Runs the command line as `python -m mofn.cli ARGS` does, then prints the
+# modules it loaded beyond those the interpreter started with.  Diffing
+# against the start keeps the set the same where `site` loads modules of
+# its own, such as `typing` for a `.pth` file.
+PROBE = """
+import sys
+started = set(sys.modules)
+import runpy
 try:
     runpy.run_module("mofn.cli", run_name="__main__", alter_sys=True)
 except SystemExit:
     pass
-print(",".join(m for m in {HEAVY!r} if m in sys.modules))
+print(",".join(sorted(set(sys.modules) - started)))
 """
+
+# The modules that reading and applying a rule loads.
+SERVING = {"mofn", "mofn.config", "mofn.encoding", "mofn.errors", "mofn.logic",
+           "mofn.record", "mofn.rules"}
+# What those commands may load of the standard library, on Python 3.10 to
+# 3.13, leaving out the C modules behind them (`_csv` and the like).
+STDLIB = {
+    # `python -m` itself
+    "runpy", "importlib", "importlib._abc", "importlib._bootstrap",
+    "importlib._bootstrap_external", "importlib.machinery", "importlib.util",
+    # argparse, with gettext and the shutil its help formatter imports
+    "argparse", "gettext", "locale", "shutil", "bz2", "lzma", "zlib", "fnmatch",
+    "grp", "pwd",
+    # re, pathlib and the modules they build on
+    "re", "re._casefix", "re._compiler", "re._constants", "re._parser",
+    "sre_compile", "sre_constants", "sre_parse", "pathlib", "pathlib._abc",
+    "pathlib._local", "glob", "ntpath", "urllib", "urllib.parse", "ipaddress",
+    "collections", "collections.abc", "contextlib", "copyreg", "enum", "errno",
+    "functools", "itertools", "keyword", "operator", "reprlib", "types", "warnings",
+    # mofn's own needs
+    "array", "csv", "math", "shlex",
+}
+NEVER = {"dataclasses", "inspect", "json", "typing", "numpy"}
 
 
 def loaded(code: str, *args: str) -> list[str]:
-    """The modules of HEAVY that a fresh interpreter running `code` with
-    argv `args` has loaded, read from the last line of its stdout."""
+    """The modules that a fresh interpreter running `code` with argv
+    `args` names on the last line of its stdout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
@@ -52,8 +81,36 @@ def test_rule_commands_load_no_numpy(argv, tmp_path, fixtures_dir):
         "erythema,heart_noises,hepatomegaly,myocarditis\n5.0,100.0,0,0,0,0,0,0\n")
     out = tmp_path / "out.txt"
     args = [a.format(fixtures=fixtures_dir, cases=cases, out=out) for a in argv]
-    assert loaded(PROBE, *args) == []
+    assert [m for m in loaded(PROBE, *args) if m in HEAVY] == []
     assert argv == ["--version"] or out.read_text()
+
+
+@pytest.mark.parametrize("argv, needs_shlex", [
+    # a model with no quote, backslash or comment is split without shlex
+    (["classify", "{golden}/p24x35_s3.rules", "{cases}", "-o", "{out}"], False),
+    # ie_srl.rules holds comments
+    (["classify", "{fixtures}/ie_srl.rules", "{cases}", "-o", "{out}"], True),
+    # writing a model quotes its names with shlex.quote
+    (["import", "{golden}/p24x35_s3.rules", "-o", "{out}"], True),
+    (["export", "--format", "text", "{fixtures}/ie_ar.rules", "-o", "{out}"], True),
+], ids=["classify-plain", "classify-comments", "import", "export"])
+def test_rule_commands_load_only_what_they_use(argv, needs_shlex, tmp_path, fixtures_dir):
+    from mofn.rules import parse_formula_table
+
+    model = Path(next(a for a in argv if a.endswith(".rules")).format(
+        golden=GOLDEN, fixtures=fixtures_dir))
+    names = [enc.feature for enc in parse_formula_table(model.read_text()).features.values()]
+    cases = tmp_path / "cases.csv"
+    cases.write_text(",".join(names) + "\n" + ",".join(["0"] * len(names)) + "\n")
+    out = tmp_path / "out.txt"
+    args = [a.format(golden=GOLDEN, fixtures=fixtures_dir, cases=cases, out=out)
+            for a in argv]
+    added = {m for m in loaded(PROBE, *args) if not m.startswith("_")}
+    assert out.read_text()
+    assert added & NEVER == set()
+    assert ("shlex" in added) == needs_shlex
+    assert {m for m in added if m.startswith("mofn")} == SERVING
+    assert added - SERVING - STDLIB == set()
 
 
 def test_import_mofn_loads_no_numpy():
