@@ -7,8 +7,8 @@ from the values unless overridden by the caller.
 
 Data is held by column.  `load_csv` reads cells with the readers in
 `encoding` that `mofn classify` shares, and adds the label, empty cells
-and kinds; `Dataset` keeps the typed columns that training encodes, and
-`Dataset.rows` is a view built on demand for callers that want rows.
+and kinds; `Dataset` keeps the checked arrays that training reads, and
+`Dataset.rows` is a view of Python values built on demand.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import KINDS, parse_column, read_column, read_table, read_text
+from .encoding import KINDS, parse_column, read_column, read_table, read_text, typed_column
 from .errors import ColumnChoiceError, DataError
 from .record import record
 
@@ -42,10 +42,12 @@ class FeatureSpec:
 class Dataset:
     """Feature columns plus a binary label vector.
 
-    Column j holds one python value per row: float for quantitative,
-    int 0/1 for boolean, str for nominal.  Labels are a uint8 vector of
-    0s and 1s.  Build it from `rows` (one tuple per row) or, keyword
-    only, from `columns` (one list per feature).
+    Column j is the read-only array `encoding.typed_column` builds:
+    finite float64 for quantitative, uint8 0/1 for boolean, category
+    strings for nominal; a value its kind cannot hold, such as NaN or a
+    boolean 2, is the EncodingError that fitting the column gives.
+    Labels are a uint8 vector of 0s and 1s.  Build it from `rows` (one
+    tuple per row) or, keyword only, from `columns` (one per feature).
     """
 
     def __init__(
@@ -81,7 +83,6 @@ class Dataset:
             columns = zip(*rows)
         elif len(columns) != self.m or any(len(c) != n for c in columns):
             raise DataError(f"expected {self.m} columns of {n} values")
-        self.columns: list[list] = list(map(list, columns))
         self.n = n
         if not set(np.unique(self.labels)) <= {0, 1}:
             raise DataError("labels must be 0 or 1")
@@ -89,6 +90,7 @@ class Dataset:
         if c0 == 0 or c1 == 0:
             empty = self.class_names[0] if c0 == 0 else self.class_names[1]
             raise DataError(f"class {empty!r} has no rows")
+        self.columns = [typed_column(v, f.kind, f.name) for v, f in zip(columns, self.features)]
         self._warn_contradictions()
 
     @property
@@ -97,8 +99,8 @@ class Dataset:
 
     @property
     def rows(self) -> list[tuple]:
-        """One tuple of values per row, built from the columns."""
-        return list(zip(*self.columns)) or [()] * self.n
+        """One tuple of Python values per row, built from the columns."""
+        return list(zip(*(column.tolist() for column in self.columns))) or [()] * self.n
 
     def class_counts(self) -> tuple[int, int]:
         c1 = int(self.labels.sum())
@@ -119,7 +121,8 @@ class Dataset:
         # ints, not row tuples, so they start no cyclic garbage collection.
         widths = [1 << k for k in range((self.m - 1).bit_length())] + [self.m]
         if self.m and any(
-            len(set(map(hash, zip(*self.columns[:w])))) == self.n for w in widths
+            len(set(map(hash, zip(*map(np.ndarray.tolist, self.columns[:w]))))) == self.n
+            for w in widths
         ):
             return
         seen: dict[tuple, tuple[int, int]] = {}
@@ -229,14 +232,6 @@ def load_csv(
     )
 
 
-def _format_value(value, kind: str) -> str:
-    if kind == "quantitative":
-        return repr(float(value))
-    if kind == "boolean":
-        return str(int(value))
-    return str(value)
-
-
 def to_csv(ds: Dataset, dest=None) -> str:
     """Serialize a dataset back to CSV text; optionally write it to a path.
 
@@ -246,9 +241,8 @@ def to_csv(ds: Dataset, dest=None) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([f.name for f in ds.features] + [ds.label_name])
-    for row, y in zip(ds.rows, ds.labels):
-        cells = [_format_value(v, f.kind) for v, f in zip(row, ds.features)]
-        writer.writerow(cells + [ds.class_names[int(y)]])
+    for row, y in zip(ds.rows, ds.labels):    # str(float) is repr(float)
+        writer.writerow([*map(str, row), ds.class_names[int(y)]])
     text = out.getvalue()
     if dest is not None:
         Path(dest).write_text(text)

@@ -17,13 +17,13 @@ combination with others.
 
 Applying an encoder needs no numpy: `encode_value` maps one value and
 `encode_bits` a whole column to an int bitset, which is all a trained
-rule needs to classify.  Training packs its columns into the uint64
-words it scores, laid out as `_pack_words` lays out an `encode_bits`
-bitset.  `encode_dataset` fits a dataset's quantitative columns as
-(columns, rows) blocks, each with one sort and one cumulative sum, and
-packs their bits from the same blocks; boolean and nominal columns are
-fitted one at a time and encoded by `encode_bits`.  Fitting and
-`encode_dataset` import numpy when they are first called.
+rule needs to classify.  Training reads the checked arrays that
+`typed_column` builds, one per feature, and packs its columns into the
+uint64 words it scores.  `encode_dataset` fits the columns of each
+kind as (columns, rows) blocks; each kind's cuts also give the rows
+inside the chosen cut, so every active column's bits are packed from
+its own block.  Fitting and `encode_dataset` import numpy when they
+are first called.
 
 `read_text`, `read_table`, `read_column` and `parse_column` read the
 CSV cells that both `data.load_csv` and `mofn classify` encode, so the
@@ -38,9 +38,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import eq, gt
 from pathlib import Path
 
@@ -255,15 +254,39 @@ def parse_column(
             return kind, None, (row, f"{where}: non-finite value {cell!r}")
 
 
-def _best_cut(inside, ones, y: np.ndarray, rank=None, valid=None):
+def typed_column(values, kind: str, feature: str = "") -> np.ndarray:
+    """One column of a known kind as the read-only array its cuts read:
+    finite float64 for quantitative, 0/1 uint8 for boolean, an object
+    array of the categories for nominal.  Values the kind cannot hold
+    are an EncodingError naming the feature."""
+    import numpy as np
+
+    if kind == "nominal":
+        column = np.fromiter(values, dtype=object, count=len(values))
+    elif kind == "quantitative":
+        try:
+            column = np.array(values, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise EncodingError(f"feature {feature!r}: values are not all numeric") from None
+        if not np.isfinite(column).all():
+            raise EncodingError(f"feature {feature!r}: non-finite values")
+    else:
+        column = np.asarray(values)
+        if column.dtype.kind not in "buif" or not ((column == 0) | (column == 1)).all():
+            raise EncodingError(f"feature {feature!r}: values are not all 0/1")
+        column = column.astype(np.uint8)
+    column.flags.writeable = False
+    return column
+
+
+def _best_cut(inside, ones, y: np.ndarray, rank=None):
     """The best candidate cut of each of F columns, as (cut, bit inside,
     error, degenerate) arrays of length F.
 
     Cut c of column f puts inside[f, c] rows inside, ones[f, c] of them
     labelled 1: reading 1 inside errs on e = inside - 2 * ones + P rows,
-    reading 0 on n - e.  `valid` marks the cuts that exist (all, if
-    None); `rank` broadcasts like them.  Least error wins, then lowest
-    rank, then the first cut, then bit 1 inside.  A column whose cuts
+    reading 0 on n - e.  `rank` broadcasts like them.  Least error
+    wins, then lowest rank, then the first cut, then bit 1 inside.  A column whose cuts
     all put every row or none inside, or whose best cut errs on more
     rows than its minority class holds, is degenerate: its error is the
     minority count."""
@@ -271,11 +294,8 @@ def _best_cut(inside, ones, y: np.ndarray, rank=None, valid=None):
 
     n, p = len(y), int(np.count_nonzero(y))
     floor = min(p, n - p)
-    inside = np.asarray(inside, dtype=np.int64)
-    e1 = inside - 2 * np.asarray(ones, dtype=np.int64) + p    # reading 1 inside
+    e1 = inside - 2 * ones + p    # reading 1 inside
     splits = (inside > 0) & (inside < n)
-    if valid is not None:
-        splits = splits & valid
     e = np.where(splits, np.minimum(e1, n - e1), n + 1)    # n + 1: more than any cut errs on
     error = e.min(axis=1)
     least = e == error[:, None]
@@ -287,23 +307,19 @@ def _best_cut(inside, ones, y: np.ndarray, rank=None, valid=None):
     return cut, bit, np.where(degenerate, floor, error), degenerate
 
 
-def _quantitative_cuts(block, y: np.ndarray, features: Sequence[str]):
+def _quantitative_cuts(block: np.ndarray, y: np.ndarray):
     """The cuts of F columns of n values, as (F, n - 1) arrays: cut c of
-    a row is the boundary between its sorted values c and c + 1, valid
-    where they differ, with the lower c + 1 inside (so h = 1 - bit) and
-    the widest gap ranked first.  Its u is (lo + hi) / 2, lo / 2 + hi /
-    2 where the sum overflows, or lo where the midpoint rounds to hi, so
-    that lo <= u < hi."""
+    a row puts its sorted values 0..c inside (so h = 1 - bit), or no row
+    where values c and c + 1 are equal, and ranks the widest gap first.
+    Its u is (lo + hi) / 2, lo / 2 + hi / 2 where the sum overflows, or
+    lo where the midpoint rounds to hi, so that lo <= u < hi: the rows
+    inside are those at or below lo, value c."""
     import numpy as np
 
-    v = np.asarray(block, dtype=float)
-    finite = np.isfinite(v).all(axis=1)
-    if not finite.all():
-        raise EncodingError(f"feature {features[int(finite.argmin())]!r}: non-finite values")
-    order = np.argsort(v, axis=1)    # the order of equal values does not matter:
-    sv = np.take_along_axis(v, order, axis=1)    # boundaries fall between distinct ones
+    order = np.argsort(block, axis=1)    # the order of equal values does not matter:
+    sv = np.take_along_axis(block, order, axis=1)    # boundaries fall between distinct ones
     ones = np.cumsum(y[order], axis=1, dtype=np.int64)[:, :-1]
-    valid = sv[:, 1:] > sv[:, :-1]
+    inside = np.where(sv[:, 1:] > sv[:, :-1], np.arange(1, len(y)), 0)
     with np.errstate(over="ignore"):    # an infinite gap is the widest
         rank = sv[:, :-1] - sv[:, 1:]
 
@@ -314,29 +330,31 @@ def _quantitative_cuts(block, y: np.ndarray, features: Sequence[str]):
             u = lo / 2 + hi / 2
         return {"polarity": 1 - bit, "threshold": lo if u == hi else u}
 
-    return np.arange(1, len(y)), ones, rank, valid, fields
+    return inside, ones, rank, fields, lambda cut: block <= sv[np.arange(len(cut)), cut][:, None]
 
 
-def _boolean_cuts(block, y: np.ndarray, features: Sequence[str]):
-    """One cut of one column, the rows that are 1: identity reads 1 inside."""
+def _boolean_cuts(block: np.ndarray, y: np.ndarray):
+    """One cut per column, the rows that are 1: identity reads 1 inside."""
+    inside = block == 1
+    return (inside.sum(axis=1, keepdims=True), inside[:, y == 1].sum(axis=1, keepdims=True),
+            None, lambda f, c, bit: {"polarity": bit}, lambda cut: inside)
+
+
+def _nominal_cuts(block: np.ndarray, y: np.ndarray):
+    """A cut per category of each column, first seen first, as (F, C)
+    arrays for the C categories of the column that has most: identity
+    reads 1 inside.  A column's missing cuts put no row inside."""
     import numpy as np
 
-    v = np.asarray(block[0])
-    if not set(np.unique(v)) <= {0, 1, False, True}:
-        raise EncodingError(f"feature {features[0]!r}: values are not all 0/1")
-    inside = v == 1
-    return [[inside.sum()]], [[y[inside].sum()]], None, None, lambda f, c, bit: {"polarity": bit}
-
-
-def _nominal_cuts(block, y: np.ndarray, features: Sequence[str]):
-    """A cut per category of one column, first seen first: identity
-    reads 1 inside."""
-    values = block[0]
-    rows = Counter(values)    # category -> rows, first seen first
-    ones = Counter(compress(values, y.tolist()))    # category -> rows labelled 1
-    cats = list(rows)
-    return ([list(rows.values())], [[ones[cat] for cat in cats]], None, None,
-            lambda f, c, bit: {"polarity": bit, "category": cats[c]})
+    columns = block.tolist()
+    cats = [list(dict.fromkeys(values)) for values in columns]
+    k = max(map(len, cats))    # category c of column f is counted in slot f * k + c
+    slot = np.array([[*map(dict(zip(c, count(f * k))).__getitem__, values)]
+                     for f, (c, values) in enumerate(zip(cats, columns))], dtype=np.intp)
+    inside, ones = (np.bincount(s.ravel(), minlength=len(cats) * k).reshape(-1, k)
+                    for s in (slot, slot[:, y == 1]))
+    return (inside, ones, None, lambda f, c, bit: {"polarity": bit, "category": cats[f][c]},
+            lambda cut: slot == (np.arange(len(cut)) * k + cut)[:, None])
 
 
 _CUTS = {"quantitative": _quantitative_cuts, "boolean": _boolean_cuts,
@@ -346,18 +364,20 @@ _CUTS = {"quantitative": _quantitative_cuts, "boolean": _boolean_cuts,
 KINDS = tuple(_CUTS)
 
 
-def _fit_block(block, y: np.ndarray, kind: str, features: Sequence[str]) -> list[Encoder]:
-    """Fit the encoders of F columns of one kind at once: the kind
-    supplies every column's cuts, and `_best_cut` picks one per column
-    or finds it degenerate."""
-    inside, ones, rank, valid, fields = _CUTS[kind](block, y, features)
-    cut, bit, error, degenerate = _best_cut(inside, ones, y, rank, valid)
-    return [
+def _fit_block(block: np.ndarray, y: np.ndarray, kind: str, features: Sequence[str]):
+    """The encoders and (F, n) bits of F typed columns of one kind: the
+    kind supplies every column's cuts, `_best_cut` picks one per column
+    or finds it degenerate (whose bits mean nothing), and a row's bit is
+    the bit inside where the chosen cut holds it, the other elsewhere."""
+    inside, ones, rank, fields, within = _CUTS[kind](block, y)
+    cut, bit, error, degenerate = _best_cut(inside, ones, y, rank)
+    encoders = [
         Encoder(feature=name, kind=kind, degenerate=True, error=e) if d
         else Encoder(feature=name, kind=kind, error=e, **fields(f, c, b))
         for f, (name, c, b, e, d) in enumerate(zip(
             features, cut.tolist(), bit.tolist(), error.tolist(), degenerate.tolist()))
     ]
+    return encoders, within(cut) == bit[:, None]
 
 
 def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
@@ -371,7 +391,7 @@ def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
         raise EncodingError(f"feature {feature!r}: {len(values)} values but {len(y)} labels")
     if len(y) < 2:
         raise EncodingError(f"feature {feature!r}: need at least two rows")
-    return _fit_block([values], y, kind, [feature])[0]
+    return _fit_block(typed_column(values, kind, feature)[None], y, kind, [feature])[0][0]
 
 
 def fit_quantitative(values, labels, feature: str = "") -> Encoder:
@@ -420,17 +440,9 @@ class EncodedDataset:
         return np.bitwise_count(self.features ^ self.labels).sum(axis=-1, dtype=np.int64)
 
 
-def _pack_words(bits: int, n_rows: int) -> np.ndarray:
-    """An n_rows-bit int bitset as uint64 words, bit r at bit r % 64 of
-    word r // 64."""
-    import numpy as np
-
-    return np.frombuffer(bits.to_bytes(-(-n_rows // 64) * 8, "little"), "<u8")
-
-
 def _pack_rows(flags: np.ndarray) -> np.ndarray:
-    """(k, n) 0/1 flags as (k, words) uint64 words laid out as
-    `_pack_words` lays out one bitset."""
+    """(k, n) 0/1 flags as (k, words) uint64 words: flag r at bit r % 64
+    of word r // 64, the tail bits zero."""
     import numpy as np
 
     k, n = flags.shape
@@ -439,50 +451,38 @@ def _pack_rows(flags: np.ndarray) -> np.ndarray:
     return out.view("<u8")
 
 
-# encode_dataset fits and packs quantitative columns in blocks of at most
-# this many values (or one column), so that each of a block's (columns,
-# rows) arrays stays at 128 kB or less however large the dataset.
+# encode_dataset fits and packs columns in blocks of at most this many
+# values (or one column), so that each of a block's (columns, rows)
+# arrays stays at 128 kB or less however large the dataset.
 _BLOCK_VALUES = 1 << 14
 
 
 def encode_dataset(ds: Dataset) -> EncodedDataset:
     """Fit every feature of a dataset and pack the active columns' bits.
 
-    The quantitative columns are fitted as (columns, rows) blocks of up
+    The columns of each kind are fitted as (columns, rows) blocks of up
     to _BLOCK_VALUES values, and the bits of the active ones are packed
-    from the same block: h where the value exceeds u, 1 - h elsewhere.
-    Each other column is fitted and encoded on its own, by `fit_feature`
-    and `encode_bits`."""
+    from the rows inside each chosen cut."""
     import numpy as np
 
-    y = np.asarray(ds.labels, dtype=np.uint8)
-    quantitative = [j for j, spec in enumerate(ds.features) if spec.kind == "quantitative"]
-    encoders = [None] * ds.m
-    words = {}    # active feature -> its packed words
+    encoders, words = {}, {}    # feature -> its encoder; active feature -> its packed words
     step = max(1, _BLOCK_VALUES // ds.n)
-    for at in range(0, len(quantitative), step):
-        columns = quantitative[at:at + step]
-        block = np.array([ds.columns[j] for j in columns], dtype=float)
-        fits = _fit_block(block, y, "quantitative", [ds.features[j].name for j in columns])
-        live = [not enc.degenerate for enc in fits]
-        u = np.array([enc.threshold for enc in compress(fits, live)])
-        h = np.array([enc.polarity for enc in compress(fits, live)], dtype=bool)
-        packed = _pack_rows((block[live] > u[:, None]) == h[:, None])
-        words.update(zip(compress(columns, live), packed))
-        for j, enc in zip(columns, fits):
-            encoders[j] = enc
-    for j, spec in enumerate(ds.features):
-        if encoders[j] is None:
-            enc = encoders[j] = fit_feature(ds.columns[j], y, spec.kind, spec.name)
-            if not enc.degenerate:
-                words[j] = _pack_words(encode_bits(enc, ds.columns[j]), ds.n)
+    for kind in KINDS:
+        of_kind = [j for j, spec in enumerate(ds.features) if spec.kind == kind]
+        for at in range(0, len(of_kind), step):
+            columns = of_kind[at:at + step]
+            fits, bits = _fit_block(np.stack([ds.columns[j] for j in columns]), ds.labels,
+                                    kind, [ds.features[j].name for j in columns])
+            live = [not enc.degenerate for enc in fits]
+            words.update(zip(compress(columns, live), _pack_rows(bits[live])))
+            encoders.update(zip(columns, fits))
     active = sorted(words)
     features = np.array([words[j] for j in active], dtype="<u8")
     return EncodedDataset(
-        encoders=encoders,
+        encoders=[encoders[j] for j in range(ds.m)],
         features=features.reshape(len(active), -(-ds.n // 64)),
-        labels=_pack_rows(y[None])[0],
-        ones=_pack_words((1 << ds.n) - 1, ds.n),
+        labels=_pack_rows(ds.labels[None])[0],
+        ones=_pack_rows(np.ones((1, ds.n), dtype=bool))[0],
         active=active,
         feature_names=[f.name for f in ds.features],
     )

@@ -479,7 +479,8 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
     """
     class_names = ("0", "1")
     features: dict[int, Encoder] = {}
-    layers: list[list[Row]] = []
+    names: set[str] = set()
+    layers: list[dict[int, Row]] = []    # unit id -> row, in file order
     file_extended: bool | None = None
     in_layers = False
 
@@ -517,11 +518,12 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
             ident, enc = _parse_feature_line(tokens, lineno)
             if ident in features:
                 raise ModelFormatError(f"line {lineno}: duplicate feature id {ident}")
-            if any(e.feature == enc.feature for e in features.values()):
+            if enc.feature in names:
                 raise ModelFormatError(
                     f"line {lineno}: duplicate feature name {enc.feature!r}"
                 )
             features[ident] = enc
+            names.add(enc.feature)
         elif head == "layer":
             if len(tokens) != 2:
                 raise ModelFormatError(f"line {lineno}: layer needs a number")
@@ -535,7 +537,7 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
                 raise ModelFormatError(
                     f"line {lineno}: expected layer {len(layers) + 1}, got {r}"
                 )
-            layers.append([])
+            layers.append({})
             in_layers = True
         else:
             if not in_layers:
@@ -552,8 +554,8 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
                 raise ModelFormatError(
                     f"line {lineno}: unit row needs four integers"
                 ) from None
-            layers[-1].append(Row(ident, fn, left, right))
-            _check_row(layers, features, file_extended if extended is None else extended, lineno)
+            _add_row(Row(ident, fn, left, right), layers, features,
+                     file_extended if extended is None else extended, lineno)
 
     use_extended = extended if extended is not None else bool(file_extended)
     if not layers or not layers[-1]:
@@ -562,22 +564,24 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
         if not layer:
             raise ModelFormatError(f"layer {r} has no units")
 
-    return SyndromeComplex(features, layers, class_names, use_extended)
+    return SyndromeComplex(features, [list(layer.values()) for layer in layers], class_names,
+                           use_extended)
 
 
-def _check_row(
-    layers: list[list[Row]],
+def _add_row(
+    row: Row,
+    layers: list[dict[int, Row]],
     features: dict[int, Encoder],
     extended: bool | None,
     lineno: int,
 ) -> None:
-    row = layers[-1][-1]
+    """Add a unit row to the last layer, or refuse it."""
     if row.fn not in function_ids(bool(extended)):
         raise ModelFormatError(
             f"line {lineno}: unknown function id {row.fn}"
             + ("" if extended else " (standard catalog)")
         )
-    if any(other.ident == row.ident for other in layers[-1][:-1]):
+    if row.ident in layers[-1]:
         raise ModelFormatError(
             f"line {lineno}: duplicate unit id {row.ident} in layer {len(layers)}"
         )
@@ -601,7 +605,7 @@ def _check_row(
                     f"line {lineno}: g_{row.fn}(x_{row.left}, x_{row.left}) is a constant bit"
                 )
     else:
-        if not any(prev.ident == row.left for prev in layers[-2]):
+        if row.left not in layers[-2]:
             raise ModelFormatError(
                 f"line {lineno}: unit y_{row.left} is not defined in layer {len(layers) - 1}"
             )
@@ -609,3 +613,4 @@ def _check_row(
             raise ModelFormatError(
                 f"line {lineno}: unit reads a degenerate feature"
             )
+    layers[-1][row.ident] = row

@@ -334,7 +334,7 @@ class TestClassifyEdges:
             return "".join([f"{ANCHOR_HEADER},label\n",
                             *(f"{row},{y}\n" for row, y in zip(rows.split("\n"), "01"))])
 
-        assert load_csv(labelled(padded)).columns == load_csv(labelled(plain)).columns
+        assert load_csv(labelled(padded)).rows == load_csv(labelled(plain)).rows
 
     def test_nominal_and_boolean_columns(self, capsys, tmp_path, fixtures_dir):
         model = tmp_path / "model.rules"

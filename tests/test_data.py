@@ -1,4 +1,6 @@
 import io
+import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from mofn import data, encoding
 from mofn.data import Dataset, FeatureSpec, load_csv, to_csv
-from mofn.errors import DataError
+from mofn.errors import DataError, EncodingError
 
 BASIC = """\
 age,fever,ward,label
@@ -256,6 +258,29 @@ class TestDatasetInvariants:
     def test_bad_kind(self):
         with pytest.raises(DataError, match="kind"):
             FeatureSpec("a", "ordinal")
+
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("quantitative", math.nan, "feature 'x': non-finite values"),
+        ("quantitative", -math.inf, "feature 'x': non-finite values"),
+        ("boolean", 2, "feature 'x': values are not all 0/1"),
+    ])
+    @pytest.mark.parametrize("given", ["rows", "columns"])
+    def test_values_the_kind_cannot_hold_are_refused(self, kind, bad, message, given):
+        """The Dataset refuses them when it is built, with the message
+        that fitting the column gives."""
+        values = [0, 1, bad]
+        with pytest.raises(EncodingError, match=f"^{re.escape(message)}$"):
+            encoding.fit_feature(values, [0, 1, 1], kind, "x")
+        table = {"rows": [(v,) for v in values]} if given == "rows" else {"columns": [values]}
+        with pytest.raises(EncodingError, match=f"^{re.escape(message)}$"):
+            Dataset(features=[FeatureSpec("x", kind)], labels=[0, 1, 1], **table)
+
+    def test_columns_are_read_only_typed_arrays_and_rows_python_values(self):
+        ds = load_csv(BASIC)
+        assert [c.dtype for c in ds.columns] == [np.float64, np.uint8, object]
+        assert not any(c.flags.writeable for c in ds.columns)
+        assert ds.rows[0] == (61.5, 1, "north")
+        assert [type(v) for v in ds.rows[0]] == [float, int, str]
 
     def test_class_counts(self):
         ds = load_csv(BASIC)

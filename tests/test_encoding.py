@@ -13,7 +13,6 @@ from mofn import encoding
 from mofn.encoding import (
     Encoder,
     _fit_block,
-    _pack_words,
     encode_bits,
     encode_dataset,
     encode_value,
@@ -22,6 +21,7 @@ from mofn.encoding import (
     fit_nominal,
     fit_quantitative,
     read_table,
+    typed_column,
 )
 from mofn.errors import DataError, EncodingError
 from mofn.oracle import ThresholdResult, brute_force_threshold
@@ -389,17 +389,19 @@ def _result(enc) -> ThresholdResult:
 class TestBlockFit:
     """Fitting the quantitative columns of a dataset as one block gives
     each column the encoder it gets alone, and brute_force_threshold's
-    (u, h, e, degenerate)."""
+    (u, h, e, degenerate); the block's bits are the encoder's bits."""
 
     @staticmethod
     def assert_columns_fit_alone(columns, labels):
         names = [f"f{j}" for j in range(len(columns))]
         block = np.array(columns, dtype=float)
-        got = _fit_block(block, np.array(labels, dtype=np.uint8), "quantitative", names)
-        assert len(got) == len(columns)
-        for values, name, enc in zip(columns, names, got):
+        got, bits = _fit_block(block, np.array(labels, dtype=np.uint8), "quantitative", names)
+        assert len(got) == len(columns) and bits.shape == block.shape
+        for values, name, enc, row in zip(columns, names, got, bits):
             assert enc == fit_quantitative(values, labels, name)
             assert _result(enc) == brute_force_threshold(values, labels)
+            if not enc.degenerate:
+                assert _bits(row) == encode_bits(enc, values)
 
     @given(blocks())
     @example(([[1.0, 1.0]], [0, 1]))                          # n = 2, constant
@@ -434,9 +436,10 @@ class TestBlockFit:
             self.assert_columns_fit_alone(columns, labels)
 
     def test_non_finite_names_its_feature(self):
-        block = np.array([[1.0, 2.0], [1.0, math.inf], [math.nan, 0.0]])
-        with pytest.raises(EncodingError, match="^feature 'b': non-finite values$"):
-            _fit_block(block, np.array([0, 1], dtype=np.uint8), "quantitative", ["a", "b", "c"])
+        assert typed_column([1.0, 2.0], "quantitative", "a").tolist() == [1.0, 2.0]
+        for name, values in (("b", [1.0, math.inf]), ("c", [math.nan, 0.0])):
+            with pytest.raises(EncodingError, match=f"^feature '{name}': non-finite values$"):
+                typed_column(values, "quantitative", name)
 
 
 def brute_force_indicator(values, labels, candidates):
@@ -541,21 +544,21 @@ class TestEncodeDataset:
         assert list(enc.feature_errors) == [0, 0, 0]
 
     def test_encoded_bits_match_scalar_encoder(self):
-        # Quantitative columns are packed from the fitted block, the
-        # others by encode_bits: both must lay words out as encode_bits.
+        # Every kind is packed from its fitted block: the words must hold
+        # the bits that encode_bits, the encoder `mofn classify` uses,
+        # gives the column's Python values.
         for ds in [self._dataset(), *map(self._mixed, (2, 63, 64, 65, 200))]:
             enc = encode_dataset(ds)
             assert len(enc.active) == ds.m - 1    # the constant column is left out
             for words, j in zip(enc.features, enc.active):
-                want = [encode_value(enc.encoders[j], value) for value in ds.columns[j]]
-                assert _int(words) == _bits(want)
-                assert words.tolist() == _pack_words(
-                    encode_bits(enc.encoders[j], ds.columns[j]), ds.n).tolist()
+                values = ds.columns[j].tolist()
+                want = [encode_value(enc.encoders[j], value) for value in values]
+                assert _int(words) == _bits(want) == encode_bits(enc.encoders[j], values)
 
     @pytest.mark.parametrize("block_values", [1, 400, 600])
     def test_any_block_size_gives_the_same_encoding(self, monkeypatch, block_values):
-        # five quantitative columns of 200 rows: one column per block, then
-        # blocks of two and of three columns, against all five in one
+        # columns of 200 rows: one column per block, then blocks of two and
+        # of three columns, against all the columns of a kind in one
         ds = self._mixed(200)
         want = encode_dataset(ds)
         monkeypatch.setattr(encoding, "_BLOCK_VALUES", block_values)
@@ -565,8 +568,10 @@ class TestEncodeDataset:
 
     @staticmethod
     def _mixed(n):
-        """n rows of every kind, quantitative columns in between the
-        others, one of them constant and so degenerate."""
+        """n rows of every kind, two or more columns of each, quantitative
+        columns in between the others, one of them constant and so
+        degenerate; the nominal columns have different numbers of
+        categories."""
         rng = np.random.default_rng(n)
         labels = rng.integers(0, 2, size=n)
         labels[:2] = (0, 1)
@@ -580,9 +585,11 @@ class TestEncodeDataset:
             np.where(noisy, "a", rng.choice(["b", "c"], size=n)).tolist(),
             (rng.uniform(1e308, 1.7e308, size=n) * (2 * noisy - 1)).tolist(),
             [_adjacent(k) for k in noisy.tolist()],    # u = lo: rows at u stay 1 - h
+            (1 - noisy).tolist(),
+            np.where(noisy, "yes", rng.choice(["n1", "n2", "n3"], size=n)).tolist(),
         ]
         kinds = ("quantitative", "boolean", "quantitative", "quantitative", "nominal",
-                 "quantitative", "quantitative")
+                 "quantitative", "quantitative", "boolean", "nominal")
         return Dataset(features=[FeatureSpec(f"x{j}", kind) for j, kind in enumerate(kinds)],
                        columns=columns, labels=labels)
 
@@ -618,8 +625,8 @@ FINITE = st.floats(-1e3, 1e3, allow_nan=False)
 
 
 class TestEncodeBits:
-    """encode_bits, the one column encoder (training and `mofn classify`),
-    against encode_value applied row by row."""
+    """encode_bits, the column encoder of `mofn classify` and the reference
+    for training's packed words, against encode_value applied row by row."""
 
     @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
     def test_quantitative(self, data, n, polarity):

@@ -224,6 +224,18 @@ class TestParseErrors:
     def test_duplicate_unit_id(self):
         self.check(TINY + "5 0 0 1\n", "duplicate unit id 5")
 
+    # TINY's first four lines, then 2999 units of layer 1 on lines 5-3003
+    LONG = TINY.replace("5 5 0 1\n", "".join(f"{i} 5 0 1\n" for i in range(2999)))
+
+    def test_duplicate_unit_id_at_the_end_of_a_long_layer(self):
+        self.check(self.LONG + "0 5 0 1\n", "^line 3004: duplicate unit id 0 in layer 1$")
+
+    def test_undefined_parent_at_the_end_of_a_long_layer(self):
+        # layer 2 starts on line 3005, and its 3000 units fill lines 3006-6005
+        text = (self.LONG + "2999 5 0 1\nlayer 2\n"
+                + "".join(f"{i} 0 {i} 1\n" for i in range(2999)) + "2999 0 3000 1\n")
+        self.check(text, "^line 6005: unit y_3000 is not defined in layer 1$")
+
     def test_duplicate_feature_id(self):
         bad = TINY.replace(
             "feature 1 b kind=boolean h=1", "feature 0 b kind=boolean h=1"
