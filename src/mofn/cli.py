@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import TrainConfig
-from .encoding import KINDS, encode_bits, parse_column, read_column, read_table, read_text
+from .encoding import KINDS, encode_bits, first_bad_cell, read_column, read_table, read_text
 from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
 from .errors import (
     CatalogError,
@@ -206,7 +206,7 @@ def cmd_classify(args) -> int:
                 continue
             except EncodingError:
                 pass
-        row, message = parse_column(cells, x, enc.feature, enc.kind)[2]
+        row, message = first_bad_cell(cells, enc.feature, enc.kind)
         bad.append((row, list(sc.features).index(ident), message))
     if bad or ragged:    # cells lie above the ragged row, so a bad one wins
         raise DataError(min(bad)[2] if bad else ragged[1])

@@ -17,12 +17,12 @@ import csv
 import io
 import warnings
 from pathlib import Path
-from itertools import compress
+from itertools import chain, compress, count
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import KINDS, parse_column, read_column, read_table, read_text, typed_column
+from .encoding import KINDS, first_bad_cell, read_column, read_table, read_text, typed_block
 from .errors import ColumnChoiceError, DataError
 from .record import record
 
@@ -42,10 +42,11 @@ class FeatureSpec:
 class Dataset:
     """Feature columns plus a binary label vector.
 
-    Column j is the read-only array `encoding.typed_column` builds:
-    finite float64 for quantitative, uint8 0/1 for boolean, category
-    strings for nominal; a value its kind cannot hold, such as NaN or a
-    boolean 2, is the EncodingError that fitting the column gives.
+    Column j is a row of the read-only block `encoding.typed_block`
+    builds from the columns of its kind: finite float64 for
+    quantitative, uint8 0/1 for boolean, category strings for nominal; a
+    value its kind cannot hold, such as NaN or a boolean 2, is the
+    EncodingError that fitting the column gives.
     Labels are a uint8 vector of 0s and 1s.  Build it from `rows` (one
     tuple per row) or, keyword only, from `columns` (one per feature).
     """
@@ -80,7 +81,7 @@ class Dataset:
             for r, row in enumerate(rows):
                 if len(row) != self.m:
                     raise DataError(f"row {r} has {len(row)} values, expected {self.m}")
-            columns = zip(*rows)
+            columns = list(zip(*rows))
         elif len(columns) != self.m or any(len(c) != n for c in columns):
             raise DataError(f"expected {self.m} columns of {n} values")
         self.n = n
@@ -90,7 +91,13 @@ class Dataset:
         if c0 == 0 or c1 == 0:
             empty = self.class_names[0] if c0 == 0 else self.class_names[1]
             raise DataError(f"class {empty!r} has no rows")
-        self.columns = [typed_column(v, f.kind, f.name) for v, f in zip(columns, self.features)]
+        typed = {}
+        for kind in KINDS:
+            at = [j for j, f in enumerate(self.features) if f.kind == kind]
+            if at:
+                block = typed_block([columns[j] for j in at], kind, [names[j] for j in at])
+                typed.update(zip(at, block))
+        self.columns = [typed[j] for j in range(self.m)]
         self._warn_contradictions()
 
     @property
@@ -113,18 +120,25 @@ class Dataset:
         raise DataError(f"no feature named {name!r}")
 
     def _warn_contradictions(self) -> None:
-        # Rows that differ in some columns differ.  Hash the rows on the
+        # Rows that differ in some column differ.  Sort the rows on the
         # first 1, 2, 4, ... columns, then on all of them: as soon as no
-        # two rows share a hash, none are equal and none conflict.
+        # two neighbours in that order agree on those columns, no two
+        # rows are equal and none conflict.  A row unlike both of its
+        # neighbours is unlike every row on any more columns too, so each
+        # wider sort reads only the rows that still agree with another.
         # Continuous data is cleared after one or two columns; the exact
-        # walk runs only on duplicates or hash collisions.  The sets hold
-        # ints, not row tuples, so they start no cyclic garbage collection.
+        # walk runs only on duplicates.
         widths = [1 << k for k in range((self.m - 1).bit_length())] + [self.m]
-        if self.m and any(
-            len(set(map(hash, zip(*map(np.ndarray.tolist, self.columns[:w]))))) == self.n
-            for w in widths
-        ):
-            return
+        rows = np.arange(self.n)
+        keys = []
+        for w in widths if self.m else ():
+            keys += map(_equality_key, self.columns[len(keys):w])
+            sub = [key[rows] for key in keys]
+            order = np.lexsort(sub) if len(sub) > 1 else sub[0].argsort()
+            same = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in sub])
+            if not same.any():
+                return
+            rows = rows[order[np.append(same, False) | np.append(False, same)]]
         seen: dict[tuple, tuple[int, int]] = {}
         flagged = []
         for r, (row, y) in enumerate(zip(self.rows, self.labels.tolist())):
@@ -140,6 +154,16 @@ class Dataset:
                 f"{len(flagged)} duplicate row pair(s) with conflicting labels: {pairs}",
                 stacklevel=3,
             )
+
+
+def _equality_key(column: np.ndarray) -> np.ndarray:
+    """A column whose values sort, and are equal, where its values are
+    equal: the column itself, or for categories the first row that holds
+    each one."""
+    if column.dtype != object:
+        return column
+    first: dict = {}
+    return np.fromiter(map(first.setdefault, column.tolist(), count()), np.intp, len(column))
 
 
 def _read_cells(columns: list[tuple], label_at: int, nominal: list[bool]):
@@ -216,19 +240,36 @@ def load_csv(
         raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
     labels = np.array(label) == names[1]
 
-    parsed = [
-        parse_column(cells, x, name, kinds.get(name))
-        for (x, cells), name in zip(read, feature_names)
-    ]
-    bad = [cell for _, _, cell in parsed if cell]
+    # Every numeric column is one row of a float64 block: a column of 0s
+    # and 1s is boolean unless declared, and only a column its kind
+    # cannot hold is read again, cell by cell, to find its first bad cell.
+    floats = [x for x, _ in read if x is not None]
+    block = np.fromiter(chain.from_iterable(floats), np.float64, len(floats) * len(label))
+    block = block.reshape(len(floats), len(label))
+    bits = ((block == 0) | (block == 1)).all(axis=1).tolist()
+    numeric = iter(zip(block, bits, np.isfinite(block).all(axis=1).tolist()))
+    specs, columns, bad = [], [], []
+    for name, (x, cells) in zip(feature_names, read):
+        kind = kinds.get(name)
+        if x is None:    # some cell is not a number
+            kind = kind or "nominal"
+            holds, values = kind == "nominal", cells
+        else:
+            values, is_bits, is_finite = next(numeric)
+            kind = kind or ("boolean" if is_bits else "quantitative")
+            holds = is_bits if kind == "boolean" else is_finite
+        if not holds:
+            bad.append(first_bad_cell(cells, name, kind))
+        specs.append(FeatureSpec(name, kind))
+        columns.append(values)
     if bad:    # the lowest row, then the earliest feature
         raise DataError(min(bad, key=lambda cell: cell[0])[1])
     return Dataset(
-        features=[FeatureSpec(name, kind) for name, (kind, _, _) in zip(feature_names, parsed)],
+        features=specs,
         labels=labels,
         label_name=label_column,
         class_names=names,
-        columns=[values for _, values, _ in parsed],
+        columns=columns,
     )
 
 

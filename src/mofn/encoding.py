@@ -17,15 +17,15 @@ combination with others.
 
 Applying an encoder needs no numpy: `encode_value` maps one value and
 `encode_bits` a whole column to an int bitset, which is all a trained
-rule needs to classify.  Training reads the checked arrays that
-`typed_column` builds, one per feature, and packs its columns into the
+rule needs to classify.  Training reads the checked (columns, rows)
+arrays that `typed_block` builds, one per kind, and packs them into the
 uint64 words it scores.  `encode_dataset` fits the columns of each
 kind as (columns, rows) blocks; each kind's cuts also give the rows
 inside the chosen cut, so every active column's bits are packed from
 its own block.  Fitting and `encode_dataset` import numpy when they
 are first called.
 
-`read_text`, `read_table`, `read_column` and `parse_column` read the
+`read_text`, `read_table`, `read_column` and `first_bad_cell` read the
 CSV cells that both `data.load_csv` and `mofn classify` encode, so the
 two accept the same cells and name the same first bad one.  CSV text
 without quotes, carriage returns or NULs, and with no line over the
@@ -223,60 +223,56 @@ def read_column(raw: Sequence[str], nominal: bool):
         return None, cells
 
 
-def parse_column(
-    cells: Sequence[str], x: list[float] | None, name: str, kind: str | None
-):
-    """Type one column, inferring its kind unless given.
-
-    `x` is the column as floats, or None if some cell is not numeric.
-    Returns the kind, the typed values, and the column's first bad cell
-    as (row, message) or None.  Only a column with a bad cell is read
-    again, cell by cell, to find it.
-    """
-    if kind == "nominal" or (kind is None and x is None):
-        return "nominal", cells, None
-    if x is not None:    # most columns are ruled out by their first value, uncounted
-        bits = not x or (x[0] in (0.0, 1.0) and x.count(0.0) + x.count(1.0) == len(x))
-        kind = kind or ("boolean" if bits else "quantitative")
-        if kind == "boolean" and bits:
-            return kind, list(map(int, x)), None
-        if kind == "quantitative" and all(map(math.isfinite, x)):
-            return kind, x, None
+def first_bad_cell(cells: Sequence[str], name: str, kind: str):
+    """The first cell of a quantitative or boolean column that its kind
+    cannot hold, as (row, message), or None.  It reads every cell again,
+    so it is run only on a column already known to hold a bad one."""
     for row, cell in enumerate(map(str.strip, cells)):
         where = f"feature {name!r}, row {row}"
         try:
             v = float(cell)
         except ValueError:
-            return kind, None, (row, f"{where}: {cell!r} is not numeric")
+            return row, f"{where}: {cell!r} is not numeric"
         if kind == "boolean" and v not in (0.0, 1.0):
-            return kind, None, (row, f"{where}: {cell!r} is not 0/1")
+            return row, f"{where}: {cell!r} is not 0/1"
         if kind == "quantitative" and not math.isfinite(v):
-            return kind, None, (row, f"{where}: non-finite value {cell!r}")
+            return row, f"{where}: non-finite value {cell!r}"
+    return None
 
 
-def typed_column(values, kind: str, feature: str = "") -> np.ndarray:
-    """One column of a known kind as the read-only array its cuts read:
-    finite float64 for quantitative, 0/1 uint8 for boolean, an object
-    array of the categories for nominal.  Values the kind cannot hold
-    are an EncodingError naming the feature."""
+def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
+    """F columns of one kind, n values each, as the read-only (F, n)
+    array their cuts read: finite float64 for quantitative, 0/1 uint8 for
+    boolean, an object array of the categories for nominal.  Values the
+    kind cannot hold are an EncodingError naming the first feature whose
+    column, typed alone, holds one."""
     import numpy as np
 
-    if kind == "nominal":
-        column = np.fromiter(values, dtype=object, count=len(values))
-    elif kind == "quantitative":
-        try:
-            column = np.array(values, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise EncodingError(f"feature {feature!r}: values are not all numeric") from None
-        if not np.isfinite(column).all():
-            raise EncodingError(f"feature {feature!r}: non-finite values")
-    else:
-        column = np.asarray(values)
-        if column.dtype.kind not in "buif" or not ((column == 0) | (column == 1)).all():
-            raise EncodingError(f"feature {feature!r}: values are not all 0/1")
-        column = column.astype(np.uint8)
-    column.flags.writeable = False
-    return column
+    try:
+        if kind == "nominal":
+            n = len(columns[0])
+            block = np.fromiter(chain.from_iterable(columns), object, len(columns) * n)
+            block = block.reshape(-1, n)
+        elif kind == "quantitative":
+            try:
+                block = np.array(columns, dtype=np.float64)
+            except (TypeError, ValueError):
+                raise EncodingError("values are not all numeric") from None
+            if not np.isfinite(block).all():
+                raise EncodingError("non-finite values")
+        else:
+            block = np.asarray(columns)
+            if block.dtype.kind not in "buif" or not ((block == 0) | (block == 1)).all():
+                raise EncodingError("values are not all 0/1")
+            block = block.astype(np.uint8)
+    except EncodingError as exc:
+        if len(columns) == 1:
+            raise EncodingError(f"feature {features[0]!r}: {exc}") from None
+        for values, feature in zip(columns, features):
+            typed_block([values], kind, [feature])
+        raise
+    block.flags.writeable = False
+    return block
 
 
 def _best_cut(inside, ones, y: np.ndarray, rank=None):
@@ -323,12 +319,12 @@ def _quantitative_cuts(block: np.ndarray, y: np.ndarray):
     with np.errstate(over="ignore"):    # an infinite gap is the widest
         rank = sv[:, :-1] - sv[:, 1:]
 
-    def fields(f: int, c: int, bit: int) -> dict:
+    def fields(f: int, c: int, bit: int) -> tuple:
         lo, hi = float(sv[f, c]), float(sv[f, c + 1])
         u = (lo + hi) / 2.0
         if math.isinf(u):    # the sum overflowed
             u = lo / 2 + hi / 2
-        return {"polarity": 1 - bit, "threshold": lo if u == hi else u}
+        return 1 - bit, lo if u == hi else u, None
 
     return inside, ones, rank, fields, lambda cut: block <= sv[np.arange(len(cut)), cut][:, None]
 
@@ -337,7 +333,7 @@ def _boolean_cuts(block: np.ndarray, y: np.ndarray):
     """One cut per column, the rows that are 1: identity reads 1 inside."""
     inside = block == 1
     return (inside.sum(axis=1, keepdims=True), inside[:, y == 1].sum(axis=1, keepdims=True),
-            None, lambda f, c, bit: {"polarity": bit}, lambda cut: inside)
+            None, lambda f, c, bit: (bit, None, None), lambda cut: inside)
 
 
 def _nominal_cuts(block: np.ndarray, y: np.ndarray):
@@ -353,7 +349,7 @@ def _nominal_cuts(block: np.ndarray, y: np.ndarray):
                      for f, (c, values) in enumerate(zip(cats, columns))], dtype=np.intp)
     inside, ones = (np.bincount(s.ravel(), minlength=len(cats) * k).reshape(-1, k)
                     for s in (slot, slot[:, y == 1]))
-    return (inside, ones, None, lambda f, c, bit: {"polarity": bit, "category": cats[f][c]},
+    return (inside, ones, None, lambda f, c, bit: (bit, None, cats[f][c]),
             lambda cut: slot == (np.arange(len(cut)) * k + cut)[:, None])
 
 
@@ -368,12 +364,13 @@ def _fit_block(block: np.ndarray, y: np.ndarray, kind: str, features: Sequence[s
     """The encoders and (F, n) bits of F typed columns of one kind: the
     kind supplies every column's cuts, `_best_cut` picks one per column
     or finds it degenerate (whose bits mean nothing), and a row's bit is
-    the bit inside where the chosen cut holds it, the other elsewhere."""
+    the bit inside where the chosen cut holds it, the other elsewhere.
+    Each kind's `fields` gives (polarity, threshold, category)."""
     inside, ones, rank, fields, within = _CUTS[kind](block, y)
     cut, bit, error, degenerate = _best_cut(inside, ones, y, rank)
-    encoders = [
-        Encoder(feature=name, kind=kind, degenerate=True, error=e) if d
-        else Encoder(feature=name, kind=kind, error=e, **fields(f, c, b))
+    encoders = [    # by position: a keyword record call costs more
+        Encoder(name, kind, 1, None, None, e, True) if d
+        else Encoder(name, kind, *fields(f, c, b), e, False)
         for f, (name, c, b, e, d) in enumerate(zip(
             features, cut.tolist(), bit.tolist(), error.tolist(), degenerate.tolist()))
     ]
@@ -391,7 +388,7 @@ def fit_feature(values, labels, kind: str, feature: str = "") -> Encoder:
         raise EncodingError(f"feature {feature!r}: {len(values)} values but {len(y)} labels")
     if len(y) < 2:
         raise EncodingError(f"feature {feature!r}: need at least two rows")
-    return _fit_block(typed_column(values, kind, feature)[None], y, kind, [feature])[0][0]
+    return _fit_block(typed_block([values], kind, [feature]), y, kind, [feature])[0][0]
 
 
 def fit_quantitative(values, labels, feature: str = "") -> Encoder:

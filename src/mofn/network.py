@@ -13,19 +13,24 @@ with row r at bit r % 64 of word r // 64 and the tail bits zero.
 in this layout once per fit, and every layer reads them from that
 `EncodedDataset`.  A layer is scored in blocks of left operands against
 all right features at once, with two popcounts per pair: a & b and
-a & b & y.  The positive and total row counts of all four minterms
+a & b & y.  The operands are held as word-major (words, operands)
+planes, so each popcount is a sum over the outer word axis of one
+broadcast AND.  The positive and total row counts of all four minterms
 (~a&~b, ~a&b, a&~b, a&b) follow from those two and from each operand's
 own error, so every catalog function's error is integer arithmetic on
-(function, left, feature) planes.  Nothing goes through a float matrix
-product, which would hand the work to a BLAS thread pool.  Layer 1
-skips j == k.  No output words are built while scoring.
+an int32 (function, left, feature) cube, exact up to `_MAX_ROWS` rows.
+Nothing goes through a float matrix product, which would hand the work
+to a BLAS thread pool.  Layer 1 skips j == k.  No output words are
+built while scoring.
 
-Survivors are sorted by (error, fn, left, right).  That order is then
-walked a chunk at a time: each chunk's output words are built as the OR
-of the minterms their truth row selects, later layers drop candidates
-whose words equal their left parent's (no-progress clones), and a word
-seen before is a duplicate and is dropped.  The walk stops once the
-layer holds its beam width of units.
+Survivors are ordered by (error, fn, left, right), as one int64 key.
+Only the first 4 * beam_width keys are partitioned out and sorted; the
+rest are sorted only if the beam is still not full after them.  That
+order is walked a chunk at a time: each chunk's output words are built
+as the OR of the minterms their truth row selects, later layers drop
+candidates whose words equal their left parent's (no-progress clones),
+and a word seen before is a duplicate and is dropped.  The walk stops
+once the layer holds its beam width of units.
 
 Growth stops when a layer reaches error zero, when no candidate
 survives, when a grown layer would regress the best error, when the
@@ -38,7 +43,7 @@ non-increasing by construction.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping
 
 import numpy as np
@@ -123,14 +128,21 @@ class _Candidate:
 
 
 _BLOCK_WORDS = 1 << 18   # bound on the words of one scoring pass's temporaries
+# Each partial sum of a cube entry, P + k0 e0 + kb eb + kx x + ka ea (see
+# `_survivors`), is at most 6n in magnitude, so int32 holds it exactly
+# up to this many rows.
+_MAX_ROWS = (2**31 - 1) // 6
 
 
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+def _popcount(planes: np.ndarray) -> np.ndarray:
+    """Set bits summed over the outer (word) axis of word-major planes."""
+    return np.bitwise_count(planes).sum(axis=0, dtype=np.int32)
 
 
+@cache
 def _catalog(extended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Function ids, truth rows (fns, 4) and error coefficients (4, fns).
+    """Function ids, truth-row word masks (fns, 4) and int32 error
+    coefficients (4, fns), built once per catalog.
 
     With d_t = rows - 2 * positive rows in minterm t, a function errs on
     P + the sum of d_t over the minterms its truth row maps to 1, and
@@ -138,9 +150,13 @@ def _catalog(extended: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     `_survivors`).  So its error is P + (k0, ka, kb, kx) . (e0, ea, eb, x).
     """
     ids = np.array(function_ids(extended))
-    truth = np.array([truth_row(i, extended) for i in ids], dtype=np.int64)
+    truth = np.array([truth_row(i, extended) for i in ids], dtype=np.int32)
+    masks = np.where(truth == 1, ~np.uint64(0), np.uint64(0))
     t00, t01, t10, t11 = truth.T
-    return ids, truth, np.stack([t00, t10 - t00, t01 - t00, t11 - t10 - t01 + t00])
+    coefficients = np.stack([t00, t10 - t00, t01 - t00, t11 - t10 - t01 + t00])
+    for array in (ids, masks, coefficients):
+        array.flags.writeable = False
+    return ids, masks, coefficients
 
 
 def _survivors(
@@ -151,30 +167,33 @@ def _survivors(
     skip_diagonal: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every g(left[i], features[k]) whose error exceeds neither input's,
-    as arrays (error, cell), where cell = (t * L + i) * F + k for truth
-    index t, L left operands and F features; pairs i == k are skipped
-    when asked.
+    as int64 arrays (error, cell), where cell = (t * L + i) * F + k for
+    truth index t, L left operands and F features; pairs i == k are
+    skipped when asked.
 
     Over n rows, P of them positive, e0 = n - 2P, an operand's error is
     P + e with e = |a| - 2|a & y|, and a pair adds x = |a & b| - 2|a & b & y|.
     So two popcounts per pair give every function's error as integer
-    arithmetic on (function, left, feature) planes.
+    arithmetic on (function, left, feature) planes.  The operands are
+    held word-major, as (W, L) and (W, F) planes plus a (W, F) plane of
+    features & labels, so each popcount sums over the outer word axis.
+    The cube is int32, exact up to _MAX_ROWS rows, which `train` enforces.
     """
     k0, ka, kb, kx = _catalog(extended)[2]
-    n_pos = int(_popcount(data.labels))
-    e0 = int(_popcount(data.ones)) - 2 * n_pos
-    ea = left_errors - n_pos
-    eb = data.feature_errors - n_pos
+    n_pos = int(np.bitwise_count(data.labels).sum())
+    e0 = int(np.bitwise_count(data.ones).sum()) - 2 * n_pos
+    ea = (left_errors - n_pos).astype(np.int32)
+    eb = (data.feature_errors - n_pos).astype(np.int32)
     base = (n_pos + k0 * e0)[:, None] + kb[:, None] * eb   # (fns, F)
+    lefts = np.ascontiguousarray(left.T)                    # (W, L)
+    feats = np.ascontiguousarray(data.features.T)[:, None]  # (W, 1, F)
+    feats_pos = feats & data.labels[:, None, None]
     n_left, n_feat = len(left), len(eb)
     block = max(1, _BLOCK_WORDS // max(data.features.size, 1))
     errors_out, cells_out = [], []
     for start in range(0, max(n_left, 1), block):   # one pass even if empty
-        a, a_err = left[start : start + block], ea[start : start + block]
-        both = a[:, None, :] & data.features
-        x = _popcount(both)
-        both &= data.labels
-        x -= 2 * _popcount(both)
+        a, a_err = lefts[:, start : start + block, None], ea[start : start + block]
+        x = _popcount(a & feats) - 2 * _popcount(a & feats_pos)   # (block, F)
         # (fns, block, F), built in place: each fresh temporary this
         # large may be mapped from the OS and page-faulted anew
         errors = np.multiply.outer(kx, x)
@@ -182,13 +201,24 @@ def _survivors(
         errors += (ka[:, None] * a_err)[..., None]
         ok = errors <= np.minimum(a_err[:, None], eb) + n_pos
         if skip_diagonal:
-            rows = np.arange(len(a))
+            rows = np.arange(len(a_err))
             ok[:, rows, rows + start] = False
         cells = np.flatnonzero(ok)
-        t, rest = np.divmod(cells, len(a) * n_feat)
+        t, rest = np.divmod(cells, len(a_err) * n_feat)
         errors_out.append(errors.ravel()[cells])
         cells_out.append((t * n_left + start) * n_feat + rest)
-    return np.concatenate(errors_out), np.concatenate(cells_out)
+    return np.concatenate(errors_out).astype(np.int64), np.concatenate(cells_out)
+
+
+def _ascending(key: np.ndarray, step: int):
+    """The positions of `key`'s values in ascending order, `step` at a
+    time.  The first `step` are partitioned out and sorted alone; the
+    rest are sorted only if a second chunk is asked for."""
+    part = np.argpartition(key, step - 1) if len(key) > step else np.arange(len(key))
+    head, rest = part[:step], part[step:]
+    yield head[np.argsort(key[head])]
+    rest = rest[np.argsort(key[rest])]
+    yield from (rest[start : start + step] for start in range(0, len(rest), step))
 
 
 def _select(
@@ -205,21 +235,22 @@ def _select(
     keeps the lowest (fn, left, right).
 
     `cell` orders as (fn, left, right) does, because function ids,
-    `left_ids` and the active features all ascend.  Output words are
-    built only while the beam fills, a chunk of the order at a time.
-    With `drop_clones`, a candidate whose words equal its left
-    operand's makes no progress and is dropped before deduplication.
+    `left_ids` and the active features all ascend, and cells are below
+    fns * L * F, so the one int64 key error * (fns * L * F) + cell orders
+    as (error, fn, left, right); it stays below 2^63, as errors are at
+    most _MAX_ROWS < 2^29 and the cube held fns * L * F entries.  Output words are built only while the
+    beam fills, a chunk of the order at a time; only the first chunk is
+    sorted unless the beam needs more.  With `drop_clones`, a candidate
+    whose words equal its left operand's makes no progress and is
+    dropped before deduplication.
     """
-    ids, truth, _ = _catalog(config.extended_catalog)
-    masks = np.where(truth == 1, ~np.uint64(0), np.uint64(0))
+    ids, masks, _ = _catalog(config.extended_catalog)
     right_ids = np.array(data.active, dtype=np.int64)
     n_feat = len(right_ids)
-    order = np.lexsort((cell, error))
     seen: set[bytes] = set()
     kept: list[_Candidate] = []
-    step = 4 * config.beam_width
-    for start in range(0, len(order), step):
-        chunk = order[start : start + step]
+    for chunk in _ascending(error * (len(ids) * len(left) * n_feat) + cell,
+                            4 * config.beam_width):
         t, rest = np.divmod(cell[chunk], len(left) * n_feat)
         i, k = np.divmod(rest, n_feat)
         a, b, m = left[i], data.features[k], masks[t]
@@ -281,6 +312,8 @@ def grow_layer(
 def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     """Grow a network on a dataset and return it with a training report."""
     config = config or TrainConfig()
+    if ds.n > _MAX_ROWS:
+        raise TrainingError(f"{ds.n} rows: scoring is exact up to {_MAX_ROWS} rows")
     enc = encode_dataset(ds)
     if len(enc.active) == 0:
         raise TrainingError("no informative features: every encoder is degenerate")

@@ -31,8 +31,14 @@ class TestLoadCsv:
     @given(st.lists(st.sampled_from(["0", "1", "-0", "1.0", "0e0", " 1", "2", "0.5", "-1", "nan"]),
                     min_size=1, max_size=8))
     def test_boolean_kind_is_read_from_every_value(self, raw):
-        x, cells = encoding.read_column(raw, False)
-        kind = encoding.parse_column(cells, x, "f", None)[0]
+        x, _ = encoding.read_column(raw, False)
+        rows = [f"{r},{cell},{r % 2}" for r, cell in enumerate(raw + raw)]
+        text = "id,f,label\n" + "\n".join(rows) + "\n"
+        if not all(map(math.isfinite, x)):
+            with pytest.raises(DataError, match="^feature 'f', row .*: non-finite value"):
+                load_csv(text)
+            return
+        kind = load_csv(text).features[1].kind
         assert kind == ("boolean" if all(v in (0.0, 1.0) for v in x) else "quantitative")
 
     def test_named_classes(self):
@@ -182,6 +188,34 @@ class TestContradictionsThroughLoadCsv:
     def test_negative_zero_equals_zero(self):
         with pytest.warns(UserWarning, match="1 duplicate row pair.*: 0 vs 1$"):
             load_csv("a,b,label\n-0.0,x,0\n0,x,1\n5,y,1\n")
+
+    @given(st.data())
+    def test_warns_exactly_when_a_row_walk_finds_conflicts(self, data):
+        """The sorted-column screen lets no conflicting pair through, at
+        any width: columns of few distinct values make rows that agree on
+        the first 1, 2, 4, ... columns and differ on a later one."""
+        import warnings
+
+        kinds = data.draw(st.lists(st.sampled_from(["quantitative", "boolean", "nominal"]),
+                                   min_size=1, max_size=6))
+        n = data.draw(st.integers(2, 12))
+        values = {"quantitative": st.sampled_from([-0.0, 0.0, 1.5, 2.0]),
+                  "boolean": st.sampled_from([0, 1]), "nominal": st.sampled_from("xyz")}
+        rows = [tuple(data.draw(values[k]) for k in kinds) for _ in range(n)]
+        labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+        labels[:2] = [0, 1]
+        seen, flagged = {}, []
+        for r, (row, y) in enumerate(zip(rows, labels)):
+            first, y0 = seen.setdefault(row, (r, y))
+            if y0 != y:
+                flagged.append(f"{first} vs {r}")
+        features = [FeatureSpec(f"f{j}", k) for j, k in enumerate(kinds)]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            Dataset(features=features, rows=rows, labels=labels)
+        assert [str(w.message) for w in record] == (
+            [f"{len(flagged)} duplicate row pair(s) with conflicting labels: "
+             + ", ".join(flagged[:5])] if flagged else [])
 
     def test_rows_whose_hashes_collide_are_not_duplicates(self):
         import warnings

@@ -21,7 +21,7 @@ from mofn.encoding import (
     fit_nominal,
     fit_quantitative,
     read_table,
-    typed_column,
+    typed_block,
 )
 from mofn.errors import DataError, EncodingError
 from mofn.oracle import ThresholdResult, brute_force_threshold
@@ -436,10 +436,26 @@ class TestBlockFit:
             self.assert_columns_fit_alone(columns, labels)
 
     def test_non_finite_names_its_feature(self):
-        assert typed_column([1.0, 2.0], "quantitative", "a").tolist() == [1.0, 2.0]
+        assert typed_block([[1.0, 2.0]], "quantitative", ["a"]).tolist() == [[1.0, 2.0]]
         for name, values in (("b", [1.0, math.inf]), ("c", [math.nan, 0.0])):
             with pytest.raises(EncodingError, match=f"^feature '{name}': non-finite values$"):
-                typed_column(values, "quantitative", name)
+                typed_block([values], "quantitative", [name])
+
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("quantitative", math.nan, "non-finite values"),
+        ("quantitative", "x", "values are not all numeric"),
+        ("boolean", 2, "values are not all 0/1"),
+        ("boolean", "1", "values are not all 0/1"),
+    ])
+    def test_a_block_names_its_first_bad_feature(self, kind, bad, message):
+        """A block of several columns is refused with the message of the
+        first column that is refused alone."""
+        columns = [[0, 1, 1], [1, bad, 0], [bad, 0, 1]]
+        with pytest.raises(EncodingError, match=f"^feature 'b': {message}$"):
+            typed_block(columns, kind, ["a", "b", "c"])
+        block = typed_block([[0, 1, 1], [1.0, 0.0, 0.0]], kind, ["a", "b"])
+        assert block.shape == (2, 3) and not block.flags.writeable
+        assert block.dtype == (np.float64 if kind == "quantitative" else np.uint8)
 
 
 def brute_force_indicator(values, labels, candidates):

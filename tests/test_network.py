@@ -293,12 +293,12 @@ def _bits(words, n_rows):
 
 
 @st.composite
-def encoded_datasets(draw):
+def encoded_datasets(draw, max_features=8):
     """A packed EncodedDataset drawn at random, with the bit matrix and
     labels it packs.  Columns may copy or complement earlier ones, so
     many pairs give the same output words and selection must drop them."""
     n_rows = draw(st.sampled_from([1, 63, 64, 65, 130, 200]))
-    n_features = draw(st.integers(2, 8))
+    n_features = draw(st.integers(2, max_features))
     bit = st.integers(0, 1)
     matrix = draw(arrays(np.uint8, (n_rows, n_features), elements=bit)).copy()
     for j in range(1, n_features):
@@ -321,6 +321,24 @@ def encoded_datasets(draw):
 
 
 class TestPackedKernel:
+    @staticmethod
+    def check_layers(enc, x, y, config):
+        """Layer 1 and the layer grown on it select exactly what the
+        per-pair reference selects."""
+        def check(got, want):
+            assert [(c.error, c.fn, c.left, c.right) for c in got] == [
+                w[:4] for w in want
+            ]
+            for c, w in zip(got, want):
+                np.testing.assert_array_equal(_bits(c.outputs, len(y)), w[4])
+
+        first = build_first_layer(enc, config)
+        ref_first = _reference_layer(x, y, enc.active, config)
+        check(first, ref_first)
+        if first:
+            check(grow_layer(first, enc, config),
+                  _reference_layer(x, y, enc.active, config, ref_first))
+
     @settings(max_examples=150, deadline=None)
     @given(
         data=encoded_datasets(),
@@ -329,22 +347,40 @@ class TestPackedKernel:
     )
     def test_matches_per_pair_reference(self, data, beam_width, extended):
         enc, x, y = data
-        config = TrainConfig(beam_width=beam_width, extended_catalog=extended)
-        n_rows = len(y)
+        self.check_layers(enc, x, y, TrainConfig(beam_width=beam_width, extended_catalog=extended))
 
-        def check(got, want):
-            assert [(c.error, c.fn, c.left, c.right) for c in got] == [
-                w[:4] for w in want
-            ]
-            for c, w in zip(got, want):
-                np.testing.assert_array_equal(_bits(c.outputs, n_rows), w[4])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=encoded_datasets(max_features=20),
+        beam_width=st.integers(1, 3),
+        per_pass=st.integers(1, 3),
+        extended=st.booleans(),
+    )
+    def test_matches_reference_over_passes_and_past_the_sorted_head(
+        self, data, beam_width, per_pass, extended
+    ):
+        """Scoring passes of 1-3 left operands each, so the diagonal skip
+        of layer 1 crosses block starts; and narrow beams over up to 20
+        features, whose copied and complemented columns leave the first
+        4 * beam_width survivors full of duplicates, so selection reads
+        on into the sorted remainder."""
+        enc, x, y = data
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(network, "_BLOCK_WORDS", per_pass * enc.features.size)
+            self.check_layers(enc, x, y, TrainConfig(beam_width=beam_width,
+                                                     extended_catalog=extended))
 
-        first = build_first_layer(enc, config)
-        ref_first = _reference_layer(x, y, enc.active, config)
-        check(first, ref_first)
-        if first:
-            check(grow_layer(first, enc, config),
-                  _reference_layer(x, y, enc.active, config, ref_first))
+    def test_survivors_are_int64(self):
+        enc = encode_dataset(xor_dataset())
+        error, cell = network._survivors(enc.features, enc.feature_errors, enc, False, True)
+        assert error.dtype == cell.dtype == np.int64
+        assert len(error) == len(cell) > 0
+
+    def test_training_past_the_exact_row_bound_is_refused(self, monkeypatch):
+        """The layer cube is int32, exact only up to _MAX_ROWS rows."""
+        monkeypatch.setattr(network, "_MAX_ROWS", 3)
+        with pytest.raises(TrainingError, match="^4 rows: scoring is exact up to 3 rows$"):
+            train(xor_dataset())
 
 
 class TestColumnFirst:
