@@ -29,8 +29,9 @@ rest are sorted only if the beam is still not full after them.  That
 order is walked a chunk at a time: each chunk's output words are built
 as the OR of the minterms their truth row selects, later layers drop
 candidates whose words equal their left parent's (no-progress clones),
-and a word seen before is a duplicate and is dropped.  The walk stops
-once the layer holds its beam width of units.
+and only the first of equal outputs is kept.  The walk stops once the
+layer holds its beam width of units, kept as the parallel arrays of a
+`_Layer` until `train` makes `Unit`s of the layers it keeps.
 
 Growth stops when a layer reaches error zero, when no candidate
 survives, when a grown layer would regress the best error, when the
@@ -118,13 +119,24 @@ class Network:
         return extract(self).program
 
 
-@record(frozen=True)
-class _Candidate:
-    error: int
-    fn: int
-    left: int
-    right: int
-    outputs: np.ndarray    # packed words, as EncodedDataset
+@record
+class _Layer:
+    """A growth layer's units in (error, fn, left, right) order, as parallel
+    arrays; `outputs` holds each unit's packed words, as EncodedDataset."""
+
+    error: np.ndarray
+    fn: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    outputs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.error)
+
+    def units(self, end: int | None = None) -> list[Unit]:
+        """The first `end` units (all by default) as `Unit`s."""
+        columns = (self.fn, self.left, self.right, self.error)
+        return [Unit(*unit) for unit in zip(*(c[:end].tolist() for c in columns))]
 
 
 _BLOCK_WORDS = 1 << 18   # bound on the words of one scoring pass's temporaries
@@ -229,7 +241,7 @@ def _select(
     config: TrainConfig,
     left_ids: np.ndarray,
     drop_clones: bool,
-) -> list[_Candidate]:
+) -> _Layer:
     """Order by (error, fn, left, right), drop duplicate output words,
     cut to the beam.  Duplicates share an error, so keeping the first
     keeps the lowest (fn, left, right).
@@ -238,17 +250,17 @@ def _select(
     `left_ids` and the active features all ascend, and cells are below
     fns * L * F, so the one int64 key error * (fns * L * F) + cell orders
     as (error, fn, left, right); it stays below 2^63, as errors are at
-    most _MAX_ROWS < 2^29 and the cube held fns * L * F entries.  Output words are built only while the
-    beam fills, a chunk of the order at a time; only the first chunk is
-    sorted unless the beam needs more.  With `drop_clones`, a candidate
-    whose words equal its left operand's makes no progress and is
-    dropped before deduplication.
+    most _MAX_ROWS < 2^29 and the cube held fns * L * F entries.  Output
+    words are built only while the beam fills, a chunk of the order at a
+    time; only the first chunk is sorted unless the beam needs more.
+    With `drop_clones`, a candidate whose words equal its left operand's
+    makes no progress and is dropped before deduplication.
     """
     ids, masks, _ = _catalog(config.extended_catalog)
     right_ids = np.array(data.active, dtype=np.int64)
-    n_feat = len(right_ids)
-    seen: set[bytes] = set()
-    kept: list[_Candidate] = []
+    n_feat, words = len(right_ids), data.ones.shape[-1]
+    kept = np.zeros(0, dtype=np.int64)          # positions in error and cell
+    outputs = np.zeros((0, words), dtype=np.uint64)
     for chunk in _ascending(error * (len(ids) * len(left) * n_feat) + cell,
                             4 * config.beam_width):
         t, rest = np.divmod(cell[chunk], len(left) * n_feat)
@@ -256,28 +268,30 @@ def _select(
         a, b, m = left[i], data.features[k], masks[t]
         both = a & b
         # rows where (a, b) is (0,0), (0,1), (1,0), (1,1): truth-row order
-        outputs = (
+        rows = (
             m[:, 0, None] & data.ones & ~(a | b)
             | m[:, 1, None] & (b ^ both)
             | m[:, 2, None] & (a ^ both)
             | m[:, 3, None] & both
         )
-        fresh = np.any(outputs != a, axis=1) if drop_clones else slice(None)
-        rows = zip(
-            error[chunk][fresh].tolist(), ids[t][fresh].tolist(),
-            left_ids[i][fresh].tolist(), right_ids[k][fresh].tolist(), outputs[fresh],
-        )
-        for err, fn, j, r, out in rows:
-            key = out.tobytes()
-            if key not in seen:
-                seen.add(key)
-                kept.append(_Candidate(err, fn, j, r, out))
-                if len(kept) == config.beam_width:
-                    return kept
-    return kept
+        if drop_clones:
+            fresh = np.any(rows != a, axis=1)
+            chunk, rows = chunk[fresh], rows[fresh]
+        # the first occurrence of each row, kept ones first, then key order;
+        # a void view, as np.unique(axis=0) sorts structured rows far slower
+        rows = np.concatenate([outputs, rows])
+        first = np.unique(rows.view(f"V{8 * words}")[:, 0], return_index=True)[1]
+        new = np.sort(first[first >= len(kept)])[: config.beam_width - len(kept)]
+        kept = np.concatenate([kept, chunk[new - len(kept)]])
+        outputs = np.concatenate([outputs, rows[new]])
+        if len(kept) == config.beam_width:
+            break
+    t, rest = np.divmod(cell[kept], len(left) * n_feat)
+    i, k = np.divmod(rest, n_feat)
+    return _Layer(error[kept], ids[t], left_ids[i], right_ids[k], outputs)
 
 
-def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> list[_Candidate]:
+def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> _Layer:
     """All surviving g_i(x_j, x_k) over ordered pairs of active features."""
     error, cell = _survivors(
         enc.features, enc.feature_errors, enc, config.extended_catalog, skip_diagonal=True
@@ -288,23 +302,14 @@ def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> list[_Candida
     )
 
 
-def grow_layer(
-    prev: list[_Candidate],
-    enc: EncodedDataset,
-    config: TrainConfig,
-) -> list[_Candidate]:
-    """All surviving g_i(y_j, x_k) over the previous layer and features.
-
-    Candidates whose outputs equal their own left parent's are dropped
-    as no-progress clones before deduplication.
-    """
-    parents = np.stack([c.outputs for c in prev])
+def grow_layer(prev: _Layer, enc: EncodedDataset, config: TrainConfig) -> _Layer:
+    """All surviving g_i(y_j, x_k) over the previous layer and features,
+    less no-progress clones (outputs equal to their left parent's)."""
     error, cell = _survivors(
-        parents, np.array([c.error for c in prev]), enc, config.extended_catalog,
-        skip_diagonal=False,
+        prev.outputs, prev.error, enc, config.extended_catalog, skip_diagonal=False
     )
     return _select(
-        error, cell, parents, enc, config,
+        error, cell, prev.outputs, enc, config,
         left_ids=np.arange(len(prev)), drop_clones=True,
     )
 
@@ -314,6 +319,8 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     config = config or TrainConfig()
     if ds.n > _MAX_ROWS:
         raise TrainingError(f"{ds.n} rows: scoring is exact up to {_MAX_ROWS} rows")
+    if ds.m == 0:
+        raise TrainingError("no feature columns")
     enc = encode_dataset(ds)
     if len(enc.active) == 0:
         raise TrainingError("no informative features: every encoder is degenerate")
@@ -325,49 +332,41 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
 
     first = build_first_layer(enc, config)
     if not first:
-        raise TrainingError(
-            "first layer is empty: no candidate survived selection"
-        )
+        raise TrainingError("first layer is empty: no candidate survived selection")
     layers = [first]
-    best = min(c.error for c in first)
+    best = int(first.error[0])
     stale = 0
     while best > 0 and len(layers) < config.max_layers:
         nxt = grow_layer(layers[-1], enc, config)
         if not nxt:
             break
-        new_best = min(c.error for c in nxt)
+        new_best = int(nxt.error[0])
         if new_best > best:
             # the best unit was a dead end; a layer that regresses
             # signals exhausted refinement and is discarded
             break
         layers.append(nxt)
-        if new_best < best:
-            best = new_best
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+        stale = 0 if new_best < best else stale + 1
+        best = new_best
+        if stale >= config.patience:
+            break
 
     # Trim trailing plateau layers back to the earliest layer that
-    # reached the best error, then keep only its best units.  Those
-    # units are the syndromes that vote.
-    mins = [min(c.error for c in layer) for layer in layers]
-    final = mins.index(best)
-    layers = layers[: final + 1]
-    layers[-1] = [c for c in layers[-1] if c.error == best]
-    units = [
-        [Unit(c.fn, c.left, c.right, c.error) for c in layer]
-        for layer in layers
-    ]
-    final = [int.from_bytes(c.outputs.astype("<u8").tobytes(), "little") for c in layers[-1]]
+    # reached the best error, then keep only its best units, a prefix of
+    # its ascending errors.  Those units are the syndromes that vote.
+    mins = [int(layer.error[0]) for layer in layers]
+    *kept, last = layers[: mins.index(best) + 1]
+    n_syndromes = int(np.searchsorted(last.error, best, side="right"))
+    units = [layer.units() for layer in kept] + [last.units(n_syndromes)]
+    final = [int.from_bytes(row.astype("<u8").tobytes(), "little")
+             for row in last.outputs[:n_syndromes]]
     m1 = vote_counts(final, ds.n)
     levels = np.array([d.value for d in vote_levels(len(final))], dtype=np.int64)
     values = levels[np.frombuffer(m1, m1.typecode)]
     correct = np.where(ds.labels == 1, values < 0, values > 0)
     report = TrainReport(
-        layer_sizes=[len(layer) for layer in layers],
-        layer_min_errors=[min(c.error for c in layer) for layer in layers],
+        layer_sizes=[len(layer) for layer in units],
+        layer_min_errors=mins[: len(units)],
         feature_errors=[e.error for e in enc.encoders],
         active_features=list(enc.active),
         vote_error=int(np.sum(~correct)),

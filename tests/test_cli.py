@@ -110,6 +110,14 @@ class TestTrain:
         assert run(capsys, "train", str(data), "--label", "nosuch") == (
             2, "", f"error: no column named 'nosuch' in header {header}\n")
 
+    def test_label_column_alone_names_the_missing_features(self, capsys, tmp_path):
+        """No encoder exists to be degenerate: the error says there is no
+        feature column."""
+        data = tmp_path / "data.csv"
+        data.write_text("label\n0\n1\n")
+        with pytest.warns(UserWarning, match="conflicting labels"):
+            assert run(capsys, "train", str(data)) == (3, "", "error: no feature columns\n")
+
 
 class TestConfig:
     def gen_data(self, capsys, tmp_path):

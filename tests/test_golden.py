@@ -210,7 +210,7 @@ def fit(name: str) -> tuple[str, str]:
                        [(u.fn, u.left, u.right, u.error) for u in layer])
     for r, beam in enumerate((first, grow_layer(first, enc, config)), start=1):
         lines += _rows(f"beam {r}: error fn left right",
-                       [(c.error, c.fn, c.left, c.right) for c in beam])
+                       zip(*(c.tolist() for c in (beam.error, beam.fn, beam.left, beam.right))))
     if name in WIDE_CSV_CASES:    # every fit, not only those the model reads
         lines += _rows("encoders: feature threshold polarity error degenerate",
                        [(e.feature, repr(e.threshold), e.polarity, e.error, e.degenerate)

@@ -61,11 +61,10 @@ class TestXorGolden:
         """Survivors of layer 1 never exceed the better input feature error."""
         ds = xor_dataset()
         enc = encode_dataset(ds)
-        cands = build_first_layer(enc, TrainConfig(beam_width=64))
-        feat_err = enc.errors
-        for c in cands:
-            bound = min(feat_err[c.left], feat_err[c.right])
-            assert c.error <= bound
+        layer = build_first_layer(enc, TrainConfig(beam_width=64))
+        feat_err = np.array(enc.errors)
+        assert len(layer) > 0
+        assert np.all(layer.error <= np.minimum(feat_err[layer.left], feat_err[layer.right]))
 
 
 class TestSelectionInvariants:
@@ -131,9 +130,33 @@ class TestSelectionInvariants:
     def test_no_duplicate_outputs_within_layer(self):
         p = planted(9, n_features=5, n_rows=16, n_syndromes=3)
         enc = encode_dataset(p.dataset)
-        cands = build_first_layer(enc, TrainConfig(beam_width=256))
-        seen = {c.outputs.tobytes() for c in cands}
-        assert len(seen) == len(cands)
+        layer = build_first_layer(enc, TrainConfig(beam_width=256))
+        seen = {row.tobytes() for row in layer.outputs}
+        assert len(seen) == len(layer) == len(layer.outputs)
+
+    @pytest.mark.parametrize("beam_width", [4, 64])
+    def test_layer_arrays_contract(self, beam_width):
+        """A layer is parallel arrays, one entry per kept unit: what the
+        benchmark counts with `len` and what `grow_layer` reads back."""
+        p = planted(2, n_features=8, n_rows=100, n_syndromes=3)
+        enc = encode_dataset(p.dataset)
+        config = TrainConfig(beam_width=beam_width)
+        first = build_first_layer(enc, config)
+        grown = grow_layer(first, enc, config)
+        for layer in (first, grown):
+            n = len(layer)
+            assert 0 < n <= beam_width
+            for column in (layer.error, layer.fn, layer.left, layer.right):
+                assert column.shape == (n,)
+            assert layer.error.dtype == np.int64
+            assert np.all(np.diff(layer.error) >= 0)
+            assert layer.outputs.dtype == np.uint64
+            assert layer.outputs.shape == (n, enc.ones.shape[-1]) == (n, 2)
+            assert len({row.tobytes() for row in layer.outputs}) == n
+            for row in layer.outputs:
+                _bits(row, p.dataset.n)    # asserts the tail bits are zero
+        # a full beam at width 4; at 64, fewer survivors than the beam
+        assert [len(first), len(grown)] == {4: [4, 4], 64: [16, 53]}[beam_width]
 
 
 class TestDeterminism:
@@ -326,11 +349,11 @@ class TestPackedKernel:
         """Layer 1 and the layer grown on it select exactly what the
         per-pair reference selects."""
         def check(got, want):
-            assert [(c.error, c.fn, c.left, c.right) for c in got] == [
-                w[:4] for w in want
-            ]
-            for c, w in zip(got, want):
-                np.testing.assert_array_equal(_bits(c.outputs, len(y)), w[4])
+            columns = (got.error, got.fn, got.left, got.right)
+            assert list(zip(*(c.tolist() for c in columns))) == [w[:4] for w in want]
+            assert len(got.outputs) == len(want)
+            for row, w in zip(got.outputs, want):
+                np.testing.assert_array_equal(_bits(row, len(y)), w[4])
 
         first = build_first_layer(enc, config)
         ref_first = _reference_layer(x, y, enc.active, config)

@@ -31,7 +31,7 @@ TYPES = {
     network.Unit: True,
     network.TrainReport: False,
     network.Network: False,
-    network._Candidate: True,
+    network._Layer: False,
     tables.DiagnosticTable: False,
 }
 
