@@ -305,12 +305,6 @@ def cmd_export(args) -> int:
     return 0
 
 
-def cmd_import(args) -> int:
-    sc = _read_model(args.model)
-    _write(to_formula_table(sc), args.output)
-    return 0
-
-
 def cmd_gen(args) -> int:
     from .data import to_csv
     from .oracle import PlantedSpec, generate_planted
@@ -501,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("import", help="normalize a model file to canonical form")
     p.add_argument("model")
     p.add_argument("-o", "--output", default="-")
-    p.set_defaults(func=cmd_import)
+    p.set_defaults(func=cmd_export, format="text")
 
     p = sub.add_parser("validate", help="check the bundled reference models")
     p.add_argument("--fixtures", help="directory with reference files")

@@ -47,8 +47,9 @@ class Dataset:
     quantitative, uint8 0/1 for boolean, category strings for nominal; a
     value its kind cannot hold, such as NaN or a boolean 2, is the
     EncodingError that fitting the column gives.
-    Labels are a uint8 vector of 0s and 1s.  Build it from `rows` (one
-    tuple per row) or, keyword only, from `columns` (one per feature).
+    Labels are a uint8 vector of 0s and 1s, named by two distinct
+    class names.  Build it from `rows` (one tuple per row) or, keyword
+    only, from `columns` (one per feature).
     """
 
     def __init__(
@@ -64,7 +65,7 @@ class Dataset:
         self.features = list(features)
         self.labels = np.asarray(labels, dtype=np.uint8)
         self.label_name = label_name
-        self.class_names = class_names
+        self.class_names = _class_pair(class_names)
         names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise DataError("duplicate feature names")
@@ -179,6 +180,13 @@ def _read_cells(columns: list[tuple], label_at: int, nominal: list[bool]):
     return label, read, sorted(empty)
 
 
+def _class_pair(class_names: Sequence[str]) -> tuple[str, str]:
+    names = tuple(class_names)
+    if len(names) != 2 or names[0] == names[1]:
+        raise DataError(f"class_names must be two distinct names, got {names!r}")
+    return names
+
+
 def load_csv(
     source,
     label_column: str = "label",
@@ -229,12 +237,7 @@ def load_csv(
         columns = [tuple(compress(column, keep)) for column in columns]
         label, read, _ = _read_cells(columns, label_at, nominal)
 
-    if class_names is None:
-        names = ("0", "1")
-    else:
-        names = tuple(class_names)
-        if len(names) != 2 or names[0] == names[1]:
-            raise DataError(f"class_names must be two distinct names, got {names!r}")
+    names = ("0", "1") if class_names is None else _class_pair(class_names)
     if not set(label) <= set(names):
         r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
         raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")

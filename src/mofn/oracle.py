@@ -2,9 +2,9 @@
 
 Everything here is deliberately written from scratch: the truth tables
 are a second transcription, the threshold scan tries every candidate
-with plain loops, and the decision enumerator walks expression trees
-with its own recursion.  Nothing is shared with the modules under
-test beyond the public data types, so agreement is meaningful.
+with plain loops, and the decision enumerator walks each syndrome's
+chain of rows with its own loop.  Nothing is shared with the modules
+under test beyond the public data types, so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, FeatureSpec
-from .rules import FeatureRef, FnNode, SignedDecision, SyndromeComplex
+from .rules import SignedDecision, SyndromeComplex
 
 # Independent transcription of the function catalog, indexed by
 # (u1, u2) in the order (0,0), (0,1), (1,0), (1,1).
@@ -84,26 +84,18 @@ def brute_force_threshold(values, labels) -> ThresholdResult:
     return ThresholdResult(u, h, e, False)
 
 
-def _walk(expr, bits: dict[int, int]) -> int:
-    if isinstance(expr, FeatureRef):
-        return bits[expr.feature]
-    if isinstance(expr, FnNode):
-        a = _walk(expr.left, bits)
-        b = _walk(expr.right, bits)
-        if a == 0 and b == 0:
-            return ORACLE_TRUTH[expr.fn][0]
-        if a == 0 and b == 1:
-            return ORACLE_TRUTH[expr.fn][1]
-        if a == 1 and b == 0:
-            return ORACLE_TRUTH[expr.fn][2]
-        return ORACLE_TRUTH[expr.fn][3]
-    raise TypeError(f"not an expression: {expr!r}")
+def _walk(chain, bits: dict[int, int]) -> int:
+    """The output bit of a chain of rows, layer 1 first: the first row
+    reads feature x_left, and each row applies g_fn to the bit so far
+    and feature x_right."""
+    a = bits[chain[0].left]
+    for row in chain:
+        a = ORACLE_TRUTH[row.fn][2 * a + bits[row.right]]
+    return a
 
 
-def _features(expr) -> set[int]:
-    if isinstance(expr, FeatureRef):
-        return {expr.feature}
-    return _features(expr.left) | _features(expr.right)
+def _features(chain) -> set[int]:
+    return {chain[0].left, *(row.right for row in chain)}
 
 
 def _own_vote(m1: int, n: int) -> SignedDecision:
@@ -124,8 +116,9 @@ def exhaustive_decision_check(
 ) -> dict[tuple[int, ...], SignedDecision]:
     """Decision for every assignment of the referenced features.
 
-    Assignment keys are bit tuples over the features the trees read, in
-    ascending id order.  Refuses rules wider than `max_features`.
+    Assignment keys are bit tuples over the features the syndromes'
+    chains read, in ascending id order.  Refuses rules wider than
+    `max_features`.
     """
     feats = sorted(set().union(*map(_features, sc.syndromes)))
     if len(feats) > max_features:
@@ -155,6 +148,8 @@ class PlantedSpec:
     def __post_init__(self) -> None:
         if self.n_features < 2:
             raise ValueError("need at least two features")
+        if self.n_rows < 2:
+            raise ValueError("need at least two rows")
         if self.n_syndromes < 1:
             raise ValueError("need at least one syndrome")
         if not 0 <= self.noise_flips <= self.n_rows:

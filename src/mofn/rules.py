@@ -1,7 +1,8 @@
 """Syndrome complexes: networks read as M-of-N voting rules.
 
-The final layer of a trained network is a set of N syndromes, each an
-expression tree over encoded feature bits.  A case is classified by
+The final layer of a trained network is a set of N syndromes, each a
+chain of formula rows over encoded feature bits: a unit reads one unit
+of the layer before it and one feature.  A case is classified by
 counting syndromes: M1 vote for class 1, M0 = N - M1 for class 0, the
 majority wins with M = max(M0, M1) supporting votes, and the decision
 is written as a signed value, +M for class 0 and -M for class 1.  An
@@ -17,7 +18,8 @@ A line is tokenized as shlex.split(line, comments=True) reads it; a
 line with no quote, backslash, # or non-ASCII character, and no
 whitespace that str.split and shlex disagree on, is split by str.split,
 which gives the same tokens faster; shlex is imported only for the
-other lines, and by to_formula_table to quote names.
+other lines, and by to_formula_table to quote names.  A name holding a
+line break cannot be written.
 
 Every decision runs one SlotProgram, compiled once per complex, over
 bitset columns: a single case, a batch of rows and a grid alike.  A
@@ -47,9 +49,6 @@ __all__ = [
     "vote_decision",
     "vote_levels",
     "describe_decision",
-    "FeatureRef",
-    "FnNode",
-    "Expr",
     "SyndromeComplex",
     "SlotProgram",
     "Row",
@@ -122,25 +121,6 @@ def describe_decision(d: SignedDecision, class_names: tuple[str, str] = ("0", "1
     if d.contradictory:
         return f"contradictory (0/{d.n})"
     return f"{class_names[d.klass]} ({d.value:+d}, {d.m}/{d.n})"
-
-
-@record(frozen=True)
-class FeatureRef:
-    """Leaf: the encoded bit of feature x_<feature>."""
-
-    feature: int
-
-
-@record(frozen=True)
-class FnNode:
-    """Interior node: g_<fn> applied to two subexpressions."""
-
-    fn: int
-    left: "Expr"
-    right: "Expr"
-
-
-Expr = FeatureRef | FnNode
 
 
 @record(frozen=True)
@@ -261,19 +241,13 @@ class SyndromeComplex:
         return len(self.layers[-1])
 
     @cached_property
-    def syndromes(self) -> list[Expr]:
-        """Expression trees of the final-layer units, built on first use."""
-        prev: dict[int, Expr] = {}
-        for r, layer in enumerate(self.layers):
-            prev = {
-                row.ident: FnNode(
-                    row.fn,
-                    FeatureRef(row.left) if r == 0 else prev[row.left],
-                    FeatureRef(row.right),
-                )
-                for row in layer
-            }
-        return [prev[row.ident] for row in self.layers[-1]]
+    def syndromes(self) -> list[tuple[Row, ...]]:
+        """Each final-layer unit as the rows of its chain, layer 1 first,
+        built on first use."""
+        chains = {row.ident: (row,) for row in self.layers[0]}
+        for layer in self.layers[1:]:
+            chains = {row.ident: (*chains[row.left], row) for row in layer}
+        return [chains[row.ident] for row in self.layers[-1]]
 
     @cached_property
     def program(self) -> SlotProgram:
@@ -351,12 +325,23 @@ def symbolic(sc: SyndromeComplex) -> list[str]:
     return lines
 
 
-def _format_feature(ident: int, enc: Encoder, quote) -> str:
-    parts = ["feature", str(ident), quote(enc.feature), f"kind={enc.kind}"]
+def _quote(name: str) -> str:
+    """A name as a model line holds it, quoted by shlex.quote.  A line
+    break would cut the line in two when the file is read back, so a
+    name holding one cannot be written."""
+    if "\n" in name or "\r" in name:
+        raise ModelFormatError(f"cannot write {name!r} to a model file: it holds a line break")
+    import shlex
+
+    return shlex.quote(name)
+
+
+def _format_feature(ident: int, enc: Encoder) -> str:
+    parts = ["feature", str(ident), _quote(enc.feature), f"kind={enc.kind}"]
     if enc.kind == "quantitative" and enc.threshold is not None:
         parts.append(f"u={enc.threshold!r}")
     if enc.kind == "nominal" and enc.category is not None:
-        parts.append(f"category={quote(enc.category)}")
+        parts.append(f"category={_quote(enc.category)}")
     if not enc.degenerate:
         parts.append(f"h={enc.polarity}")
     if enc.error is not None:
@@ -374,15 +359,13 @@ def to_formula_table(model) -> str:
     rows in stored order.  Parsing and reprinting canonical text is the
     identity.
     """
-    from shlex import quote
-
     sc = model if isinstance(model, SyndromeComplex) else extract(model)
     lines = []
     if sc.extended:
         lines.append("catalog extended")
-    lines.append(f"classes {quote(sc.class_names[0])} {quote(sc.class_names[1])}")
+    lines.append(f"classes {_quote(sc.class_names[0])} {_quote(sc.class_names[1])}")
     for ident in sorted(sc.features):
-        lines.append(_format_feature(ident, sc.features[ident], quote))
+        lines.append(_format_feature(ident, sc.features[ident]))
     for r, layer in enumerate(sc.layers, start=1):
         lines.append(f"layer {r}")
         for row in layer:

@@ -20,6 +20,8 @@ from mofn.network import train
 from mofn.rules import evaluate, parse_formula_table, to_formula_table
 from mofn.tables import parse_rendered_csv
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
 ANCHOR_CSV = """\
 leucocytes,circulating_immune_complex,articular_syndrome,anhelation,erythema,heart_noises,hepatomegaly,myocarditis
 5.0,100.0,0,0,0,0,0,0
@@ -751,6 +753,31 @@ class TestExportImport:
         assert run(capsys, "import", str(model), "-o", str(again))[0] == 0
         assert again.read_bytes() == written
 
+    @pytest.mark.parametrize("char", ["\n", "\r"], ids=ascii)
+    @pytest.mark.parametrize("where", ["header", "category"])
+    def test_names_holding_a_line_break_are_refused(self, capsys, tmp_path, where, char):
+        """A model line cannot hold a line break, and reading a file turns
+        a lone \\r into one, so train refuses to write a feature name or
+        category holding either: one error line, exit 4, no model file."""
+        name = f'"p{char}q"'
+        if where == "header":
+            lines = [f"{name},c,label", "0,0,0", "0,1,0", "1,0,0", "1,1,1", "1,1,1", "0,0,0"]
+        else:
+            lines = ["k,c,label", f"{name},0,0", f"{name},1,1", "r,0,0", "r,1,0", "s,1,0",
+                     f"{name},1,1"]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.rules"
+        assert run(capsys, "train", str(data), "-o", str(model)) == (
+            4, "", "error: cannot write 'p\\nq' to a model file: it holds a line break\n")
+        assert not model.exists()
+
+    def test_import_is_export_text(self, capsys, fixtures_dir):
+        for model in [*fixtures_dir.glob("*.rules"), *GOLDEN.glob("*.rules")]:
+            imported = run(capsys, "import", str(model))
+            assert imported == run(capsys, "export", "--format", "text", str(model))
+            assert imported == (0, to_formula_table(parse_formula_table(model.read_text())), "")
+
     def test_crlf_model_parses(self, capsys, tmp_path, fixtures_dir):
         text = (fixtures_dir / "ie_srl.rules").read_text()
         crlf = text.replace("\n", "\r\n")
@@ -798,6 +825,11 @@ class TestGen:
     def test_bad_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "--seed", "9", "--features", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("rows", ["0", "1"])
+    def test_fewer_than_two_rows_is_usage_error(self, capsys, rows):
+        assert run(capsys, "gen", "--seed", "1", "--rows", rows) == (
+            2, "", "error: need at least two rows\n")
 
     def test_unusable_seed_is_usage_error(self, capsys):
         """The generator gives up on this seed; that is an error message,

@@ -281,6 +281,16 @@ class TestDatasetInvariants:
                 labels=np.array([0, 1, 1]),
             )
 
+    @pytest.mark.parametrize("names", [("x", "x"), ("p", "q", "r")])
+    def test_class_names_are_two_distinct_names(self, names):
+        with pytest.raises(DataError, match="^class_names must be two distinct names, got "):
+            Dataset(
+                features=[FeatureSpec("a", "boolean")],
+                rows=[(1,), (0,)],
+                labels=np.array([0, 1]),
+                class_names=names,
+            )
+
     def test_label_collision_with_feature(self):
         with pytest.raises(DataError, match="collides"):
             Dataset(

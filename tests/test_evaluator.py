@@ -4,7 +4,7 @@ Single cases (`evaluate`), CSV batches (`mofn classify`) and grids
 (`make_table`) all run one compiled slot program over bitsets of 1, n
 and 2^q bits.  Random models with 1-4 layers, both catalogs and dead
 units, over 1-8 declared features, are checked against the oracle's
-own tree walk at batch sizes around the 8- and 64-bit boundaries.
+own chain walk at batch sizes around the 8- and 64-bit boundaries.
 """
 
 import contextlib
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from mofn.cli import main
 from mofn.logic import function_ids, truth_row
 from mofn.oracle import exhaustive_decision_check
-from mofn.rules import FeatureRef, evaluate, parse_formula_table, vote_counts
+from mofn.rules import evaluate, parse_formula_table, vote_counts
 from mofn.tables import make_table
 
 BATCH_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
@@ -54,13 +54,8 @@ def models(draw):
     return "\n".join(lines) + "\n"
 
 
-def tree_features(expr, out):
-    if isinstance(expr, FeatureRef):
-        out.add(expr.feature)
-    else:
-        tree_features(expr.left, out)
-        tree_features(expr.right, out)
-    return out
+def chain_features(chain):
+    return {chain[0].left, *(row.right for row in chain)}
 
 
 def raw_cell(enc, bit):
@@ -82,7 +77,7 @@ def same(got, want):
 def test_every_path_agrees_with_the_oracle(text, n, seed):
     sc = parse_formula_table(text)
     referenced = sc.referenced_features()
-    assert referenced == sorted(set().union(*(tree_features(s, set()) for s in sc.syndromes)))
+    assert referenced == sorted(set().union(*map(chain_features, sc.syndromes)))
 
     exhaustive = exhaustive_decision_check(sc, max_features=8)
     unread = {ident: 1 for ident in sc.features if ident not in referenced}

@@ -88,7 +88,7 @@ class TestExhaustiveCheck:
                                          lambda feats: feats + [99]],
                              ids=["reversed", "one-short", "one-extra"])
     def test_finds_its_own_features(self, ie_ar_text, monkeypatch, corrupt):
-        """The features come from the oracle's own walk of the trees, not
+        """The features come from the oracle's own walk of the chains, not
         from the compiled program under test."""
         sc = parse_formula_table(ie_ar_text)
         want = exhaustive_decision_check(sc)
@@ -102,6 +102,25 @@ class TestExhaustiveCheck:
         with pytest.raises(ValueError, match="cap"):
             exhaustive_decision_check(sc, max_features=4)
 
+    def test_walks_a_chain_deeper_than_the_recursion_limit(self):
+        """A 1 200-layer model, which evaluate serves, is walked in a loop.
+        Units 1 and 2 each run a chain through every layer; unit 3 reads
+        unit 1, and is dead in every layer but the last."""
+        fns = (5, 8, 0, 6, 13, 3, 7, 10, 12)
+        lines = ["classes 0 1",
+                 *(f"feature {j} f{j} kind=boolean h=1" for j in range(4)),
+                 "layer 1", "1 5 0 1", "2 8 2 3", "3 0 1 2"]
+        for r in range(2, 1201):
+            lines += [f"layer {r}", f"1 {fns[r % 9]} 1 {r % 4}",
+                      f"2 {fns[(r + 4) % 9]} 2 {(r + 1) % 4}", f"3 0 1 {r % 4}"]
+        sc = parse_formula_table("\n".join(lines) + "\n")
+        dec = exhaustive_decision_check(sc)
+        assert len(dec) == 16 and len({d.value for d in dec.values()}) > 1
+        for bits, d in dec.items():
+            e = evaluate(sc, dict(enumerate(bits)))
+            assert (d.value, d.m, d.n, d.m1) == (e.value, e.m, e.n, e.m1)
+        assert [len(chain) for chain in sc.syndromes] == [1200] * 3
+
 
 class TestPlantedSpec:
     def test_validation(self):
@@ -111,6 +130,9 @@ class TestPlantedSpec:
             PlantedSpec(seed=1, n_syndromes=0)
         with pytest.raises(ValueError):
             PlantedSpec(seed=1, n_rows=10, noise_flips=11)
+        for n_rows in (0, 1):
+            with pytest.raises(ValueError, match="^need at least two rows$"):
+                PlantedSpec(seed=1, n_rows=n_rows)
 
     def test_majority_level(self):
         p = generate_planted(PlantedSpec(seed=3, n_syndromes=3))

@@ -22,8 +22,6 @@ TYPES = {
     encoding.Encoder: True,
     encoding.EncodedDataset: False,
     rules.SignedDecision: True,
-    rules.FeatureRef: True,
-    rules.FnNode: True,
     rules.Row: True,
     rules.SlotProgram: True,
     rules.SyndromeComplex: False,

@@ -1,5 +1,6 @@
 """Formula extraction, the table text format, and vote semantics."""
 
+import re
 import shlex
 
 import numpy as np
@@ -8,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mofn.data import Dataset, FeatureSpec
+from mofn.encoding import Encoder
 from mofn.errors import EvaluationError, ModelFormatError, MofnError
 from mofn.logic import function_ids
 from mofn.network import TrainConfig, train
 from mofn.rules import (
-    FeatureRef,
-    FnNode,
     Row,
     decision_levels,
     describe_decision,
@@ -161,6 +161,21 @@ class TestCanonicalForm:
         assert "'left arm'" in canon
         assert parse_formula_table(canon).features[0].feature == "left arm"
 
+    @pytest.mark.parametrize("name", ["a\rb", "a\nb"], ids=["CR", "LF"])
+    @pytest.mark.parametrize("where", ["classes", "feature", "category"])
+    def test_names_holding_a_line_break_are_not_written(self, where, name):
+        """A name holding a line break would cut its line in two when the
+        file is read back; every name written refuses one."""
+        sc = parse_formula_table(TINY)
+        if where == "classes":
+            sc.class_names = (name, "1")
+        else:
+            sc.features[0] = (Encoder(name, "boolean", 1) if where == "feature"
+                              else Encoder("a", "nominal", 1, category=name))
+        with pytest.raises(ModelFormatError,
+                           match=f"^cannot write {re.escape(repr(name))} to a model file"):
+            to_formula_table(sc)
+
     def test_catalog_line_only_when_extended(self, ie_srl_text, ie_ar_text):
         assert not to_formula_table(parse_formula_table(ie_srl_text)).startswith(
             "catalog"
@@ -184,11 +199,7 @@ layer 2
 5 0 5 1
 """
         sc = parse_formula_table(text)
-        syn = sc.syndromes[0]
-        assert isinstance(syn, FnNode) and syn.fn == 0
-        inner = syn.left
-        assert isinstance(inner, FnNode) and inner.fn == 5
-        assert inner.left == FeatureRef(0)
+        assert sc.syndromes == [(Row(5, 5, 0, 1), Row(5, 0, 5, 1))]
         # the syndrome is (a XOR b) AND b
         assert evaluate(sc, {0: 0, 1: 1}).value == -1
         assert evaluate(sc, {0: 1, 1: 1}).value == 1
