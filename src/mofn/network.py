@@ -85,11 +85,10 @@ class TrainReport:
     n_rows: int
 
     def lines(self, feature_names: list[str]) -> list[str]:
-        out = [f"rows: {self.n_rows}"]
-        out.append(
-            "active features: "
-            + ", ".join(feature_names[j] for j in self.active_features)
-        )
+        # A name that would break or hide in a report line is written as its repr.
+        names = [feature_names[j] for j in self.active_features]
+        names = [n if n.isprintable() else repr(n) for n in names]
+        out = [f"rows: {self.n_rows}", "active features: " + ", ".join(names)]
         for r, (size, err) in enumerate(
             zip(self.layer_sizes, self.layer_min_errors), start=1
         ):

@@ -5,6 +5,8 @@ are a second transcription, the threshold scan tries every candidate
 with plain loops, and the decision enumerator walks each syndrome's
 chain of rows with its own loop.  Nothing is shared with the modules
 under test beyond the public data types, so agreement is meaningful.
+The planted-data generator draws and labels whole arrays;
+`Planted.rule_bit` is the per-row reference its labels are tested against.
 """
 
 from __future__ import annotations
@@ -152,6 +154,8 @@ class PlantedSpec:
             raise ValueError("need at least two rows")
         if self.n_syndromes < 1:
             raise ValueError("need at least one syndrome")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not 0 <= self.noise_flips <= self.n_rows:
             raise ValueError("noise_flips must be between 0 and n_rows")
 
@@ -190,77 +194,36 @@ def generate_planted(spec: PlantedSpec) -> Planted:
     orientation errs on at most half the rows.
     """
     rng = np.random.default_rng(spec.seed)
+    f = spec.n_features
     m_level = spec.n_syndromes // 2 + 1
     for _ in range(200):
-        pairs = [
-            (a, b)
-            for a in range(spec.n_features)
-            for b in range(spec.n_features)
-            if a != b
-        ]
-        chosen = rng.choice(len(pairs), size=spec.n_syndromes, replace=True)
+        # c counts the ordered pairs (a, b), a != b, a-major; j counts b with a skipped.
         syndromes = []
-        for c in chosen:
+        for c in rng.choice(f * (f - 1), size=spec.n_syndromes, replace=True):
             fn = int(rng.choice(STANDARD_ORACLE_IDS))
-            a, b = pairs[int(c)]
-            syndromes.append((fn, a, b))
+            a, j = divmod(int(c), f - 1)
+            syndromes.append((fn, a, j + (j >= a)))
 
-        bits = rng.integers(0, 2, size=(spec.n_rows, spec.n_features), dtype=np.uint8)
-        if any(
-            bits[:, j].min() == bits[:, j].max()
-            for j in range(spec.n_features)
-        ):
+        bits = rng.integers(0, 2, size=(spec.n_rows, f), dtype=np.uint8)
+        if (bits.min(axis=0) == bits.max(axis=0)).any():
             continue
-        labels = np.array(
-            [
-                int(
-                    sum(
-                        ORACLE_TRUTH[fn][2 * int(bits[r, a]) + int(bits[r, b])]
-                        for fn, a, b in syndromes
-                    )
-                    >= m_level
-                )
-                for r in range(spec.n_rows)
-            ],
-            dtype=np.uint8,
-        )
+        votes = [np.array(ORACLE_TRUTH[fn])[2 * bits[:, a] + bits[:, b]] for fn, a, b in syndromes]
+        labels = (sum(votes) >= m_level).astype(np.uint8)
         if labels.min() == labels.max():
             continue
+        flipped = sorted(rng.choice(spec.n_rows, size=spec.noise_flips, replace=False).tolist())
         noisy = labels.copy()
-        flipped = sorted(
-            int(i)
-            for i in rng.choice(spec.n_rows, size=spec.noise_flips, replace=False)
-        )
-        for i in flipped:
-            noisy[i] = 1 - noisy[i]
-        c1 = int(noisy.sum())
-        if abs((len(noisy) - c1) - c1) > 1:
+        noisy[flipped] ^= 1
+        if abs(spec.n_rows - 2 * int(noisy.sum())) > 1:
             continue
 
-        thresholds = [round(float(u), 1) for u in rng.uniform(5.0, 95.0, spec.n_features)]
-        offsets = [round(float(d), 1) for d in rng.uniform(0.5, 3.0, spec.n_features)]
-        rows = []
-        for r in range(spec.n_rows):
-            rows.append(tuple(
-                thresholds[j] + offsets[j] if bits[r, j] else thresholds[j] - offsets[j]
-                for j in range(spec.n_features)
-            ))
+        thresholds = [round(float(u), 1) for u in rng.uniform(5.0, 95.0, f)]
+        offsets = [round(float(d), 1) for d in rng.uniform(0.5, 3.0, f)]
+        t, o = np.array(thresholds), np.array(offsets)
         ds = Dataset(
-            features=[
-                FeatureSpec(f"f{j + 1}", "quantitative")
-                for j in range(spec.n_features)
-            ],
-            rows=rows,
+            features=[FeatureSpec(f"f{j + 1}", "quantitative") for j in range(f)],
             labels=noisy,
+            columns=np.where(bits, t + o, t - o).T,
         )
-        return Planted(
-            dataset=ds,
-            syndromes=syndromes,
-            m_level=m_level,
-            bits=bits,
-            clean_labels=labels,
-            flipped=flipped,
-            thresholds=thresholds,
-            offsets=offsets,
-        )
+        return Planted(ds, syndromes, m_level, bits, labels, flipped, thresholds, offsets)
     raise RuntimeError(f"could not generate a usable dataset for seed {spec.seed}")

@@ -120,6 +120,22 @@ class TestTrain:
         with pytest.warns(UserWarning, match="conflicting labels"):
             assert run(capsys, "train", str(data)) == (3, "", "error: no feature columns\n")
 
+    def test_report_writes_an_unprintable_feature_name_as_its_repr(self, capsys, tmp_path):
+        """f\\n1 is active but the rule reads only b and c, so the model is
+        written; the report still gives one stderr line per entry."""
+        data = tmp_path / "data.csv"
+        rows = ["1,0,0,0", "2,0,1,1", "3,1,0,1", "4,1,1,0"] * 2 + ["5,0,0,0", "6,0,1,1"]
+        data.write_text('"f\n1",b,c,label\n' + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "train", str(data))
+        assert code == 0
+        assert [enc.feature for enc in parse_formula_table(out).features.values()] == ["b", "c"]
+        assert err.splitlines() == [
+            "rows: 10",
+            "active features: 'f\\n1', b, c",
+            "layer 1: 1 unit(s), best error 0",
+            "majority vote error: 0/10",
+        ]
+
 
 class TestConfig:
     def gen_data(self, capsys, tmp_path):
@@ -830,6 +846,10 @@ class TestGen:
     def test_fewer_than_two_rows_is_usage_error(self, capsys, rows):
         assert run(capsys, "gen", "--seed", "1", "--rows", rows) == (
             2, "", "error: need at least two rows\n")
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(capsys, "gen", "--seed", "-1") == (
+            2, "", "error: seed must be non-negative\n")
 
     def test_unusable_seed_is_usage_error(self, capsys):
         """The generator gives up on this seed; that is an error message,

@@ -1,8 +1,12 @@
 """The independent checking tools must agree with themselves and stay honest."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
+from mofn.data import to_csv
 from mofn.oracle import (
     ORACLE_TRUTH,
     STANDARD_ORACLE_IDS,
@@ -133,6 +137,8 @@ class TestPlantedSpec:
         for n_rows in (0, 1):
             with pytest.raises(ValueError, match="^need at least two rows$"):
                 PlantedSpec(seed=1, n_rows=n_rows)
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            PlantedSpec(seed=-1)
 
     def test_majority_level(self):
         p = generate_planted(PlantedSpec(seed=3, n_syndromes=3))
@@ -174,6 +180,16 @@ class TestGeneratePlanted:
         for r, row_bits in enumerate(p.bits):
             assert p.rule_bit(row_bits) == int(p.dataset.labels[r])
         assert np.array_equal(p.clean_labels, p.dataset.labels)
+        for spec in (
+            PlantedSpec(seed=1, n_features=2, n_rows=6, n_syndromes=3, noise_flips=1),
+            PlantedSpec(seed=4, n_rows=20, noise_flips=3),
+            PlantedSpec(seed=7, n_features=12, n_rows=60, n_syndromes=7, noise_flips=6),
+            PlantedSpec(seed=2, n_features=8, n_rows=100, noise_flips=10),
+            PlantedSpec(seed=1, n_features=96, n_rows=200),
+        ):
+            p = generate_quietly(spec)
+            for r, row_bits in enumerate(p.bits):
+                assert p.rule_bit(row_bits) == int(p.clean_labels[r]), (spec, r)
 
     def test_noise_flips_exactly_requested_rows(self):
         p = generate_planted(PlantedSpec(seed=4, n_rows=20, noise_flips=3))
@@ -192,3 +208,57 @@ class TestGeneratePlanted:
             assert fn in STANDARD_ORACLE_IDS
             assert a != b
             assert 0 <= a < 6 and 0 <= b < 6
+
+
+def generate_quietly(spec):
+    """generate_planted without the conflicting-duplicate warnings that
+    label noise on few features gives."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return generate_planted(spec)
+
+
+def planted_digest(p) -> str:
+    h = hashlib.sha256()
+    for part in (to_csv(p.dataset), p.syndromes, p.flipped, p.thresholds, p.offsets):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+# sha256 of each spec's dataset and ground truth, recorded from the
+# generator's row-by-row form; any change to the order of the random
+# draws, or to how values are rounded or combined, changes them.
+PLANTED_DIGESTS = {
+    # (seed, n_features, n_rows, n_syndromes, noise_flips): digest
+    (1, 6, 24, 3, 0): "1c1a17aba75ab396832ccfafa0ce02e63e758ed93dc54204d47683facb3ada47",
+    (9, 6, 24, 3, 0): "8dcdc8754f2b4b3a94045c87f362fde44e5fcec99bc95708d0abd4707740798a",
+    (11, 6, 24, 3, 0): "fcfca9fc4d5ecf62990fe821ac615b71df1e3cbe1fdc324711ba2a9ec24d10f2",
+    (3, 2, 4, 1, 0): "bdc2ec19afbb2739c5888a6615bf02af9bf747f5770d9fad7cdd00db3a8549a1",
+    (5, 2, 6, 3, 1): "db398c4ccfcd29f4c20e11e04fba5acf4a54b8dd90ecbe05af1eaf60cfa849e7",
+    (4, 6, 20, 3, 3): "a6df230869f3abe68b7a030e3310dcb0099106ebcc997ee20b98e330fcc3b92b",
+    (6, 6, 21, 5, 0): "71e58271dcd4297196ecee6e74962b862b8e772bd554bc284d993a18b5a50c76",
+    (7, 12, 60, 7, 6): "a80e8d6e244b533162fc7d26cef6654e63665538e0e1f131d033ae2dbef2d479",
+    (2, 8, 100, 3, 10): "f69b0b0bc82c0099eafb71b0d472e76e2d720560564cc99e61cbf1d4bb106d0f",
+    (1, 48, 100, 3, 0): "617b06df406a1d637b3e26821c2941d4ab85c95463ce2c130f0d95670adeb403",
+    (5, 48, 100, 3, 0): "1cc6ea3c066958d3e52d0fcb44fa0315e7e441c8857dfeaf7054585f9a6c1c49",
+    (1, 96, 200, 3, 0): "bfa409f8ff043694e2976591fce0055b46e09194b5321baf84f20b93f97d206c",
+    (3, 96, 200, 3, 0): "9235591f391ec3f9c6f684edbba7686882420059c7b4d61b262663818f33f6e7",
+    (2, 6, 500, 3, 0): "06d531f3eb8c59cdd21809fbde5518a44f330448b247b0e12be886e7a2d7ead6",
+    (4, 6, 500, 3, 0): "b58b9d0399ab6bda34e1b6a315feea7f99ff28abde16238138be4977c65ecdb6",
+    (11, 24, 300, 3, 30): "de0fef8741ff3d6071e58fa5093c664df06d94262cd07daee4e0f3d909dc2325",
+    (3, 10, 40, 4, 40): "3df65ba78e23cca0c97449410014aad4e0cfbe6dfbbea84689b2f778b4fea073",
+}
+
+# Specs whose 200 redraws never balance the classes to within one row.
+UNBALANCEABLE = [(1, 6, 500, 3, 0), (8, 6, 200, 3, 0)]
+
+
+class TestPlantedDigests:
+    @pytest.mark.parametrize("key", list(PLANTED_DIGESTS), ids=str)
+    def test_output_is_unchanged(self, key):
+        assert planted_digest(generate_quietly(PlantedSpec(*key))) == PLANTED_DIGESTS[key]
+
+    @pytest.mark.parametrize("key", UNBALANCEABLE, ids=str)
+    def test_unbalanceable_specs_still_fail(self, key):
+        with pytest.raises(RuntimeError, match=f"^could not generate a usable dataset for seed {key[0]}$"):
+            generate_planted(PlantedSpec(*key))
