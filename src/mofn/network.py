@@ -33,13 +33,11 @@ and only the first of equal outputs is kept.  The walk stops once the
 layer holds its beam width of units, kept as the parallel arrays of a
 `_Layer` until `train` makes `Unit`s of the layers it keeps.
 
-Growth stops when a layer reaches error zero, when no candidate
-survives, when a grown layer would regress the best error, when the
-best error stalls past the configured patience, or at a depth cap.  The
-network then ends at the earliest layer that reached the best error,
-cut down to the units that achieved it; those units are the syndromes
-that vote by majority at classification time.  Layer minimum errors are
-non-increasing by construction.
+`train` encodes the dataset, `grow` adds layers until one of five named
+stop rules fires, and `select` ends the network at the earliest layer
+that reached the best error, cut down to the units that achieved it:
+the syndromes, which vote by majority.  `train` then reports the kept
+layers, the stop rule and that vote's error on the training rows.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .data import Dataset
 from .errors import EvaluationError, TrainingError
 from .logic import function_ids, truth_row
 from .record import record
-from .rules import SignedDecision, SlotProgram, extract, vote_counts, vote_levels
+from .rules import SignedDecision, SlotProgram, extract, vote_levels
 
 
 @record(frozen=True)
@@ -79,10 +77,10 @@ class TrainReport:
 
     layer_sizes: list[int]
     layer_min_errors: list[int]
-    feature_errors: list[int | None]
     active_features: list[int]
     vote_error: int
     n_rows: int
+    stop_reason: str
 
     def lines(self, feature_names: list[str]) -> list[str]:
         # A name that would break or hide in a report line is written as its repr.
@@ -313,6 +311,35 @@ def grow_layer(prev: _Layer, enc: EncodedDataset, config: TrainConfig) -> _Layer
     )
 
 
+def grow(enc: EncodedDataset, config: TrainConfig) -> tuple[list[_Layer], str]:
+    """Grow layers until a stop rule fires; return them and the rule's name.
+    A layer that would regress the best error signals exhausted refinement
+    and is dropped, so layer minimum errors never increase."""
+    layers, stale = [build_first_layer(enc, config)], 0
+    if not layers[0]:
+        raise TrainingError("first layer is empty: no candidate survived selection")
+    while True:
+        best = int(layers[-1].error[0])
+        if best == 0 or len(layers) == config.max_layers:
+            return layers, "zero error" if best == 0 else "depth cap"
+        nxt = grow_layer(layers[-1], enc, config)
+        if not nxt or nxt.error[0] > best:
+            return layers, "regression" if nxt else "no survivor"
+        layers.append(nxt)
+        stale = 0 if nxt.error[0] < best else stale + 1
+        if stale == config.patience:
+            return layers, "stall"
+
+
+def select(layers: list[_Layer]) -> tuple[list[_Layer], int]:
+    """The layers up to the earliest one at the best error, and how many
+    of its units reach that error, a prefix of its ascending errors.
+    Those units are the syndromes that vote."""
+    mins = [int(layer.error[0]) for layer in layers]
+    kept = layers[: mins.index(min(mins)) + 1]
+    return kept, int(np.searchsorted(kept[-1].error, min(mins), side="right"))
+
+
 def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     """Grow a network on a dataset and return it with a training report."""
     config = config or TrainConfig()
@@ -329,47 +356,19 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
             f"only one informative feature ({only}); need at least two to form pairs"
         )
 
-    first = build_first_layer(enc, config)
-    if not first:
-        raise TrainingError("first layer is empty: no candidate survived selection")
-    layers = [first]
-    best = int(first.error[0])
-    stale = 0
-    while best > 0 and len(layers) < config.max_layers:
-        nxt = grow_layer(layers[-1], enc, config)
-        if not nxt:
-            break
-        new_best = int(nxt.error[0])
-        if new_best > best:
-            # the best unit was a dead end; a layer that regresses
-            # signals exhausted refinement and is discarded
-            break
-        layers.append(nxt)
-        stale = 0 if new_best < best else stale + 1
-        best = new_best
-        if stale >= config.patience:
-            break
-
-    # Trim trailing plateau layers back to the earliest layer that
-    # reached the best error, then keep only its best units, a prefix of
-    # its ascending errors.  Those units are the syndromes that vote.
-    mins = [int(layer.error[0]) for layer in layers]
-    *kept, last = layers[: mins.index(best) + 1]
-    n_syndromes = int(np.searchsorted(last.error, best, side="right"))
-    units = [layer.units() for layer in kept] + [last.units(n_syndromes)]
-    final = [int.from_bytes(row.astype("<u8").tobytes(), "little")
-             for row in last.outputs[:n_syndromes]]
-    m1 = vote_counts(final, ds.n)
-    levels = np.array([d.value for d in vote_levels(len(final))], dtype=np.int64)
-    values = levels[np.frombuffer(m1, m1.typecode)]
-    correct = np.where(ds.labels == 1, values < 0, values > 0)
+    layers, stop_reason = grow(enc, config)
+    kept, n_syndromes = select(layers)
+    units = [layer.units() for layer in kept[:-1]] + [kept[-1].units(n_syndromes)]
+    words = kept[-1].outputs[:n_syndromes].astype("<u8").view(np.uint8)
+    m1 = np.unpackbits(words, axis=1, bitorder="little")[:, : ds.n].sum(axis=0)
+    values = np.array([d.value for d in vote_levels(n_syndromes)])[m1]  # class 1 < 0 < class 0
     report = TrainReport(
         layer_sizes=[len(layer) for layer in units],
-        layer_min_errors=mins[: len(units)],
-        feature_errors=[e.error for e in enc.encoders],
+        layer_min_errors=[int(layer.error[0]) for layer in kept],
         active_features=list(enc.active),
-        vote_error=int(np.sum(~correct)),
+        vote_error=int(np.sum(np.where(ds.labels == 1, values >= 0, values <= 0))),
         n_rows=ds.n,
+        stop_reason=stop_reason,
     )
     return Network(
         encoders=enc.encoders,

@@ -97,6 +97,17 @@ class TestTrain:
         assert code == 3
         assert "error:" in err
 
+    def test_empty_first_layer_is_a_data_error(self, capsys, tmp_path):
+        """b alone decides every row, and no catalog function of (a, b)
+        that reads a matches it, so no layer-1 candidate survives: one
+        error line, exit 3, no model file."""
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n0,0,1\n1,0,1\n0,0,1\n1,1,0\n0,1,0\n")
+        model = tmp_path / "model.rules"
+        assert run(capsys, "train", str(data), "-o", str(model)) == (
+            3, "", "error: first layer is empty: no candidate survived selection\n")
+        assert not model.exists()
+
     def test_bad_label_column(self, capsys, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("a,b,y\n1,2,0\n3,4,1\n")

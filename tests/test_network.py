@@ -171,6 +171,58 @@ class TestDeterminism:
             ]
 
 
+def small_planted(seed):
+    return planted(seed, n_features=5, n_rows=16, n_syndromes=3).dataset
+
+
+class TestGrowAndSelect:
+    """`grow` names the rule that stopped it; `select` keeps the earliest
+    layer at the best error, cut to the units that reach it."""
+
+    @pytest.mark.parametrize("seed, config, reason, sizes, mins", [
+        (1, TrainConfig(), "zero error", [17, 37, 1], [3, 1, 0]),
+        (2, TrainConfig(beam_width=2), "no survivor", [1], [2]),
+        (0, TrainConfig(beam_width=2), "regression", [1], [2]),
+        (0, TrainConfig(), "stall", [1], [2]),    # grows [13, 43] at errors [2, 2]
+        (0, TrainConfig(max_layers=1), "depth cap", [1], [2]),
+    ])
+    def test_report_names_the_stop_rule(self, seed, config, reason, sizes, mins):
+        report = train(small_planted(seed), config).report
+        assert (report.stop_reason, report.layer_sizes, report.layer_min_errors) == (
+            reason, sizes, mins)
+
+    def test_zero_error_wins_over_the_depth_cap(self):
+        assert train(xor_dataset(), TrainConfig(max_layers=1)).report.stop_reason == "zero error"
+
+    def test_select_cuts_to_the_earliest_best_layer(self):
+        def layer(*errors):
+            e = np.array(errors, dtype=np.int64)
+            return network._Layer(e, e, e, e, np.zeros((len(e), 1), dtype=np.uint64))
+
+        layers = [layer(3, 4), layer(2, 2, 2, 5), layer(2, 3)]
+        kept, n_syndromes = network.select(layers)
+        assert len(kept) == 2 and all(a is b for a, b in zip(kept, layers))
+        assert n_syndromes == 3
+
+    @pytest.mark.parametrize("seed, config, grown", [
+        (1, TrainConfig(), 2),
+        (0, TrainConfig(beam_width=2), 1),     # the one grown layer regresses
+        (0, TrainConfig(max_layers=1), 0),
+    ])
+    def test_layers_are_grown_through_the_module_functions(
+            self, monkeypatch, seed, config, grown):
+        """The benchmark times each layer by patching these two module
+        attributes, so `train` must look them up when it calls them."""
+        calls = []
+        for name in ("build_first_layer", "grow_layer"):
+            def counted(*args, real=getattr(network, name), name=name):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(network, name, counted)
+        train(small_planted(seed), config)
+        assert calls == ["build_first_layer"] + ["grow_layer"] * grown
+
+
 class TestDegenerateInputs:
     def test_all_flat_features_refused(self):
         with pytest.warns(UserWarning, match="conflicting"):
