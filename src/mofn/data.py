@@ -127,10 +127,12 @@ class Dataset:
         # rows are equal and none conflict.  A row unlike both of its
         # neighbours is unlike every row on any more columns too, so each
         # wider sort reads only the rows that still agree with another.
-        # Continuous data is cleared after one or two columns; the exact
-        # walk runs only on duplicates.
+        # Continuous data is cleared after one or two columns.  After the
+        # sort on all columns, equal rows are adjacent runs, and a row
+        # conflicts with the least row of its run if their labels differ.
         widths = [1 << k for k in range((self.m - 1).bit_length())] + [self.m]
         rows = np.arange(self.n)
+        ranked, same = rows, np.ones(self.n - 1, dtype=bool)    # no columns: all equal
         keys = []
         for w in widths if self.m else ():
             keys += map(_equality_key, self.columns[len(keys):w])
@@ -139,16 +141,13 @@ class Dataset:
             same = np.logical_and.reduce([key[order][1:] == key[order][:-1] for key in sub])
             if not same.any():
                 return
-            rows = rows[order[np.append(same, False) | np.append(False, same)]]
-        seen: dict[tuple, tuple[int, int]] = {}
-        flagged = []
-        for r, (row, y) in enumerate(zip(self.rows, self.labels.tolist())):
-            if row in seen:
-                first, y0 = seen[row]
-                if y0 != y:
-                    flagged.append((first, r))
-            else:
-                seen[row] = (r, y)
+            ranked = rows[order]
+            rows = ranked[np.append(same, False) | np.append(False, same)]
+        starts = np.flatnonzero(np.append(True, ~same))
+        first = np.minimum.reduceat(ranked, starts).repeat(np.diff(starts, append=len(ranked)))
+        clash = np.flatnonzero(self.labels[ranked] != self.labels[first])
+        clash = clash[np.argsort(ranked[clash])]    # in row order
+        flagged = list(zip(first[clash].tolist(), ranked[clash].tolist()))
         if flagged:
             pairs = ", ".join(f"{a} vs {b}" for a, b in flagged[:5])
             warnings.warn(

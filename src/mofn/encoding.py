@@ -82,7 +82,8 @@ class Encoder:
 
 
 def encode_value(enc: Encoder, value) -> int:
-    """Map one raw value to its bit.  Degenerate encoders refuse."""
+    """Map one raw value to its bit.  Degenerate encoders refuse, and a
+    nominal encoder refuses an empty value."""
     if enc.degenerate:
         raise EncodingError(
             f"feature {enc.feature!r} is degenerate and cannot be encoded"
@@ -101,6 +102,8 @@ def encode_value(enc: Encoder, value) -> int:
         bit = int(value)
         return bit if enc.polarity else 1 - bit
     if enc.kind == "nominal":
+        if value == "":
+            raise EncodingError(f"feature {enc.feature!r}: empty value")
         bit = int(value == enc.category)
         return bit if enc.polarity else 1 - bit
     raise EncodingError(f"feature {enc.feature!r}: unknown kind {enc.kind!r}")
@@ -113,7 +116,7 @@ _DIGITS = (bytes.maketrans(b"\0\1", b"10"), bytes.maketrans(b"\0\1", b"01"))
 def encode_bits(enc: Encoder, values) -> int:
     """encode_value over a column, packed into an int: bit r is the bit
     of values[r].  The values are Python floats, 0/1 for a boolean
-    feature, or strings for a nominal feature."""
+    feature, or non-empty strings for a nominal feature."""
     if enc.degenerate:
         raise EncodingError(
             f"feature {enc.feature!r} is degenerate and cannot be encoded"
@@ -131,6 +134,8 @@ def encode_bits(enc: Encoder, values) -> int:
             raise EncodingError(f"feature {enc.feature!r}: values are not all 0/1")
         flags = map(eq, values, repeat(1))
     else:
+        if "" in values:
+            raise EncodingError(f"feature {enc.feature!r}: values include an empty one")
         flags = map(eq, values, repeat(enc.category))
     digits = bytes(flags).translate(_DIGITS[enc.polarity])
     return int(digits[::-1] or b"0", 2)
@@ -224,11 +229,16 @@ def read_column(raw: Sequence[str], nominal: bool):
 
 
 def first_bad_cell(cells: Sequence[str], name: str, kind: str):
-    """The first cell of a quantitative or boolean column that its kind
-    cannot hold, as (row, message), or None.  It reads every cell again,
-    so it is run only on a column already known to hold a bad one."""
+    """The first cell of a column that its kind cannot hold, as (row,
+    message), or None: an empty nominal cell, or a quantitative or
+    boolean one that is no finite number or no 0/1.  It reads every cell
+    again, so it is run only on a column already known to hold a bad one."""
     for row, cell in enumerate(map(str.strip, cells)):
         where = f"feature {name!r}, row {row}"
+        if kind == "nominal":
+            if not cell:
+                return row, f"{where}: empty cell"
+            continue
         try:
             v = float(cell)
         except ValueError:
@@ -424,7 +434,6 @@ class EncodedDataset:
     labels: np.ndarray      # (words,) uint64
     ones: np.ndarray        # (words,) uint64
     active: list[int]
-    feature_names: list[str]
 
     @property
     def errors(self) -> list[int]:
@@ -481,5 +490,4 @@ def encode_dataset(ds: Dataset) -> EncodedDataset:
         labels=_pack_rows(ds.labels[None])[0],
         ones=_pack_rows(np.ones((1, ds.n), dtype=bool))[0],
         active=active,
-        feature_names=[f.name for f in ds.features],
     )

@@ -23,11 +23,12 @@ Nothing goes through a float matrix product, which would hand the work
 to a BLAS thread pool.  Layer 1 skips j == k.  No output words are
 built while scoring.
 
-Survivors are ordered by (error, fn, left, right), as one int64 key.
-Only the first 4 * beam_width keys are partitioned out and sorted; the
-rest are sorted only if the beam is still not full after them.  That
-order is walked a chunk at a time: each chunk's output words are built
-as the OR of the minterms their truth row selects, later layers drop
+Scoring emits each survivor as the one int64 key that orders it by
+(error, fn, left, right), and selection sorts those keys.  Only the
+first 4 * beam_width keys are partitioned out and sorted; the rest are
+sorted only if the beam is still not full after them.  That order is
+walked a chunk at a time: each chunk's output words are built as the
+OR of the minterms their truth row selects, later layers drop
 candidates whose words equal their left parent's (no-progress clones),
 and only the first of equal outputs is kept.  The walk stops once the
 layer holds its beam width of units, kept as the parallel arrays of a
@@ -42,6 +43,7 @@ layers, the stop rule and that vote's error on the training rows.
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 from typing import Mapping
 
@@ -172,13 +174,19 @@ def _survivors(
     left: np.ndarray,
     left_errors: np.ndarray,
     data: EncodedDataset,
-    extended: bool,
-    skip_diagonal: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+    config: TrainConfig,
+    first: bool,
+) -> np.ndarray:
     """Every g(left[i], features[k]) whose error exceeds neither input's,
-    as int64 arrays (error, cell), where cell = (t * L + i) * F + k for
-    truth index t, L left operands and F features; pairs i == k are
-    skipped when asked.
+    as one int64 key per survivor, error * (fns * L * F) + (t * L + i) * F + k
+    for truth index t of fns, L left operands and F features.  In layer
+    1 (`first`), whose left operands are the features, i == k is skipped.
+
+    Function ids, left operands and active features all ascend, so the
+    key orders survivors as (error, fn, left, right).  An error is at
+    most n, the row count, so the key is below (n + 1) * fns * L * F;
+    scoring reads L * F * ceil(n / 64) word pairs, so a key could pass
+    2^63 only in a layer of more than 2^52 of them.
 
     Over n rows, P of them positive, e0 = n - 2P, an operand's error is
     P + e with e = |a| - 2|a & y|, and a pair adds x = |a & b| - 2|a & b & y|.
@@ -188,7 +196,7 @@ def _survivors(
     features & labels, so each popcount sums over the outer word axis.
     The cube is int32, exact up to _MAX_ROWS rows, which `train` enforces.
     """
-    k0, ka, kb, kx = _catalog(extended)[2]
+    k0, ka, kb, kx = _catalog(config.extended_catalog)[2]
     n_pos = int(np.bitwise_count(data.labels).sum())
     e0 = int(np.bitwise_count(data.ones).sum()) - 2 * n_pos
     ea = (left_errors - n_pos).astype(np.int32)
@@ -198,8 +206,9 @@ def _survivors(
     feats = np.ascontiguousarray(data.features.T)[:, None]  # (W, 1, F)
     feats_pos = feats & data.labels[:, None, None]
     n_left, n_feat = len(left), len(eb)
+    per_error = len(kx) * n_left * n_feat
     block = max(1, _BLOCK_WORDS // max(data.features.size, 1))
-    errors_out, cells_out = [], []
+    keys = []
     for start in range(0, max(n_left, 1), block):   # one pass even if empty
         a, a_err = lefts[:, start : start + block, None], ea[start : start + block]
         x = _popcount(a & feats) - 2 * _popcount(a & feats_pos)   # (block, F)
@@ -209,59 +218,54 @@ def _survivors(
         errors += base[:, None, :]
         errors += (ka[:, None] * a_err)[..., None]
         ok = errors <= np.minimum(a_err[:, None], eb) + n_pos
-        if skip_diagonal:
+        if first:
             rows = np.arange(len(a_err))
             ok[:, rows, rows + start] = False
         cells = np.flatnonzero(ok)
         t, rest = np.divmod(cells, len(a_err) * n_feat)
-        errors_out.append(errors.ravel()[cells])
-        cells_out.append((t * n_left + start) * n_feat + rest)
-    return np.concatenate(errors_out).astype(np.int64), np.concatenate(cells_out)
+        key = errors.ravel()[cells].astype(np.int64)
+        key *= per_error
+        key += (t * n_left + start) * n_feat + rest
+        keys.append(key)
+    return np.concatenate(keys)
 
 
 def _ascending(key: np.ndarray, step: int):
-    """The positions of `key`'s values in ascending order, `step` at a
-    time.  The first `step` are partitioned out and sorted alone; the
-    rest are sorted only if a second chunk is asked for."""
-    part = np.argpartition(key, step - 1) if len(key) > step else np.arange(len(key))
-    head, rest = part[:step], part[step:]
-    yield head[np.argsort(key[head])]
-    rest = rest[np.argsort(key[rest])]
+    """`key`'s values in ascending order, `step` at a time.  The first
+    `step` are partitioned out and sorted alone; the rest are sorted only
+    if a second chunk is asked for."""
+    part = np.partition(key, step - 1) if len(key) > step else key
+    yield np.sort(part[:step])
+    rest = np.sort(part[step:])
     yield from (rest[start : start + step] for start in range(0, len(rest), step))
 
 
 def _select(
-    error: np.ndarray,
-    cell: np.ndarray,
+    key: np.ndarray,
     left: np.ndarray,
     data: EncodedDataset,
     config: TrainConfig,
-    left_ids: np.ndarray,
-    drop_clones: bool,
+    first: bool,
 ) -> _Layer:
-    """Order by (error, fn, left, right), drop duplicate output words,
-    cut to the beam.  Duplicates share an error, so keeping the first
-    keeps the lowest (fn, left, right).
+    """Walk `_survivors`' keys in ascending order, drop duplicate output
+    words, cut to the beam.  Duplicates share an error, so keeping the
+    first keeps the lowest (fn, left, right).
 
-    `cell` orders as (fn, left, right) does, because function ids,
-    `left_ids` and the active features all ascend, and cells are below
-    fns * L * F, so the one int64 key error * (fns * L * F) + cell orders
-    as (error, fn, left, right); it stays below 2^63, as errors are at
-    most _MAX_ROWS < 2^29 and the cube held fns * L * F entries.  Output
-    words are built only while the beam fills, a chunk of the order at a
-    time; only the first chunk is sorted unless the beam needs more.
-    With `drop_clones`, a candidate whose words equal its left operand's
-    makes no progress and is dropped before deduplication.
+    Output words are built only while the beam fills, a chunk of the
+    order at a time; only the first chunk is sorted unless the beam
+    needs more.  After layer 1, a candidate whose words equal its left
+    operand's makes no progress and is dropped before deduplication.
+    Left ids are active feature ids in layer 1, positions after that.
     """
     ids, masks, _ = _catalog(config.extended_catalog)
     right_ids = np.array(data.active, dtype=np.int64)
-    n_feat, words = len(right_ids), data.ones.shape[-1]
-    kept = np.zeros(0, dtype=np.int64)          # positions in error and cell
+    left_ids = right_ids if first else np.arange(len(left))
+    cube, words = (len(ids), len(left), len(right_ids)), data.ones.shape[-1]
+    per_error = math.prod(cube)
+    kept = np.zeros(0, dtype=np.int64)          # keys of the kept units
     outputs = np.zeros((0, words), dtype=np.uint64)
-    for chunk in _ascending(error * (len(ids) * len(left) * n_feat) + cell,
-                            4 * config.beam_width):
-        t, rest = np.divmod(cell[chunk], len(left) * n_feat)
-        i, k = np.divmod(rest, n_feat)
+    for chunk in _ascending(key, 4 * config.beam_width):
+        t, i, k = np.unravel_index(chunk % per_error, cube)
         a, b, m = left[i], data.features[k], masks[t]
         both = a & b
         # rows where (a, b) is (0,0), (0,1), (1,0), (1,1): truth-row order
@@ -271,44 +275,34 @@ def _select(
             | m[:, 2, None] & (a ^ both)
             | m[:, 3, None] & both
         )
-        if drop_clones:
+        if not first:
             fresh = np.any(rows != a, axis=1)
             chunk, rows = chunk[fresh], rows[fresh]
         # the first occurrence of each row, kept ones first, then key order;
         # a void view, as np.unique(axis=0) sorts structured rows far slower
         rows = np.concatenate([outputs, rows])
-        first = np.unique(rows.view(f"V{8 * words}")[:, 0], return_index=True)[1]
-        new = np.sort(first[first >= len(kept)])[: config.beam_width - len(kept)]
+        once = np.unique(rows.view(f"V{8 * words}")[:, 0], return_index=True)[1]
+        new = np.sort(once[once >= len(kept)])[: config.beam_width - len(kept)]
         kept = np.concatenate([kept, chunk[new - len(kept)]])
         outputs = np.concatenate([outputs, rows[new]])
         if len(kept) == config.beam_width:
             break
-    t, rest = np.divmod(cell[kept], len(left) * n_feat)
-    i, k = np.divmod(rest, n_feat)
-    return _Layer(error[kept], ids[t], left_ids[i], right_ids[k], outputs)
+    error, cell = np.divmod(kept, per_error)
+    t, i, k = np.unravel_index(cell, cube)
+    return _Layer(error, ids[t], left_ids[i], right_ids[k], outputs)
 
 
 def build_first_layer(enc: EncodedDataset, config: TrainConfig) -> _Layer:
     """All surviving g_i(x_j, x_k) over ordered pairs of active features."""
-    error, cell = _survivors(
-        enc.features, enc.feature_errors, enc, config.extended_catalog, skip_diagonal=True
-    )
-    return _select(
-        error, cell, enc.features, enc, config,
-        left_ids=np.array(enc.active, dtype=np.int64), drop_clones=False,
-    )
+    key = _survivors(enc.features, enc.feature_errors, enc, config, first=True)
+    return _select(key, enc.features, enc, config, first=True)
 
 
 def grow_layer(prev: _Layer, enc: EncodedDataset, config: TrainConfig) -> _Layer:
     """All surviving g_i(y_j, x_k) over the previous layer and features,
     less no-progress clones (outputs equal to their left parent's)."""
-    error, cell = _survivors(
-        prev.outputs, prev.error, enc, config.extended_catalog, skip_diagonal=False
-    )
-    return _select(
-        error, cell, prev.outputs, enc, config,
-        left_ids=np.arange(len(prev)), drop_clones=True,
-    )
+    key = _survivors(prev.outputs, prev.error, enc, config, first=False)
+    return _select(key, prev.outputs, enc, config, first=False)
 
 
 def grow(enc: EncodedDataset, config: TrainConfig) -> tuple[list[_Layer], str]:
@@ -351,7 +345,7 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     if len(enc.active) == 0:
         raise TrainingError("no informative features: every encoder is degenerate")
     if len(enc.active) == 1:
-        only = enc.feature_names[enc.active[0]]
+        only = enc.encoders[enc.active[0]].feature
         raise TrainingError(
             f"only one informative feature ({only}); need at least two to form pairs"
         )
@@ -372,7 +366,7 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     )
     return Network(
         encoders=enc.encoders,
-        feature_names=list(enc.feature_names),
+        feature_names=[e.feature for e in enc.encoders],
         layers=units,
         config=config,
         class_names=ds.class_names,

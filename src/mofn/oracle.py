@@ -12,7 +12,7 @@ The planted-data generator draws and labels whole arrays;
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -543,9 +543,6 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
     use_extended = extended if extended is not None else bool(file_extended)
     if not layers or not layers[-1]:
         raise ModelFormatError("model has no final layer units")
-    for r, layer in enumerate(layers, start=1):
-        if not layer:
-            raise ModelFormatError(f"layer {r} has no units")
 
     return SyndromeComplex(features, [list(layer.values()) for layer in layers], class_names,
                            use_extended)

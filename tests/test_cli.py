@@ -131,6 +131,13 @@ class TestTrain:
         with pytest.warns(UserWarning, match="conflicting labels"):
             assert run(capsys, "train", str(data)) == (3, "", "error: no feature columns\n")
 
+    @pytest.mark.parametrize("spec", ["a", "a,", "a,b,c"])
+    def test_classes_need_two_names(self, capsys, tmp_path, spec):
+        data = tmp_path / "gen.csv"
+        assert run(capsys, "gen", "--seed", "1", "-o", str(data))[0] == 0
+        assert run(capsys, "train", str(data), "--classes", spec) == (
+            2, "", f"error: --classes expects two comma separated names, got {spec!r}\n")
+
     def test_report_writes_an_unprintable_feature_name_as_its_repr(self, capsys, tmp_path):
         """f\\n1 is active but the rule reads only b and c, so the model is
         written; the report still gives one stderr line per entry."""
@@ -197,6 +204,13 @@ class TestConfig:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    def test_config_file_holding_a_json_array(self, capsys, tmp_path):
+        data = self.gen_data(capsys, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([{"beam_width": 8}]))
+        assert run(capsys, "train", str(data), "--config", str(cfg)) == (
+            2, "", f"error: config file {cfg}: expected a JSON object\n")
 
     def test_missing_config_file(self, capsys, tmp_path):
         data = self.gen_data(capsys, tmp_path)
@@ -376,12 +390,25 @@ class TestClassifyEdges:
     def test_nominal_and_boolean_columns(self, capsys, tmp_path, fixtures_dir):
         model = tmp_path / "model.rules"
         model.write_text(NOMINAL_MODEL)
-        text = "flag,color\n0,red\n1,red\n0.0,blue\n1e0,\n"
+        text = "flag,color\n0,red\n1,red\n0.0,blue\n1e0, green \n"
         code, out, _ = self.classify(capsys, tmp_path, fixtures_dir, text,
                                      model=model)
         assert code == 0
         assert out == ("row,decision,value,votes\n0,yes,-1,1/1\n"
                        "1,no,+1,1/1\n2,no,+1,1/1\n3,no,+1,1/1\n")
+
+    @pytest.mark.parametrize("cell", ["", " ", "\t"])
+    def test_empty_nominal_cell_is_a_data_error(self, capsys, tmp_path, fixtures_dir, cell):
+        """An empty category is no category: the case is refused, not
+        decided as "not red", and no output file is written."""
+        model = tmp_path / "model.rules"
+        model.write_text(NOMINAL_MODEL)
+        data = tmp_path / "cases.csv"
+        data.write_text(f"flag,color\n0,red\n1,{cell}\n0,blue\n")
+        out = tmp_path / "out.csv"
+        assert run(capsys, "classify", str(model), str(data), "-o", str(out)) == (
+            3, "", "error: feature 'color', row 1: empty cell\n")
+        assert not out.exists()
 
 
 # Declared in an order other than id order; z is declared but feeds no unit.
@@ -684,6 +711,11 @@ class TestTabulate:
         code, _, err = run(capsys, "tabulate", model,
                            "--rows", "2,5", "--cols", "8,11")
         assert code == 2
+
+    def test_empty_axis_is_usage_error(self, capsys, fixtures_dir):
+        model = str(fixtures_dir / "ie_srl.rules")
+        assert run(capsys, "tabulate", model, "--rows", ",", "--cols", "x") == (
+            2, "", "error: empty axis\n")
 
     def test_unknown_feature_name(self, capsys, fixtures_dir):
         model = str(fixtures_dir / "ie_srl.rules")

@@ -69,6 +69,13 @@ class TestLoadCsv:
             ds = load_csv(text, drop_incomplete=True)
         assert ds.n == 3
 
+    def test_no_complete_data_rows(self):
+        with pytest.raises(DataError, match="^no complete data rows$"):
+            load_csv("a,b,label\n")
+        with pytest.warns(UserWarning, match=r"^dropped 2 incomplete row\(s\): \[0, 1\]$"):
+            with pytest.raises(DataError, match="^no complete data rows$"):
+                load_csv("a,b,label\n1.0,,0\n,2.0,1\n", drop_incomplete=True)
+
     def test_kind_override(self):
         ds = load_csv(BASIC, kinds={"fever": "quantitative"})
         assert ds.features[1].kind == "quantitative"

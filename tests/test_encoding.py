@@ -660,10 +660,19 @@ class TestEncodeBits:
 
     @given(st.data(), st.sampled_from(SIZES), st.sampled_from((0, 1)))
     def test_nominal(self, data, n, polarity):
-        category = st.sampled_from(("red", "blue", "", "red "))
+        category = st.sampled_from(("red", "blue", "red "))
         values = data.draw(st.lists(category, min_size=n, max_size=n))
         enc = Encoder("f", "nominal", polarity, category=data.draw(category))
         assert encode_bits(enc, values) == _scalar(enc, values)
+
+    @given(st.data(), st.sampled_from(SIZES[1:]))
+    def test_same_error_type_on_an_empty_nominal_value(self, data, n):
+        values = ["red"] * n
+        values[data.draw(st.integers(0, n - 1))] = ""
+        self.assert_same_error(Encoder("f", "nominal", category="red"), values,
+                               "feature 'f': values include an empty one")
+        with pytest.raises(EncodingError, match="^feature 'f': empty value$"):
+            encode_value(Encoder("f", "nominal", category="red"), "")
 
     @staticmethod
     def assert_same_error(enc, values, message):

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from mofn import encoding, network
 from mofn.data import Dataset, FeatureSpec, load_csv
 from mofn.encoding import EncodedDataset, encode_dataset
-from mofn.errors import EvaluationError, TrainingError
+from mofn.errors import EncodingError, EvaluationError, TrainingError
 from mofn.logic import function_ids, truth_row
 from mofn.network import (
     TrainConfig, build_first_layer, classify, grow_layer, train,
@@ -279,6 +279,17 @@ class TestClassifyCoherence:
         with pytest.raises(EvaluationError, match="'a'"):
             classify(net, {"b": 0})
 
+    def test_classify_refuses_an_empty_nominal_value(self):
+        """The golden mixed-kind model reads the nominal ward: an empty
+        ward is refused, not read as "not north"."""
+        ds = load_csv(GOLDEN / "csv_mixed_s2_ext.csv", label_column="outcome",
+                      class_names=("well", "sick"))
+        net = train(ds, TrainConfig(extended_catalog=True))
+        row = dict(zip([f.name for f in ds.features], ds.rows[0]))
+        classify(net, row)
+        with pytest.raises(EncodingError, match="^feature 'ward': empty value$"):
+            classify(net, {**row, "ward": ""})
+
     @pytest.mark.parametrize("seed", [3, 4, 10, 14])
     def test_vote_error_matches_an_oracle_recount(self, seed):
         """Noisy planted data whose trained rule has an even N: a row
@@ -390,7 +401,6 @@ def encoded_datasets(draw, max_features=8):
         labels=_words(labels),
         ones=_words(np.ones(n_rows, dtype=np.uint8)),
         active=active,
-        feature_names=[f"f{j}" for j in range(n_features)],
     )
     return enc, matrix, labels
 
@@ -447,9 +457,9 @@ class TestPackedKernel:
 
     def test_survivors_are_int64(self):
         enc = encode_dataset(xor_dataset())
-        error, cell = network._survivors(enc.features, enc.feature_errors, enc, False, True)
-        assert error.dtype == cell.dtype == np.int64
-        assert len(error) == len(cell) > 0
+        key = network._survivors(enc.features, enc.feature_errors, enc, TrainConfig(), first=True)
+        assert key.dtype == np.int64
+        assert len(key) > 0
 
     def test_training_past_the_exact_row_bound_is_refused(self, monkeypatch):
         """The layer cube is int32, exact only up to _MAX_ROWS rows."""
@@ -461,14 +471,22 @@ class TestPackedKernel:
 class TestColumnFirst:
     def test_training_from_csv_walks_no_rows(self, monkeypatch):
         """Load, encode and grow column by column: no per-row tuple and no
-        per-value encoder call on the training path."""
+        per-value encoder call on the training path, also when the load
+        finds conflicting duplicate rows."""
         text = (GOLDEN / "csv_mixed_s2_ext.csv").read_text()
+        lines = text.splitlines(keepends=True)
+        clash = text + lines[1].replace(",sick,", ",well,")    # row 0, relabelled
+        warning = rf"^1 duplicate row pair\(s\) with conflicting labels: 0 vs {len(lines) - 1}$"
 
-        def fit() -> str:
+        def fit(text: str) -> str:
             ds = load_csv(text, label_column="outcome", class_names=("well", "sick"))
             return to_formula_table(train(ds, TrainConfig(extended_catalog=True)))
 
-        want = fit()
+        def fit_both() -> list[str]:
+            with pytest.warns(UserWarning, match=warning):
+                return [fit(text), fit(clash)]
+
+        want = fit_both()
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-row walk on the training path")
@@ -476,4 +494,4 @@ class TestColumnFirst:
         monkeypatch.setattr(Dataset, "rows", property(refuse))
         for module in (encoding, network):
             monkeypatch.setattr(module, "encode_value", refuse)
-        assert fit() == want
+        assert fit_both() == want

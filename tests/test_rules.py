@@ -343,6 +343,35 @@ class TestParseErrors:
                           "feature 0 a kind=quantitative u=-1e300")
         assert parse_formula_table(ok).features[0].threshold == -1e300
 
+    def test_negative_feature_id(self):
+        self.check(TINY.replace("feature 0 a", "feature -1 a"),
+                   "^line 2: feature id must be non-negative$")
+
+    @pytest.mark.parametrize("h", ["2", "-1", "x", ""])
+    def test_polarity_must_be_a_bit(self, h):
+        self.check(TINY.replace("feature 0 a kind=boolean h=1", f"feature 0 a kind=boolean h={h}"),
+                   f"^line 2: bad value '{h}' for attribute 'h'$")
+
+    def test_feature_declared_after_layer_rows(self):
+        self.check(TINY + "feature 2 c kind=boolean h=1\n",
+                   "^line 6: feature declared after layer rows$")
+
+    @pytest.mark.parametrize("line", ["layer", "layer 1 2"])
+    def test_layer_needs_a_number(self, line):
+        self.check(TINY.replace("layer 1", line), "^line 4: layer needs a number$")
+
+    def test_empty_non_final_layer(self):
+        """A unit after an empty layer has no parent to read, and a model
+        that ends in one has no final layer units."""
+        empty = TINY.replace("5 5 0 1\n", "")
+        self.check(empty + "layer 2\n5 5 0 1\n", "^line 6: unit y_0 is not defined in layer 1$")
+        self.check(empty + "layer 2\n", "^model has no final layer units$")
+
+    def test_later_layer_unit_reads_a_degenerate_feature(self):
+        dead = TINY.replace("classes 0 1\n", "classes 0 1\nfeature 2 c kind=boolean degenerate\n")
+        self.check(dead + "layer 2\n0 5 5 2\n", "^line 8: unit reads a degenerate feature$")
+        assert parse_formula_table(dead + "layer 2\n0 5 5 1\n").layers[1][0] == Row(0, 5, 5, 1)
+
     def test_bundled_and_golden_models_still_parse(self, fixtures_dir):
         golden = fixtures_dir.parents[2] / "tests" / "golden"
         paths = sorted(fixtures_dir.glob("*.rules")) + sorted(golden.glob("*.rules"))
