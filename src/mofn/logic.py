@@ -6,6 +6,10 @@ table indexed by the input pair in the fixed row order (0,0), (0,1),
 complements and the formulas are all read from it.  The function ids
 are part of the model file format and are never renumbered.
 
+A formula is also the code that runs: `rules.SlotProgram` writes each
+unit as its function's formula over two bitset slots, looked up by
+truth row in `FORMULAS`, masked to the case count where it complements.
+
 The standard catalog holds nine functions.  It is closed under
 complement except for id 12 (u1 -> u2), whose complement u1 & ~u2 is
 available as the optional tenth function, id 1.  The extension is off
@@ -33,6 +37,9 @@ _CATALOG: dict[int, tuple[tuple[int, int, int, int], str]] = {
 
 EXTENDED_IDS: tuple[int, ...] = tuple(_CATALOG)
 STANDARD_IDS: tuple[int, ...] = tuple(i for i in EXTENDED_IDS if i != 1)
+
+# truth row -> formula, for every function; no two share a row.
+FORMULAS: dict[tuple[int, int, int, int], str] = dict(_CATALOG.values())
 
 
 @record(frozen=True)

@@ -21,10 +21,19 @@ which gives the same tokens faster; shlex is imported only for the
 other lines, and by to_formula_table to quote names.  A name holding a
 line break cannot be written.
 
-Every decision runs one SlotProgram, compiled once per complex, over
+Every decision runs one SlotProgram, built once per complex, over
 bitset columns: a single case, a batch of rows and a grid alike.  A
 count of class-1 votes becomes a decision only through vote_levels,
 vote_decision tabulated for m1 = 0..N, indexed by the count.
+
+On its first run a program is compiled by `exec` into one Python
+function whose statements are the units' catalog formulas
+(logic.FORMULAS) over slot numbers; no model text enters the source.
+An lru_cache keeps the function per distinct program, because
+`cli.main(["classify", ...])` parses its model anew on every call, so
+the compile is paid once per program on its first run.  record.py
+generates no code: there it would be paid by every class at every
+import.
 """
 
 from __future__ import annotations
@@ -33,11 +42,11 @@ import math
 import re
 import sys
 from array import array
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 from .encoding import KINDS, Encoder
 from .errors import EvaluationError, ModelFormatError
-from .logic import function_ids, truth_row
+from .logic import FORMULAS, function_ids, truth_row
 from .record import record
 
 TYPE_CHECKING = False    # typing.TYPE_CHECKING, without importing typing
@@ -135,11 +144,11 @@ class Row:
 
 @record(frozen=True)
 class SlotProgram:
-    """A complex compiled to straight-line code over numbered slots.
+    """A complex as straight-line code over numbered slots.
 
     The first slots hold the referenced features in ascending id order;
     each unit (truth_row, left_slot, right_slot) appends one more.  Only
-    units that feed the final layer are compiled, in layer order, so a
+    units that feed the final layer are kept, in layer order, so a
     shared ancestor runs once.  `outputs` are the syndromes' slots.
     """
 
@@ -149,22 +158,16 @@ class SlotProgram:
 
     def run(self, columns: Sequence[int], n: int) -> list[int]:
         """Syndrome outputs over n cases from one column per feature, all
-        bitsets held as ints with bit r for case r.  A unit's output is
-        the OR of the minterms its truth row selects."""
-        mask = (1 << n) - 1
-        slots = list(columns)
-        for (f00, f01, f10, f11), left, right in self.units:
-            a, b = slots[left], slots[right]
-            both = a & b
-            out = both if f11 else 0
-            if f10:
-                out |= a ^ both
-            if f01:
-                out |= b ^ both
-            if f00:
-                out |= mask ^ (a | b)
-            slots.append(out)
-        return [slots[s] for s in self.outputs]
+        bitsets held as ints with bit r for case r."""
+        try:
+            program = self._compiled
+        except AttributeError:
+            # Kept on the instance, so a later run hashes no units.  Set as
+            # an attribute: a cached_property writes self.__dict__, which
+            # slows every later field read (see record.py).
+            program = _compile(len(self.features), self.units, self.outputs)
+            object.__setattr__(self, "_compiled", program)
+        return program(*columns, (1 << n) - 1)
 
     @classmethod
     def of(cls, layers: list[list[Row]], extended: bool) -> "SlotProgram":
@@ -183,6 +186,27 @@ class SlotProgram:
                 units.append((truth_row(row.fn, extended), left, right))
             left_slot = unit_slot
         return cls(tuple(features), tuple(units), tuple(left_slot[row.ident] for row in live[-1]))
+
+
+# How many distinct compiled programs are kept across instances.
+_COMPILED_PROGRAMS = 64
+
+
+@lru_cache(maxsize=_COMPILED_PROGRAMS)
+def _compile(width: int, units: tuple, outputs: tuple[int, ...]):
+    """One function program(s0, ..., s{width-1}, m) -> output slots: unit
+    k is the statement s{width+k} = formula, its truth row's catalog
+    formula over its two slots.  A formula holding a complement is
+    masked, m & (formula), to the n bits of m; &, | and ^ of n-bit
+    inputs are n-bit already."""
+    lines = [f"def program({''.join(f's{s}, ' for s in range(width))}m):"]
+    for k, (truth, left, right) in enumerate(units, start=width):
+        formula = FORMULAS[truth].replace("u1", f"s{left}").replace("u2", f"s{right}")
+        lines.append(f"    s{k} = m & ({formula})" if "~" in formula else f"    s{k} = {formula}")
+    lines.append(f"    return [{', '.join(f's{s}' for s in outputs)}]")
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["program"]
 
 
 def _live_rows(layers: list[list[Row]]) -> list[list[Row]]:
@@ -289,11 +313,19 @@ def extract(net) -> SyndromeComplex:
     return sc
 
 
+_BITS = frozenset((0, 1))
+
+
 def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[int]:
     """Evaluate every syndrome on an assignment of feature id -> bit."""
-    for ident, bit in assignment.items():
-        if bit not in (0, 1):
-            raise EvaluationError(f"feature {ident}: {bit!r} is not a bit")
+    try:
+        bits = set(assignment.values()) <= _BITS
+    except TypeError:    # an unhashable value is no bit either
+        bits = False
+    if not bits:    # name the first value that is not a bit
+        for ident, bit in assignment.items():
+            if bit not in (0, 1):
+                raise EvaluationError(f"feature {ident}: {bit!r} is not a bit")
     program = sc.program
     try:
         columns = [assignment[f] for f in program.features]
@@ -427,7 +459,7 @@ def _parse_feature_line(tokens: list[str], lineno: int) -> tuple[int, Encoder]:
         raise ModelFormatError(
             f"line {lineno}: quantitative feature {name!r} needs a threshold u="
         )
-    if kind == "nominal" and category is None and not degenerate:
+    if kind == "nominal" and not category and not degenerate:    # None, or ''
         raise ModelFormatError(
             f"line {lineno}: nominal feature {name!r} needs a category="
         )

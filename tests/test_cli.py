@@ -780,6 +780,20 @@ class TestExportImport:
             for argv in (("import", str(model)), ("classify", str(model), str(data))):
                 assert run(capsys, *argv) == (4, "", message)
 
+    @pytest.mark.parametrize("category", ["category=", "category=''"])
+    def test_empty_category_is_a_model_error(self, capsys, tmp_path, category):
+        """No case matches an empty category: classify refuses the model
+        with exit 4 and writes no output file, where it used to decide
+        0,red and 1,blue alike."""
+        model = tmp_path / "model.rules"
+        model.write_text(NOMINAL_MODEL.replace("category=red", category))
+        data = tmp_path / "cases.csv"
+        data.write_text("flag,color\n0,red\n1,blue\n")
+        out = tmp_path / "out.csv"
+        assert run(capsys, "classify", str(model), str(data), "-o", str(out)) == (
+            4, "", "error: line 2: nominal feature 'color' needs a category=\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("fn, catalog", [(3, ""), (5, ""), (8, ""), (10, ""), (12, ""),
                                              (1, "catalog extended\n")])
     def test_constant_self_pairs_are_model_errors(self, capsys, tmp_path, fn, catalog):

@@ -2,7 +2,9 @@ import pytest
 
 from mofn.errors import CatalogError
 from mofn.logic import (
+    _CATALOG,
     EXTENDED_IDS,
+    FORMULAS,
     STANDARD_IDS,
     catalog,
     complement_id,
@@ -47,6 +49,17 @@ class TestCatalogContents:
             assert row == fn.truth, fn.ident
             assert fn(0, 0) == fn.truth[0]
             assert fn(1, 1) == fn.truth[3]
+
+    def test_formula_lookup_by_truth_row(self):
+        """FORMULAS gives each _CATALOG row its formula, and that formula
+        run on bitsets, bit r for row r, and masked to four bits, sets
+        exactly the rows the truth table sets."""
+        assert FORMULAS == {row: formula for row, formula in _CATALOG.values()}
+        assert len(FORMULAS) == len(_CATALOG)
+        u1, u2 = 0b1100, 0b1010    # rows (0,0), (0,1), (1,0), (1,1) are bits 0-3
+        for row, formula in FORMULAS.items():
+            bits = eval(formula, {}, {"u1": u1, "u2": u2}) & 0b1111
+            assert tuple((bits >> r) & 1 for r in range(4)) == row, formula
 
 
 class TestComplementClosure:

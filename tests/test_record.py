@@ -148,11 +148,13 @@ def test_settings_schema_is_train_config_fields():
 def test_cached_properties_are_kept(ie_srl_text):
     sc = rules.parse_formula_table(ie_srl_text)
     assert sc.program is sc.program and sc.syndromes is sc.syndromes
+    rules.evaluate(sc, dict.fromkeys(sc.program.features, 0))
+    assert sc.program._compiled is sc.program._compiled
     ds = oracle.generate_planted(oracle.PlantedSpec(seed=1)).dataset
     enc = encoding.encode_dataset(ds)
     assert enc.feature_errors is enc.feature_errors
     net = network.train(ds)
     assert net.program is net.program
-    for obj, name in [(sc, "program"), (sc, "syndromes"), (enc, "feature_errors"),
-                      (net, "program")]:
+    for obj, name in [(sc, "program"), (sc, "syndromes"), (sc.program, "_compiled"),
+                      (enc, "feature_errors"), (net, "program")]:
         assert name in vars(obj)

@@ -13,8 +13,10 @@ from mofn.encoding import Encoder
 from mofn.errors import EvaluationError, ModelFormatError, MofnError
 from mofn.logic import function_ids
 from mofn.network import TrainConfig, train
+from mofn.oracle import ORACLE_TRUTH, _own_vote, _walk
 from mofn.rules import (
     Row,
+    SlotProgram,
     decision_levels,
     describe_decision,
     evaluate,
@@ -334,6 +336,19 @@ class TestParseErrors:
                             "classes 0 1\nfeature 7 c kind=nominal e=3 degenerate\n")
         assert parse_formula_table(dead).features[7].degenerate
 
+    @pytest.mark.parametrize("decl", ["category=", "category=''", 'category=""'])
+    def test_nominal_category_must_not_be_empty(self, decl):
+        """No case matches an empty category, so its bit would be constant."""
+        bad = TINY.replace("feature 0 a kind=boolean", f"feature 0 a kind=nominal {decl}")
+        self.check(bad, "^line 2: nominal feature 'a' needs a category=$")
+
+    def test_empty_category_written_by_to_formula_table_is_refused(self):
+        sc = parse_formula_table(TINY)
+        sc.features[0] = Encoder("a", "nominal", 1, None, "")
+        text = to_formula_table(sc)
+        assert "feature 0 a kind=nominal category='' h=1" in text
+        self.check(text, "^line 2: nominal feature 'a' needs a category=$")
+
     def test_threshold_must_be_finite(self):
         for u in ("nan", "inf", "-inf", "NaN", "Infinity", "1e999"):
             bad = TINY.replace("feature 0 a kind=boolean",
@@ -427,6 +442,55 @@ layer 2
         with pytest.raises(EvaluationError, match="no bit assigned for feature 1"):
             evaluate(sc, {0: 1, 2: 0})
 
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    @pytest.mark.parametrize("fn", sorted(ORACLE_TRUTH))
+    def test_each_catalog_function_as_a_one_unit_program(self, fn, n):
+        """The compiled unit computes the oracle's own truth row for every
+        case, within n bits, whichever slot it reads on either side."""
+        rng = np.random.default_rng(n * 16 + fn)
+        a, b = (int.from_bytes(rng.bytes(17), "little") & ((1 << n) - 1) for _ in "ab")
+        if n > 1:    # every input pair occurs
+            a, b = a & ~0b1111 | 0b1100, b & ~0b1111 | 0b1010
+        truth = ORACLE_TRUTH[fn]
+        for left, right, x, y in ((0, 1, a, b), (1, 0, b, a), (0, 0, a, a)):
+            program = SlotProgram((0, 1), ((truth, left, right),), (2,))
+            [out] = program.run([a, b], n)
+            assert 0 <= out < 1 << n
+            for r in range(n):
+                assert (out >> r) & 1 == truth[2 * ((x >> r) & 1) + ((y >> r) & 1)], (fn, r)
+
+    def test_three_hundred_features_in_layer_one(self):
+        """More features than a call could once pass (255), each read by one
+        of 150 syndromes, agree with the oracle's own walk and vote."""
+        fns = (0, 3, 5, 6, 7, 8, 10, 12, 13)
+        lines = ["classes 0 1", *(f"feature {j} f{j} kind=boolean h=1" for j in range(300)),
+                 "layer 1", *(f"{k + 1} {fns[k % 9]} {2 * k} {2 * k + 1}" for k in range(150))]
+        sc = parse_formula_table("\n".join(lines) + "\n")
+        assert len(sc.program.features) == 300
+        rng = np.random.default_rng(300)
+        cases = [dict(enumerate(map(int, rng.integers(0, 2, 300)))) for _ in range(40)]
+        for bits in cases:
+            m1 = sum(_walk(chain, bits) for chain in sc.syndromes)
+            assert evaluate(sc, bits) == _own_vote(m1, sc.n)
+        columns = [sum(bits[f] << r for r, bits in enumerate(cases)) for f in range(300)]
+        assert vote_counts(sc.program.run(columns, 40), 40).tolist() == [
+            sum(syndrome_bits(sc, bits)) for bits in cases]
+
+    def test_one_compiled_function_per_distinct_program(self, ie_ar_text, postop_text):
+        """Two parses of one text share the compiled function, which reads
+        no global name and holds no model text; another program has its own."""
+        first, second, other = (parse_formula_table(text).program
+                                for text in (ie_ar_text, ie_ar_text, postop_text))
+        assert first == second and first is not second
+        for program in (first, second, other):
+            program.run([0] * len(program.features), 1)
+        assert first._compiled is second._compiled
+        assert other._compiled is not first._compiled
+        code = first._compiled.__code__
+        assert code.co_names == ()
+        assert not [c for c in code.co_consts if isinstance(c, str)]
+        assert code.co_argcount == len(first.features) + 1
+
     @pytest.mark.parametrize("n_sets", [1, 255, 256, 300])
     def test_vote_counts_match_per_case_sums(self, n_sets):
         """Case 0 is set in every bitset and case 1 in none, so from 256
@@ -482,6 +546,13 @@ class TestExtraction:
             syndrome_bits(sc, {0: 2, 1: 0})
         lines = symbolic(sc)
         assert lines == ["y = M-of-1(g_5(x_0, x_1))"]
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan"), None, "1", [1]])
+    def test_bit_check_names_the_first_value_that_is_not_a_bit(self, bad):
+        sc = parse_formula_table(TINY)
+        assert syndrome_bits(sc, {0: True, 1: False}) == [1]
+        with pytest.raises(EvaluationError, match=rf"^feature 7: {re.escape(repr(bad))} is not a bit$"):
+            syndrome_bits(sc, {0: 1, 1: 0, 7: bad, 8: 3})
 
     def test_symbolic_on_bundled_model(self, ie_srl_text):
         sc = parse_formula_table(ie_srl_text)
