@@ -157,6 +157,8 @@ def _parse_classes(spec: str | None):
     names = tuple(s.strip() for s in spec.split(","))
     if len(names) != 2 or not all(names):
         raise MofnError(f"--classes expects two comma separated names, got {spec!r}")
+    if names[0] == names[1]:
+        raise MofnError(f"--classes expects two distinct names, got {spec!r}")
     return names
 
 

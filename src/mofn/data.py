@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from pathlib import Path
 from itertools import chain, compress, count
 from typing import Mapping, Sequence
 
@@ -275,8 +274,8 @@ def load_csv(
     )
 
 
-def to_csv(ds: Dataset, dest=None) -> str:
-    """Serialize a dataset back to CSV text; optionally write it to a path.
+def to_csv(ds: Dataset) -> str:
+    """Serialize a dataset back to CSV text.
 
     Round trip: loading the serialized text reproduces the same feature
     names, kinds, values, and labels.
@@ -286,7 +285,4 @@ def to_csv(ds: Dataset, dest=None) -> str:
     writer.writerow([f.name for f in ds.features] + [ds.label_name])
     for row, y in zip(ds.rows, ds.labels):    # str(float) is repr(float)
         writer.writerow([*map(str, row), ds.class_names[int(y)]])
-    text = out.getvalue()
-    if dest is not None:
-        Path(dest).write_text(text)
-    return text
+    return out.getvalue()

@@ -55,7 +55,7 @@ from .data import Dataset
 from .errors import EvaluationError, TrainingError
 from .logic import function_ids, truth_row
 from .record import record
-from .rules import SignedDecision, SlotProgram, extract, vote_levels
+from .rules import SignedDecision, SyndromeComplex, evaluate, extract, vote_levels
 
 
 @record(frozen=True)
@@ -102,20 +102,23 @@ class Network:
     """A trained network plus the encoders that feed it."""
 
     encoders: list[Encoder]
-    feature_names: list[str]
     layers: list[list[Unit]]
     config: TrainConfig
-    class_names: tuple[str, str] = ("0", "1")
-    report: TrainReport | None = None
+    class_names: tuple[str, str]
+    report: TrainReport
+
+    @property
+    def feature_names(self) -> list[str]:
+        return [e.feature for e in self.encoders]
 
     @property
     def n_syndromes(self) -> int:
         return len(self.layers[-1])
 
     @cached_property
-    def program(self) -> SlotProgram:
-        """The slot program of the extracted complex, built on first use."""
-        return extract(self).program
+    def complex(self) -> SyndromeComplex:
+        """The extracted syndrome complex, built on first use: it decides."""
+        return extract(self)
 
 
 @record
@@ -366,7 +369,6 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
     )
     return Network(
         encoders=enc.encoders,
-        feature_names=[e.feature for e in enc.encoders],
         layers=units,
         config=config,
         class_names=ds.class_names,
@@ -375,12 +377,11 @@ def train(ds: Dataset, config: TrainConfig | None = None) -> Network:
 
 
 def classify(net: Network, row: Mapping[str, object]) -> SignedDecision:
-    """Encode a raw row, run it through the network, majority-vote."""
-    program = net.program
-    bits = []
-    for j in program.features:
-        name = net.feature_names[j]
-        if name not in row:
-            raise EvaluationError(f"missing value for feature {name!r}")
-        bits.append(encode_value(net.encoders[j], row[name]))
-    return vote_levels(len(program.outputs))[sum(program.run(bits, 1))]
+    """Encode a raw row's referenced features and decide it by the complex."""
+    sc = net.complex
+    bits = {}
+    for j, enc in sc.features.items():
+        if enc.feature not in row:
+            raise EvaluationError(f"missing value for feature {enc.feature!r}")
+        bits[j] = encode_value(enc, row[enc.feature])
+    return evaluate(sc, bits)

@@ -257,8 +257,8 @@ class SyndromeComplex:
 
     features: dict[int, Encoder]
     layers: list[list[Row]]
-    class_names: tuple[str, str] = ("0", "1")
-    extended: bool = False
+    class_names: tuple[str, str]
+    extended: bool
 
     @property
     def n(self) -> int:
@@ -316,22 +316,31 @@ def extract(net) -> SyndromeComplex:
 _BITS = frozenset((0, 1))
 
 
+def _not_a_bit(assignment: Mapping[int, int]) -> EvaluationError | None:
+    """The error naming the first value that is not 0 or 1 as an integer:
+    1.0 equals 1 but takes no bitwise operator."""
+    for ident, bit in assignment.items():
+        try:
+            if bit in _BITS and bit | 0 == bit:
+                continue
+        except TypeError:    # unhashable, or no bitwise operator
+            pass
+        return EvaluationError(f"feature {ident}: {bit!r} is not a bit")
+    return None
+
+
 def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[int]:
     """Evaluate every syndrome on an assignment of feature id -> bit."""
-    try:
-        bits = set(assignment.values()) <= _BITS
-    except TypeError:    # an unhashable value is no bit either
-        bits = False
-    if not bits:    # name the first value that is not a bit
-        for ident, bit in assignment.items():
-            if bit not in (0, 1):
-                raise EvaluationError(f"feature {ident}: {bit!r} is not a bit")
     program = sc.program
     try:
-        columns = [assignment[f] for f in program.features]
+        if set(assignment.values()) <= _BITS:
+            return program.run([assignment[f] for f in program.features], 1)
     except KeyError as exc:
         raise EvaluationError(f"no bit assigned for feature {exc.args[0]}") from None
-    return program.run(columns, 1)
+    except TypeError as exc:    # an unhashable value, or a float bit the set test let through
+        raise (_not_a_bit(assignment) or exc) from None
+    # the set test refused a value, so the scan names one
+    raise _not_a_bit(assignment)
 
 
 def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
@@ -484,11 +493,11 @@ def _split_line(raw: str) -> list[str]:
     return shlex.split(raw, comments=True)
 
 
-def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComplex:
+def parse_formula_table(text: str) -> SyndromeComplex:
     """Parse formula table text into a syndrome complex.
 
-    `extended` forces the catalog; by default the file's own catalog
-    line (if any) decides.  Blank lines and # comments are ignored.
+    The file's catalog line, if any, decides the catalog; without one it
+    is the standard catalog.  Blank lines and # comments are ignored.
     Raises ModelFormatError for unknown function ids, references to
     undefined units or features, duplicate ids, and malformed lines.
     """
@@ -496,8 +505,7 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
     features: dict[int, Encoder] = {}
     names: set[str] = set()
     layers: list[dict[int, Row]] = []    # unit id -> row, in file order
-    file_extended: bool | None = None
-    in_layers = False
+    extended = False
 
     # Lines end at "\n" only: str.splitlines would also cut a quoted name
     # at \x1c-\x1e, \x85, \u2028, \v or \f.
@@ -510,7 +518,7 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
             continue
         head = tokens[0]
         if head == "catalog":
-            if in_layers or features:
+            if layers or features:
                 raise ModelFormatError(
                     f"line {lineno}: catalog line must precede declarations"
                 )
@@ -518,7 +526,7 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
                 raise ModelFormatError(
                     f"line {lineno}: expected 'catalog standard' or 'catalog extended'"
                 )
-            file_extended = tokens[1] == "extended"
+            extended = tokens[1] == "extended"
         elif head == "classes":
             if len(tokens) != 3 or tokens[1] == tokens[2]:
                 raise ModelFormatError(
@@ -526,7 +534,7 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
                 )
             class_names = (tokens[1], tokens[2])
         elif head == "feature":
-            if in_layers:
+            if layers:
                 raise ModelFormatError(
                     f"line {lineno}: feature declared after layer rows"
                 )
@@ -553,9 +561,8 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
                     f"line {lineno}: expected layer {len(layers) + 1}, got {r}"
                 )
             layers.append({})
-            in_layers = True
         else:
-            if not in_layers:
+            if not layers:
                 raise ModelFormatError(
                     f"line {lineno}: unexpected directive {head!r}"
                 )
@@ -569,26 +576,24 @@ def parse_formula_table(text: str, extended: bool | None = None) -> SyndromeComp
                 raise ModelFormatError(
                     f"line {lineno}: unit row needs four integers"
                 ) from None
-            _add_row(Row(ident, fn, left, right), layers, features,
-                     file_extended if extended is None else extended, lineno)
+            _add_row(Row(ident, fn, left, right), layers, features, extended, lineno)
 
-    use_extended = extended if extended is not None else bool(file_extended)
     if not layers or not layers[-1]:
         raise ModelFormatError("model has no final layer units")
 
     return SyndromeComplex(features, [list(layer.values()) for layer in layers], class_names,
-                           use_extended)
+                           extended)
 
 
 def _add_row(
     row: Row,
     layers: list[dict[int, Row]],
     features: dict[int, Encoder],
-    extended: bool | None,
+    extended: bool,
     lineno: int,
 ) -> None:
     """Add a unit row to the last layer, or refuse it."""
-    if row.fn not in function_ids(bool(extended)):
+    if row.fn not in function_ids(extended):
         raise ModelFormatError(
             f"line {lineno}: unknown function id {row.fn}"
             + ("" if extended else " (standard catalog)")
@@ -611,7 +616,7 @@ def _add_row(
                 f"line {lineno}: unit reads a degenerate feature"
             )
         if row.left == row.right:
-            g = truth_row(row.fn, bool(extended))
+            g = truth_row(row.fn, extended)
             if g[0] == g[3]:    # g(x, x) takes only the values g(0, 0) and g(1, 1)
                 raise ModelFormatError(
                     f"line {lineno}: g_{row.fn}(x_{row.left}, x_{row.left}) is a constant bit"

@@ -31,9 +31,7 @@ class DiagnosticTable:
     row_features: list[int]
     col_features: list[int]
     cells: np.ndarray
-    n_syndromes: int
     feature_labels: dict[int, str]
-    class_names: tuple[str, str] = ("0", "1")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -93,12 +91,8 @@ def make_table(
     m1 = vote_counts(program.run([column[f] for f in program.features], total), total)
     levels = np.array([d.value for d in vote_levels(sc.n)], dtype=np.int64)
     values = levels[np.frombuffer(m1, m1.typecode)]
-    labels = {
-        f: (sc.features[f].feature if f in sc.features else f"x_{f}")
-        for f in order
-    }
-    return DiagnosticTable(rows, cols, values.reshape(1 << a, 1 << b), sc.n, labels,
-                           sc.class_names)
+    labels = {f: sc.features[f].feature for f in order}
+    return DiagnosticTable(rows, cols, values.reshape(1 << a, 1 << b), labels)
 
 
 def _cell_bit_column(k: int, total: int) -> int:

@@ -117,7 +117,7 @@ def test_c03_first_reference_model_reproduces(ie_srl_text, fixtures_dir):
 def test_c04_second_reference_model_needs_extension(ie_ar_text, fixtures_dir):
     c = Criterion("c4", "second bundled rule set parses only with the extension")
     with pytest.raises(ModelFormatError):
-        parse_formula_table(ie_ar_text, extended=False)
+        parse_formula_table(ie_ar_text.replace("catalog extended\n", ""))
     sc = parse_formula_table(ie_ar_text)
     c.check(sc.extended, "extension flag")
     c.check(len(sc.layers) == 4, f"{len(sc.layers)} layers")

@@ -138,6 +138,13 @@ class TestTrain:
         assert run(capsys, "train", str(data), "--classes", spec) == (
             2, "", f"error: --classes expects two comma separated names, got {spec!r}\n")
 
+    @pytest.mark.parametrize("spec", ["a,a", " a , a"])
+    def test_classes_need_distinct_names(self, capsys, tmp_path, spec):
+        data = tmp_path / "gen.csv"
+        assert run(capsys, "gen", "--seed", "1", "-o", str(data))[0] == 0
+        assert run(capsys, "train", str(data), "--classes", spec) == (
+            2, "", f"error: --classes expects two distinct names, got {spec!r}\n")
+
     def test_report_writes_an_unprintable_feature_name_as_its_repr(self, capsys, tmp_path):
         """f\\n1 is active but the rule reads only b and c, so the model is
         written; the report still gives one stderr line per entry."""

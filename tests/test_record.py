@@ -154,7 +154,7 @@ def test_cached_properties_are_kept(ie_srl_text):
     enc = encoding.encode_dataset(ds)
     assert enc.feature_errors is enc.feature_errors
     net = network.train(ds)
-    assert net.program is net.program
+    assert net.complex is net.complex
     for obj, name in [(sc, "program"), (sc, "syndromes"), (sc.program, "_compiled"),
-                      (enc, "feature_errors"), (net, "program")]:
+                      (enc, "feature_errors"), (net, "complex")]:
         assert name in vars(obj)

@@ -118,8 +118,9 @@ class TestBundledModels:
         assert [len(layer) for layer in sc.layers] == [2, 6, 12, 18]
         assert decision_levels(sc) == (10, 18)
         assert evaluate(sc, {f: 0 for f in sc.features}).value == 18
-        with pytest.raises(ModelFormatError, match="function id"):
-            parse_formula_table(ie_ar_text, extended=False)
+        standard = ie_ar_text.replace("catalog extended\n", "")
+        with pytest.raises(ModelFormatError, match=r"unknown function id 1 \(standard catalog\)"):
+            parse_formula_table(standard)
 
     def test_third_model_shape(self, postop_text):
         sc = parse_formula_table(postop_text)
@@ -547,12 +548,15 @@ class TestExtraction:
         lines = symbolic(sc)
         assert lines == ["y = M-of-1(g_5(x_0, x_1))"]
 
-    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan"), None, "1", [1]])
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan"), None, "1", [1], 1.0, 0.0])
     def test_bit_check_names_the_first_value_that_is_not_a_bit(self, bad):
         sc = parse_formula_table(TINY)
         assert syndrome_bits(sc, {0: True, 1: False}) == [1]
+        assert syndrome_bits(sc, {0: np.int64(1), 1: np.uint8(0)}) == [1]
         with pytest.raises(EvaluationError, match=rf"^feature 7: {re.escape(repr(bad))} is not a bit$"):
             syndrome_bits(sc, {0: 1, 1: 0, 7: bad, 8: 3})
+        with pytest.raises(EvaluationError, match=rf"^feature 1: {re.escape(repr(bad))} is not a bit$"):
+            evaluate(sc, {0: 1, 1: bad})
 
     def test_symbolic_on_bundled_model(self, ie_srl_text):
         sc = parse_formula_table(ie_srl_text)

@@ -57,7 +57,6 @@ class TestMakeTable:
         t = make_table(parse_formula_table(XOR), [0], [1])
         assert t.shape == (2, 2)
         assert t.cells.tolist() == [[1, -1], [-1, 1]]
-        assert t.n_syndromes == 1
         assert t.feature_labels == {0: "a", 1: "b"}
 
     def test_first_feature_is_most_significant(self):
@@ -288,7 +287,6 @@ def random_tables(draw):
         row_features=list(range(a)),
         col_features=list(range(a, a + b)),
         cells=cells,
-        n_syndromes=n,
         feature_labels=dict(enumerate(labels)),
     )
 
