@@ -10,7 +10,7 @@ from .errors import TrainingError
 from .record import record
 
 
-@record(frozen=True)
+@record
 class TrainConfig:
     beam_width: int = 64
     max_layers: int = 10

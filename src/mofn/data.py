@@ -26,7 +26,7 @@ from .errors import ColumnChoiceError, DataError
 from .record import record
 
 
-@record(frozen=True)
+@record
 class FeatureSpec:
     """Name and kind of one feature column."""
 

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True)
+@record
 class Encoder:
     """Fitted one-bit encoder for a single feature."""
 
@@ -253,16 +253,16 @@ def first_bad_cell(cells: Sequence[str], name: str, kind: str):
 def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
     """F columns of one kind, n values each, as the read-only (F, n)
     array their cuts read: finite float64 for quantitative, 0/1 uint8 for
-    boolean, an object array of the categories for nominal.  Values the
-    kind cannot hold are an EncodingError naming the first feature whose
-    column, typed alone, holds one."""
+    boolean, an object array of the non-empty categories for nominal.
+    Values the kind cannot hold are an EncodingError naming the first
+    feature whose column, typed alone, holds one."""
     import numpy as np
 
     try:
-        if kind == "nominal":
-            n = len(columns[0])
-            block = np.fromiter(chain.from_iterable(columns), object, len(columns) * n)
-            block = block.reshape(-1, n)
+        if kind == "nominal":    # the strings of a numpy array column become Python str
+            block = np.array(columns, dtype=object)
+            if "" in block:
+                raise EncodingError("values include an empty one")
         elif kind == "quantitative":
             try:
                 block = np.array(columns, dtype=np.float64)
@@ -426,7 +426,7 @@ class EncodedDataset:
     per active feature, in the order of `active`; degenerate features
     are left out of both, and training only draws inputs from them.
     `ones` has a bit set for every row, and `feature_errors` is each
-    active feature's error, the popcount of its words XOR the labels.
+    active feature's error as its encoder holds it, in `active` order.
     """
 
     encoders: list[Encoder]
@@ -443,7 +443,7 @@ class EncodedDataset:
     def feature_errors(self) -> np.ndarray:
         import numpy as np
 
-        return np.bitwise_count(self.features ^ self.labels).sum(axis=-1, dtype=np.int64)
+        return np.array([self.encoders[j].error for j in self.active], dtype=np.int64)
 
 
 def _pack_rows(flags: np.ndarray) -> np.ndarray:

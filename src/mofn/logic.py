@@ -42,7 +42,7 @@ STANDARD_IDS: tuple[int, ...] = tuple(i for i in EXTENDED_IDS if i != 1)
 FORMULAS: dict[tuple[int, int, int, int], str] = dict(_CATALOG.values())
 
 
-@record(frozen=True)
+@record
 class LogicFunction:
     """One catalog entry: an id and its truth table."""
 

@@ -58,7 +58,7 @@ from .record import record
 from .rules import SignedDecision, SyndromeComplex, evaluate, extract, vote_levels
 
 
-@record(frozen=True)
+@record
 class Unit:
     """One trained unit: y = g_fn(left, right).
 
@@ -94,6 +94,7 @@ class TrainReport:
         ):
             out.append(f"layer {r}: {size} unit(s), best error {err}")
         out.append(f"majority vote error: {self.vote_error}/{self.n_rows}")
+        out.append(f"stop rule: {self.stop_reason}")
         return out
 
 

@@ -9,8 +9,8 @@ what `dataclasses.dataclass` would generate for the same declaration:
 - `__repr__` as `Name(field=value, ...)`;
 - `__eq__` between instances of the same class, comparing the tuples of
   their fields;
-- with `frozen=True`, `__hash__` of that tuple and an AttributeError on
-  assigning or deleting an attribute; otherwise no hash.
+- `__hash__` of that tuple, and an AttributeError on assigning or
+  deleting an attribute: every record is frozen.
 
 The defaults stay on the class, `_fields` lists the field names and
 `__match_args__` names them for positional `case` patterns.  A record is
@@ -33,17 +33,12 @@ from operator import attrgetter
 _MISSING = object()
 
 
-def record(cls=None, /, *, frozen: bool = False):
-    """Make `cls` a record; use as `@record` or `@record(frozen=True)`."""
-    if cls is None:
-        return lambda cls: record(cls, frozen=frozen)
+def record(cls):
+    """Make `cls` a frozen record; use as `@record`."""
     names = tuple(cls.__annotations__)
     n = len(names)
     template = {name: cls.__dict__.get(name, _MISSING) for name in names}
     post_init = cls.__dict__.get("__post_init__")
-    # a frozen record's own __setattr__ refuses; the builtin setattr is
-    # the faster call where there is none
-    store = object.__setattr__ if frozen else setattr
     if n > 1:
         key = attrgetter(*names)
     else:    # attrgetter of one name gives a bare value, not a 1-tuple
@@ -71,7 +66,7 @@ def record(cls=None, /, *, frozen: bool = False):
         # any() runs the map, whose calls all return None.
         if kwargs or len(args) != n:
             args = bind(args, kwargs)
-        any(map(store, repeat(self, n), names, args))
+        any(map(object.__setattr__, repeat(self, n), names, args))
         if post_init is not None:
             post_init(self)
 
@@ -93,12 +88,8 @@ def record(cls=None, /, *, frozen: bool = False):
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    methods = [__init__, __repr__, __eq__]
-    methods += [__hash__, __setattr__, __delattr__] if frozen else []
-    for method in methods:
+    for method in (__init__, __repr__, __eq__, __hash__, __setattr__, __delattr__):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
-    if not frozen:
-        cls.__hash__ = None
     cls._fields = cls.__match_args__ = names
     return cls

@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 
-@record(frozen=True)
+@record
 class SignedDecision:
     """Outcome of one majority vote.
 
@@ -132,7 +132,7 @@ def describe_decision(d: SignedDecision, class_names: tuple[str, str] = ("0", "1
     return f"{class_names[d.klass]} ({d.value:+d}, {d.m}/{d.n})"
 
 
-@record(frozen=True)
+@record
 class Row:
     """One formula table line: y_ident = g_fn(y_left, x_right)."""
 
@@ -142,7 +142,7 @@ class Row:
     right: int
 
 
-@record(frozen=True)
+@record
 class SlotProgram:
     """A complex as straight-line code over numbered slots.
 
@@ -173,9 +173,7 @@ class SlotProgram:
     def of(cls, layers: list[list[Row]], extended: bool) -> "SlotProgram":
         """Compile formula-table layers; units that feed nothing are left out."""
         live = _live_rows(layers)
-        features = sorted(
-            {row.left for row in live[0]} | {row.right for layer in live for row in layer}
-        )
+        features = _referenced(live)
         feature_slot = {f: s for s, f in enumerate(features)}
         units, left_slot = [], feature_slot     # layer 1 reads a feature on the left
         for layer in live:
@@ -216,6 +214,11 @@ def _live_rows(layers: list[list[Row]]) -> list[list[Row]]:
         wanted = {row.left for row in live[0]}
         live.insert(0, [row for row in layer if row.ident in wanted])
     return live
+
+
+def _referenced(live: list[list[Row]]) -> list[int]:
+    """The feature ids that live rows read, ascending."""
+    return sorted({row.left for row in live[0]} | {row.right for layer in live for row in layer})
 
 
 _SPREAD = bytes.maketrans(b"01", b"\0\1")
@@ -308,9 +311,8 @@ def extract(net) -> SyndromeComplex:
         ]
         for r, layer in enumerate(net.layers)
     ])
-    sc = SyndromeComplex({}, layers, tuple(net.class_names), net.config.extended_catalog)
-    sc.features = {j: net.encoders[j] for j in sc.program.features}
-    return sc
+    features = {j: net.encoders[j] for j in _referenced(layers)}
+    return SyndromeComplex(features, layers, tuple(net.class_names), net.config.extended_catalog)
 
 
 _BITS = frozenset((0, 1))
@@ -337,8 +339,11 @@ def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[in
             return program.run([assignment[f] for f in program.features], 1)
     except KeyError as exc:
         raise EvaluationError(f"no bit assigned for feature {exc.args[0]}") from None
-    except TypeError as exc:    # an unhashable value, or a float bit the set test let through
-        raise (_not_a_bit(assignment) or exc) from None
+    except TypeError:    # an unhashable value, a float bit, or numpy bits of mixed types
+        if error := _not_a_bit(assignment):
+            raise error from None
+        # every value is a bit: numpy integers of mixed types, which & and ^ promote to float
+        return program.run([int(assignment[f]) for f in program.features], 1)
     # the set test refused a value, so the scan names one
     raise _not_a_bit(assignment)
 

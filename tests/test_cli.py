@@ -159,6 +159,7 @@ class TestTrain:
             "active features: 'f\\n1', b, c",
             "layer 1: 1 unit(s), best error 0",
             "majority vote error: 0/10",
+            "stop rule: zero error",
         ]
 
 

@@ -180,6 +180,23 @@ class TestNominal:
         enc = fit_nominal(["x", "x", "x"], [0, 1, 1], "f")
         assert enc.degenerate and enc.error == 1
 
+    def test_an_empty_value_is_refused(self):
+        """An empty value is no category a model file can name, and
+        encode_bits refuses it with the same message."""
+        message = "^feature 'c': values include an empty one$"
+        with pytest.raises(EncodingError, match=message):
+            fit_nominal(["", "y", "", "y"], [1, 0, 1, 0], "c")
+        with pytest.raises(EncodingError, match=message):
+            Dataset([FeatureSpec("c", "nominal")], rows=[("",), ("y",), ("",), ("y",)],
+                    labels=[1, 0, 1, 0])
+
+    def test_numpy_strings_are_typed_as_python_strings(self):
+        values = np.array(["x", "y", "y", "x"])
+        assert type(fit_nominal(values, [1, 0, 0, 1], "c").category) is str
+        ds = Dataset([FeatureSpec("c", "nominal")], columns=[values], labels=[1, 0, 0, 1])
+        assert ds.rows == [("x",), ("y",), ("y",), ("x",)]
+        assert {type(value) for row in ds.rows for value in row} == {str}
+
     @given(
         st.lists(
             st.tuples(st.sampled_from("abcde"), st.integers(0, 1)),

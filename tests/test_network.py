@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from mofn import encoding, network
 from mofn.data import Dataset, FeatureSpec, load_csv
-from mofn.encoding import EncodedDataset, encode_dataset
+from mofn.encoding import EncodedDataset, Encoder, encode_dataset
 from mofn.errors import EncodingError, EvaluationError, TrainingError
 from mofn.logic import function_ids, truth_row
 from mofn.network import (
@@ -314,6 +314,7 @@ class TestClassifyCoherence:
         text = "\n".join(net.report.lines(net.feature_names))
         assert "layer" in text
         assert "vote" in text
+        assert text.endswith("\nstop rule: zero error")
 
 
 # Reference growth: one catalog lookup per (left, right) pair over
@@ -395,8 +396,10 @@ def encoded_datasets(draw, max_features=8):
     labels = draw(arrays(np.uint8, n_rows, elements=bit))
     active = sorted(draw(st.lists(st.integers(0, n_features - 1), min_size=2,
                                   max_size=n_features, unique=True)))
+    # each encoder holds its column's error, which layer 1 reads as feature_errors
+    errors = np.count_nonzero(matrix != labels[:, None], axis=0).tolist()
     enc = EncodedDataset(
-        encoders=[],
+        encoders=[Encoder(f"x{j}", "boolean", error=e) for j, e in enumerate(errors)],
         features=np.array([_words(matrix[:, j]) for j in active]),
         labels=_words(labels),
         ones=_words(np.ones(n_rows, dtype=np.uint8)),

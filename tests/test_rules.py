@@ -17,6 +17,7 @@ from mofn.oracle import ORACLE_TRUTH, _own_vote, _walk
 from mofn.rules import (
     Row,
     SlotProgram,
+    SyndromeComplex,
     decision_levels,
     describe_decision,
     evaluate,
@@ -170,11 +171,13 @@ class TestCanonicalForm:
         """A name holding a line break would cut its line in two when the
         file is read back; every name written refuses one."""
         sc = parse_formula_table(TINY)
+        features, class_names = dict(sc.features), sc.class_names
         if where == "classes":
-            sc.class_names = (name, "1")
+            class_names = (name, "1")
         else:
-            sc.features[0] = (Encoder(name, "boolean", 1) if where == "feature"
-                              else Encoder("a", "nominal", 1, category=name))
+            features[0] = (Encoder(name, "boolean", 1) if where == "feature"
+                           else Encoder("a", "nominal", 1, category=name))
+        sc = SyndromeComplex(features, sc.layers, class_names, sc.extended)
         with pytest.raises(ModelFormatError,
                            match=f"^cannot write {re.escape(repr(name))} to a model file"):
             to_formula_table(sc)
@@ -557,6 +560,13 @@ class TestExtraction:
             syndrome_bits(sc, {0: 1, 1: 0, 7: bad, 8: 3})
         with pytest.raises(EvaluationError, match=rf"^feature 1: {re.escape(repr(bad))} is not a bit$"):
             evaluate(sc, {0: 1, 1: bad})
+
+    def test_numpy_bits_of_mixed_types_decide_as_ints(self):
+        """uint64 and int64 bits promote to float64, which takes no
+        bitwise operator; they decide as the ints they equal."""
+        sc = parse_formula_table(TINY)
+        assert syndrome_bits(sc, {0: np.uint64(1), 1: np.int64(0)}) == [1]
+        assert evaluate(sc, {0: np.uint64(1), 1: np.int64(0)}) == evaluate(sc, {0: 1, 1: 0})
 
     def test_symbolic_on_bundled_model(self, ie_srl_text):
         sc = parse_formula_table(ie_srl_text)
