@@ -84,9 +84,9 @@ def _read_file(path, error_class: type[MofnError], role: str) -> str:
 
 
 def _load_config(path: str | None) -> dict:
-    """Defaults from a JSON file; --config beats $MOFN_CONFIG.  Each value
-    must have its TrainConfig field's type: true or false for a flag,
-    an integer, not a boolean, for a count."""
+    """Defaults from a JSON file; --config beats $MOFN_CONFIG.  The file's
+    values must make a TrainConfig on their own, which checks their
+    types and ranges."""
     import json
 
     source = path or os.environ.get(CONFIG_ENV)
@@ -102,13 +102,10 @@ def _load_config(path: str | None) -> dict:
     unknown = set(raw) - set(CONFIG_KEYS)
     if unknown:
         raise MofnError(f"config file {source}: unknown keys {sorted(unknown)}")
-    for key, value in raw.items():
-        default = getattr(TrainConfig, key)
-        if type(value) is not type(default):
-            expected = "true or false" if type(default) is bool else "an integer"
-            raise MofnError(
-                f"config file {source}: {key} must be {expected}, got {json.dumps(value)}"
-            )
+    try:
+        TrainConfig(**raw)
+    except TrainingError as exc:
+        raise MofnError(f"config file {source}: {exc}") from None
     return raw
 
 
@@ -409,9 +406,9 @@ def cmd_validate(args) -> int:
         )
         check(f"{model_name}: corner cell {corner:+d}", corner_ok)
         check(f"{model_name}: cell values within N={sc.n}", bounds_ok)
-        return sc
+        return sc, table
 
-    sc1 = table_check(
+    sc1, _ = table_check(
         "ie_srl.rules", "ie_srl_table.csv", ("IE", "SRL"),
         [2, 5, 8, 11], [13, 14, 15, 16], corner=7,
     )
@@ -419,13 +416,13 @@ def cmd_validate(args) -> int:
     d = evaluate(sc1, {2: 1, 5: 1, 8: 0, 11: 0, 13: 0, 14: 0, 15: 0, 16: 0})
     check("ie_srl.rules: anchor case decides +6", d.value == 6, describe_decision(d, sc1.class_names))
 
-    sc2 = table_check(
+    sc2, table2 = table_check(
         "ie_ar.rules", "ie_ar_table.csv", ("IE", "AR"),
         [9, 10, 12], [19, 20, 22], corner=18,
     )
     check("ie_ar.rules: 18 syndromes in 4 layers",
           sc2.n == 18 and len(sc2.layers) == 4)
-    ties = detect_contradictions(make_table(sc2, [9, 10, 12], [19, 20, 22]))
+    ties = detect_contradictions(table2)
     check("ie_ar.rules: no contradictory cells", len(ties) == 0)
 
     sc3 = refs["postop.rules"]

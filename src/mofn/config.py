@@ -12,15 +12,18 @@ from .record import record
 
 @record
 class TrainConfig:
+    """Growth settings; flags, config files and library calls are checked here."""
+
     beam_width: int = 64
     max_layers: int = 10
     patience: int = 1
     extended_catalog: bool = False
 
     def __post_init__(self) -> None:
-        if self.beam_width < 1:
-            raise TrainingError("beam_width must be at least 1")
-        if self.max_layers < 1:
-            raise TrainingError("max_layers must be at least 1")
-        if self.patience < 1:
-            raise TrainingError("patience must be at least 1")
+        for name in TrainConfig._fields:    # not type(self): a dataclass copy checks alike
+            value, flag = getattr(self, name), isinstance(getattr(TrainConfig, name), bool)
+            if flag != isinstance(value, bool) or not isinstance(value, int):
+                expected = "true or false" if flag else "an integer"
+                raise TrainingError(f"{name} must be {expected}, got {value!r}")
+            if value < 1 and not flag:
+                raise TrainingError(f"{name} must be at least 1")

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .encoding import KINDS, first_bad_cell, read_column, read_table, read_text, typed_block
-from .errors import ColumnChoiceError, DataError
+from .errors import ColumnChoiceError, DataError, EncodingError
 from .record import record
 
 
@@ -43,12 +43,12 @@ class Dataset:
 
     Column j is a row of the read-only block `encoding.typed_block`
     builds from the columns of its kind: finite float64 for
-    quantitative, uint8 0/1 for boolean, category strings for nominal; a
-    value its kind cannot hold, such as NaN or a boolean 2, is the
-    EncodingError that fitting the column gives.
-    Labels are a uint8 vector of 0s and 1s, named by two distinct
-    class names.  Build it from `rows` (one tuple per row) or, keyword
-    only, from `columns` (one per feature).
+    quantitative, uint8 0/1 for boolean, Python str categories for
+    nominal; a value its kind cannot hold, such as NaN, a boolean 2 or a
+    nominal None, is the EncodingError that fitting the column gives.
+    Labels are a uint8 vector of 0s and 1s, each checked before the
+    cast, named by two distinct class names.  Build it from `rows` (one
+    tuple per row) or, keyword only, from `columns` (one per feature).
     """
 
     def __init__(
@@ -62,7 +62,7 @@ class Dataset:
         columns: Sequence[list] | None = None,
     ) -> None:
         self.features = list(features)
-        self.labels = np.asarray(labels, dtype=np.uint8)
+        labels = np.asarray(labels)
         self.label_name = label_name
         self.class_names = _class_pair(class_names)
         names = [f.name for f in self.features]
@@ -72,9 +72,9 @@ class Dataset:
             raise DataError(f"label column {self.label_name!r} collides with a feature")
         if (rows is None) == (columns is None):
             raise DataError("give either rows or columns")
-        n = len(rows) if columns is None else len(self.labels)
-        if n != len(self.labels):
-            raise DataError(f"{n} rows but {len(self.labels)} labels")
+        n = len(rows) if columns is None else len(labels)
+        if n != len(labels):
+            raise DataError(f"{n} rows but {len(labels)} labels")
         if n < 2:
             raise DataError("need at least two rows")
         if columns is None:
@@ -85,8 +85,9 @@ class Dataset:
         elif len(columns) != self.m or any(len(c) != n for c in columns):
             raise DataError(f"expected {self.m} columns of {n} values")
         self.n = n
-        if not set(np.unique(self.labels)) <= {0, 1}:
+        if labels.ndim != 1 or not set(labels.tolist()) <= {0, 1}:    # before the cast truncates
             raise DataError("labels must be 0 or 1")
+        self.labels = labels.astype(np.uint8)
         c0, c1 = self.class_counts()
         if c0 == 0 or c1 == 0:
             empty = self.class_names[0] if c0 == 0 else self.class_names[1]
@@ -203,9 +204,11 @@ def load_csv(
     kinds per feature name; an override that names no feature or no kind
     is a ColumnChoiceError too.  Both are checked before any cell.
     Incomplete rows (empty cells) are an error unless `drop_incomplete`
-    is set, which discards them with a warning.  Errors name the first bad row: a ragged row or a row with
-    an empty cell, then a bad label, then a bad cell (its lowest row,
-    then its earliest feature).
+    is set, which discards them with a warning.  Errors come in order: the
+    first ragged row or row with an empty cell, the first bad label, then
+    Dataset's checks (duplicate feature names, a feature named as the
+    label, fewer than two rows, a class with no rows), and last the bad
+    cell of the lowest row, then of the earliest feature.
     """
     header, columns, ragged = read_table(read_text(source))
     if label_column not in header:
@@ -241,37 +244,34 @@ def load_csv(
         raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
     labels = np.array(label) == names[1]
 
-    # Every numeric column is one row of a float64 block: a column of 0s
-    # and 1s is boolean unless declared, and only a column its kind
-    # cannot hold is read again, cell by cell, to find its first bad cell.
+    # Every numeric column is one row of a float64 block, read only to tell
+    # a 0/1 column, boolean unless declared, from a quantitative one.
+    # Dataset checks every column; if it refuses one, each is typed alone.
     floats = [x for x, _ in read if x is not None]
     block = np.fromiter(chain.from_iterable(floats), np.float64, len(floats) * len(label))
     block = block.reshape(len(floats), len(label))
-    bits = ((block == 0) | (block == 1)).all(axis=1).tolist()
-    numeric = iter(zip(block, bits, np.isfinite(block).all(axis=1).tolist()))
-    specs, columns, bad = [], [], []
+    numeric = zip(block, ((block == 0) | (block == 1)).all(axis=1).tolist())
+    specs, columns = [], []
     for name, (x, cells) in zip(feature_names, read):
-        kind = kinds.get(name)
         if x is None:    # some cell is not a number
-            kind = kind or "nominal"
-            holds, values = kind == "nominal", cells
+            kind, values = kinds.get(name, "nominal"), cells
         else:
-            values, is_bits, is_finite = next(numeric)
-            kind = kind or ("boolean" if is_bits else "quantitative")
-            holds = is_bits if kind == "boolean" else is_finite
-        if not holds:
-            bad.append(first_bad_cell(cells, name, kind))
+            values, is_bits = next(numeric)
+            kind = kinds.get(name, "boolean" if is_bits else "quantitative")
         specs.append(FeatureSpec(name, kind))
         columns.append(values)
-    if bad:    # the lowest row, then the earliest feature
-        raise DataError(min(bad, key=lambda cell: cell[0])[1])
-    return Dataset(
-        features=specs,
-        labels=labels,
-        label_name=label_column,
-        class_names=names,
-        columns=columns,
-    )
+    try:
+        return Dataset(specs, labels=labels, label_name=label_column, class_names=names,
+                       columns=columns)
+    except EncodingError:
+        bad = []
+        for spec, values, (_, cells) in zip(specs, columns, read):
+            try:
+                typed_block([values], spec.kind, [spec.name])
+            except EncodingError:
+                bad.append(first_bad_cell(cells, spec.name, spec.kind))
+        # the lowest row, then the earliest feature
+        raise DataError(min(bad, key=lambda cell: cell[0])[1]) from None
 
 
 def to_csv(ds: Dataset) -> str:

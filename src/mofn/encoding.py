@@ -253,13 +253,18 @@ def first_bad_cell(cells: Sequence[str], name: str, kind: str):
 def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
     """F columns of one kind, n values each, as the read-only (F, n)
     array their cuts read: finite float64 for quantitative, 0/1 uint8 for
-    boolean, an object array of the non-empty categories for nominal.
-    Values the kind cannot hold are an EncodingError naming the first
-    feature whose column, typed alone, holds one."""
+    boolean, an object array of non-empty Python str for nominal, numpy
+    strings converted.  Values the kind cannot hold are an EncodingError
+    naming the first feature whose column, typed alone, holds one."""
     import numpy as np
 
     try:
-        if kind == "nominal":    # the strings of a numpy array column become Python str
+        if kind == "nominal":    # each cell's type: a numpy string equals its str
+            types = set(map(type, chain.from_iterable(columns)))
+            if not all(issubclass(t, str) for t in types):
+                raise EncodingError("values are not all strings")
+            if types != {str}:
+                columns = [list(map(str, column)) for column in columns]
             block = np.array(columns, dtype=object)
             if "" in block:
                 raise EncodingError("values include an empty one")

@@ -405,7 +405,7 @@ def to_formula_table(model) -> str:
     rows in stored order.  Parsing and reprinting canonical text is the
     identity.
     """
-    sc = model if isinstance(model, SyndromeComplex) else extract(model)
+    sc = model if isinstance(model, SyndromeComplex) else model.complex
     lines = []
     if sc.extended:
         lines.append("catalog extended")

@@ -213,6 +213,21 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"max_layers": 2.5}, "max_layers must be an integer, got 2.5"),
+        ({"extended_catalog": None}, "extended_catalog must be true or false, got None"),
+        ({"patience": 0}, "patience must be at least 1"),
+    ])
+    def test_config_file_is_checked_by_train_config(self, capsys, tmp_path, config, message):
+        """The file's values make a TrainConfig alone, so a value it
+        refuses names the file, even where a flag would override it."""
+        data = self.gen_data(capsys, tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = ["--patience", "2"] if "patience" in config else []
+        assert run(capsys, "train", str(data), "--config", str(cfg), *flags) == (
+            2, "", f"error: config file {cfg}: {message}\n")
+
     def test_config_file_holding_a_json_array(self, capsys, tmp_path):
         data = self.gen_data(capsys, tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -934,6 +949,17 @@ class TestValidate:
         lines = out.splitlines()
         assert all(not ln.startswith("FAIL") for ln in lines)
         assert lines[-1].endswith("checks passed")
+
+    def test_each_reference_grid_is_built_once(self, capsys, monkeypatch):
+        """The contradiction check reads the ie_ar grid that the table
+        check built."""
+        from mofn import tables
+
+        built = []
+        make_table = tables.make_table
+        monkeypatch.setattr(tables, "make_table", lambda *a: built.append(a) or make_table(*a))
+        assert run(capsys, "validate")[0] == 0
+        assert len(built) == 2
 
     def test_damaged_fixture_fails(self, capsys, tmp_path, fixtures_dir):
         for f in fixtures_dir.iterdir():

@@ -118,6 +118,16 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,a,label\nnan,1,0\n2,3,1\n4,5,1\n", "duplicate feature names"),
+        ("a,b,label\nnan,1,0\n2,3,0\n4,5,0\n", "class '1' has no rows"),
+    ], ids=["duplicate names", "one class"])
+    def test_dataset_checks_come_before_cell_errors(self, text, message):
+        """Dataset checks the table before it types the columns, so its
+        errors win over a bad cell's."""
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(text)
+
     def test_label_only_csv_has_empty_rows(self):
         with pytest.warns(UserWarning, match="conflicting labels"):
             ds = load_csv("label\n0\n1\n")
@@ -325,6 +335,27 @@ class TestDatasetInvariants:
         table = {"rows": [(v,) for v in values]} if given == "rows" else {"columns": [values]}
         with pytest.raises(EncodingError, match=f"^{re.escape(message)}$"):
             Dataset(features=[FeatureSpec("x", kind)], labels=[0, 1, 1], **table)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1, 0, 1], [-1, 1, 0, 1], [257, 1, 0, 1]])
+    def test_labels_are_checked_before_the_cast(self, labels):
+        with pytest.raises(DataError, match="^labels must be 0 or 1$"):
+            Dataset([FeatureSpec("a", "boolean")], rows=[(0,), (1,), (0,), (1,)], labels=labels)
+
+    @pytest.mark.parametrize("given", ["rows", "columns"])
+    def test_nominal_values_are_python_strings(self, given):
+        values = np.array(["x", "y", "y", "x"])
+        table = {"rows": list(zip(values))} if given == "rows" else {"columns": [values]}
+        ds = Dataset([FeatureSpec("c", "nominal")], labels=[1, 0, 0, 1], **table)
+        assert [type(v) for (v,) in ds.rows] == [str] * 4
+        assert type(encoding.encode_dataset(ds).encoders[0].category) is str
+
+    @pytest.mark.parametrize("bad", [1, None])
+    def test_nominal_values_that_are_not_strings_are_refused(self, bad):
+        """An int category used to fail at writing the model, and None to
+        write a model that the parser refuses."""
+        with pytest.raises(EncodingError, match="^feature 'c': values are not all strings$"):
+            Dataset([FeatureSpec("c", "nominal"), FeatureSpec("b", "boolean")],
+                    rows=[(bad, 0), ("y", 0), ("y", 1), (bad, 1)], labels=[1, 0, 0, 1])
 
     def test_columns_are_read_only_typed_arrays_and_rows_python_values(self):
         ds = load_csv(BASIC)

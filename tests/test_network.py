@@ -252,6 +252,20 @@ class TestDegenerateInputs:
         with pytest.raises(TrainingError):
             TrainConfig(patience=0)
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("beam_width", 2.5, "an integer"),    # a bare TypeError in the beam cut before
+        ("max_layers", 2.5, "an integer"),    # the depth cap never fired
+        ("patience", 1.5, "an integer"),      # the stall rule never fired
+        ("beam_width", True, "an integer"),   # trained with a beam of 1
+        ("extended_catalog", "no", "true or false"),    # wrote `catalog extended`
+        ("extended_catalog", 1, "true or false"),
+    ])
+    def test_train_config_checks_each_field_type(self, key, value, expected):
+        """A library call is checked as a flag or a config file is: each
+        field must have its default's type, before its range."""
+        with pytest.raises(TrainingError, match=f"^{key} must be {expected}, got {value!r}$"):
+            TrainConfig(**{key: value})
+
 
 class TestClassifyCoherence:
     def test_classify_matches_extracted_formula(self):

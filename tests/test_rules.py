@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mofn import rules
 from mofn.data import Dataset, FeatureSpec
 from mofn.encoding import Encoder
 from mofn.errors import EvaluationError, ModelFormatError, MofnError
@@ -531,6 +532,12 @@ class TestExtraction:
     def test_network_serializes_directly(self):
         net = self.make_net()
         assert to_formula_table(net) == to_formula_table(extract(net))
+
+    def test_network_is_written_from_its_cached_complex(self, monkeypatch):
+        net = self.make_net()
+        sc = net.complex
+        monkeypatch.setattr(rules, "extract", lambda net: pytest.fail("extracted again"))
+        assert to_formula_table(net) == to_formula_table(sc)
 
     def test_extraction_prunes_dead_units(self):
         """Only rows feeding the final layer survive extraction."""
