@@ -8,9 +8,10 @@ generate synthetic benchmark data.
 Exit codes come from one table, `EXIT_CODES`, of (error class, code)
 pairs: 0 success, 2 usage or configuration error, 3 data error, 4 model
 error, 5 validation failure.  `main` catches every `MofnError` in one
-place and exits with the code of the first class that matches.  The
-model, config and reference files are read by one reader, `_read_file`,
-which names the file's role in its errors.
+place and exits with the code of the first class that matches.  Every
+file, data, model, config or reference, is read as UTF-8 by one reader,
+`encoding.read_file`, which names the file's role in its errors.  A
+warning is printed on stderr as one `warning:` line.
 
 Applying a rule (classify, import, export) loads no numpy: the modules
 that need it are imported by the commands that use them (train,
@@ -27,11 +28,12 @@ import functools
 import io
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
 from .config import TrainConfig
-from .encoding import KINDS, encode_bits, first_bad_cell, read_column, read_table, read_text
+from .encoding import KINDS, encode_bits, first_bad_cell, read_column, read_file, read_table
 from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
 from .errors import (
     CatalogError,
@@ -72,17 +74,6 @@ REFERENCE_FILES = ("ie_srl.rules", "ie_srl_table.csv", "ie_ar.rules", "ie_ar_tab
                    "postop.rules")
 
 
-def _read_file(path, error_class: type[MofnError], role: str) -> str:
-    """The text of a file; one that is missing, or cannot be read or
-    decoded as text, is an error_class error naming the file's role."""
-    try:
-        return Path(path).read_text()
-    except FileNotFoundError:
-        raise error_class(f"{role} file not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise error_class(f"{role} file {path}: {exc}") from None
-
-
 def _load_config(path: str | None) -> dict:
     """Defaults from a JSON file; --config beats $MOFN_CONFIG.  The file's
     values must make a TrainConfig on their own, which checks their
@@ -92,7 +83,7 @@ def _load_config(path: str | None) -> dict:
     source = path or os.environ.get(CONFIG_ENV)
     if not source:
         return {}
-    text = _read_file(source, MofnError, "config")
+    text = read_file(source, MofnError, "config")
     try:    # ValueError: not JSON, or an integer too long to convert
         raw = json.loads(text)
     except (ValueError, RecursionError) as exc:    # or nested too deep
@@ -121,19 +112,20 @@ def _train_config(args, overrides: dict) -> TrainConfig:
 
 
 def _write(text: str, dest: str | None) -> None:
-    """Write to stdout, or to a file; a path that cannot be written is a
-    usage error."""
-    if dest in (None, "-"):
-        sys.stdout.write(text)
-        return
+    """Write to stdout, or to a file as UTF-8; text that cannot be
+    written there is a usage error."""
     try:
-        Path(dest).write_text(text)
-    except OSError as exc:
-        raise MofnError(f"cannot write {dest}: {exc.strerror or exc}") from None
+        if dest in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            Path(dest).write_text(text, encoding="utf-8")
+    except (OSError, UnicodeEncodeError) as exc:    # the latter has no strerror
+        where = "stdout" if dest in (None, "-") else dest
+        raise MofnError(f"cannot write {where}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def _read_model(path: str):
-    return parse_formula_table(_read_file(path, ModelFormatError, "model"))
+    return parse_formula_table(read_file(path, ModelFormatError, "model"))
 
 
 def _parse_kinds(pairs: list[str]) -> dict[str, str]:
@@ -166,7 +158,7 @@ def cmd_train(args) -> int:
     overrides = _load_config(args.config)
     config = _train_config(args, overrides)
     ds = load_csv(
-        args.data,
+        Path(args.data),
         label_column=args.label,
         kinds=_parse_kinds(args.kind),
         class_names=_parse_classes(args.classes),
@@ -182,7 +174,7 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     sc = _read_model(args.model)
-    header, table, ragged = read_table(read_text(args.data))
+    header, table, ragged = read_table(read_file(args.data, DataError, "data"))
     program = sc.program
     missing = [
         sc.features[i].feature for i in program.features
@@ -350,7 +342,7 @@ def _fixture_dir(args) -> Path:
 def _read_reference(path: Path, parse):
     """A reference file, parsed; one that cannot be read or parsed fails
     validation."""
-    text = _read_file(path, ValidationError, "reference")
+    text = read_file(path, ValidationError, "reference")
     try:
         return parse(text)
     except MofnError as exc:
@@ -514,13 +506,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except MofnError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
+    with warnings.catch_warnings():    # the filters stay as they are
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except MofnError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

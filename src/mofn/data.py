@@ -195,8 +195,8 @@ def load_csv(
 ) -> Dataset:
     """Read a dataset from a CSV path, file object, or literal text.
 
-    A string without a newline is a path; a missing or unreadable file
-    is a DataError.
+    A Path, or a string without a newline, is a path read as UTF-8 by
+    encoding.read_file; a missing or unreadable file is a DataError.
     The header row names the columns.  `label_column` selects the label;
     its values must be the two class names (default "0" and "1", or the
     pair given in `class_names`, first name = class 0); a label column
@@ -230,7 +230,7 @@ def load_csv(
     if not label:
         raise DataError("no complete data rows")
     if dropped:
-        warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}")
+        warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}", stacklevel=2)
         if len(dropped) == len(label):
             raise DataError("no complete data rows")
         gone = set(dropped)

@@ -25,9 +25,10 @@ inside the chosen cut, so every active column's bits are packed from
 its own block.  Fitting and `encode_dataset` import numpy when they
 are first called.
 
-`read_text`, `read_table`, `read_column` and `first_bad_cell` read the
-CSV cells that both `data.load_csv` and `mofn classify` encode, so the
-two accept the same cells and name the same first bad one.  CSV text
+`read_file` reads every file, data, model, config or reference, as
+UTF-8.  `read_table`, `read_column` and `first_bad_cell` read the CSV
+cells that both `data.load_csv` and `mofn classify` encode, so the two
+accept the same cells and name the same first bad one.  CSV text
 without quotes, carriage returns or NULs, and with no line over the
 csv field limit, is split with str methods; only other text goes
 through csv.reader, and both give the same table and the same errors.
@@ -43,7 +44,7 @@ from itertools import chain, compress, count, repeat
 from operator import eq, gt
 from pathlib import Path
 
-from .errors import DataError, EncodingError
+from .errors import DataError, EncodingError, MofnError
 from .record import record
 
 TYPE_CHECKING = False    # typing.TYPE_CHECKING, without importing typing
@@ -141,20 +142,23 @@ def encode_bits(enc: Encoder, values) -> int:
     return int(digits[::-1] or b"0", 2)
 
 
+def read_file(path, error_class: type[MofnError], role: str) -> str:
+    """The UTF-8 text of a file; one that is missing, or cannot be read
+    or decoded, is an error_class error naming the file's role."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise error_class(f"{role} file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error_class(f"{role} file {path}: {exc}") from None
+
+
 def read_text(source) -> str:
-    """The text of a CSV path, file object, or literal text.  A string
-    without a newline is a path; a file that is missing, or that cannot
-    be read or decoded as text, is a DataError."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        try:
-            return Path(source).read_text()
-        except FileNotFoundError:
-            raise DataError(
-                f"no such file: {str(source)!r} (CSV text given as a string "
-                "must contain a newline)"
-            ) from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read {str(source)!r}: {exc}") from None
+    """The text of a CSV path, file object, or literal text.  A Path is
+    a path, and so is a str without a newline; read_file reads it, so a
+    data file that is missing or unreadable is a DataError."""
+    if isinstance(source, Path) or isinstance(source, str) and "\n" not in source:
+        return read_file(source, DataError, "data")
     if isinstance(source, str):
         return source
     return source.read()
@@ -230,14 +234,14 @@ def read_column(raw: Sequence[str], nominal: bool):
 
 def first_bad_cell(cells: Sequence[str], name: str, kind: str):
     """The first cell of a column that its kind cannot hold, as (row,
-    message), or None: an empty nominal cell, or a quantitative or
+    message), or None: an empty cell of any kind, or a quantitative or
     boolean one that is no finite number or no 0/1.  It reads every cell
     again, so it is run only on a column already known to hold a bad one."""
     for row, cell in enumerate(map(str.strip, cells)):
         where = f"feature {name!r}, row {row}"
+        if not cell:
+            return row, f"{where}: empty cell"
         if kind == "nominal":
-            if not cell:
-                return row, f"{where}: empty cell"
             continue
         try:
             v = float(cell)

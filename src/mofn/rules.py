@@ -437,13 +437,17 @@ def _parse_feature_line(tokens: list[str], lineno: int) -> tuple[int, Encoder]:
     polarity = 1
     error = None
     degenerate = False
+    given = set()
     for tok in tokens[3:]:
+        key, sep, val = tok.partition("=")
+        if key in given:
+            raise ModelFormatError(f"line {lineno}: attribute {key!r} given twice")
+        given.add(key)
         if tok == "degenerate":
             degenerate = True
             continue
-        if "=" not in tok:
+        if not sep:
             raise ModelFormatError(f"line {lineno}: bad feature attribute {tok!r}")
-        key, _, val = tok.partition("=")
         try:
             if key == "kind":
                 kind = val
@@ -504,13 +508,16 @@ def parse_formula_table(text: str) -> SyndromeComplex:
     The file's catalog line, if any, decides the catalog; without one it
     is the standard catalog.  Blank lines and # comments are ignored.
     Raises ModelFormatError for unknown function ids, references to
-    undefined units or features, duplicate ids, and malformed lines.
+    undefined units or features, duplicate ids, a second catalog or
+    classes line, an attribute given twice on one feature line, and
+    malformed lines.
     """
     class_names = ("0", "1")
     features: dict[int, Encoder] = {}
     names: set[str] = set()
     layers: list[dict[int, Row]] = []    # unit id -> row, in file order
     extended = False
+    given = set()    # the catalog and classes lines read so far
 
     # Lines end at "\n" only: str.splitlines would also cut a quoted name
     # at \x1c-\x1e, \x85, \u2028, \v or \f.
@@ -522,6 +529,10 @@ def parse_formula_table(text: str) -> SyndromeComplex:
         if not tokens:
             continue
         head = tokens[0]
+        if head in ("catalog", "classes"):
+            if head in given:
+                raise ModelFormatError(f"line {lineno}: second {head} line")
+            given.add(head)
         if head == "catalog":
             if layers or features:
                 raise ModelFormatError(

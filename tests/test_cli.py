@@ -3,8 +3,12 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -128,8 +132,9 @@ class TestTrain:
         feature column."""
         data = tmp_path / "data.csv"
         data.write_text("label\n0\n1\n")
-        with pytest.warns(UserWarning, match="conflicting labels"):
-            assert run(capsys, "train", str(data)) == (3, "", "error: no feature columns\n")
+        assert run(capsys, "train", str(data)) == (3, "", (
+            "warning: 1 duplicate row pair(s) with conflicting labels: 0 vs 1\n"
+            "error: no feature columns\n"))
 
     @pytest.mark.parametrize("spec", ["a", "a,", "a,b,c"])
     def test_classes_need_two_names(self, capsys, tmp_path, spec):
@@ -433,6 +438,18 @@ class TestClassifyEdges:
             3, "", "error: feature 'color', row 1: empty cell\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,flag\n1,0\n,1\n", "feature 't', row 1: empty cell"),
+        ("t,flag\n1,0\n2, \n", "feature 'flag', row 1: empty cell"),
+    ], ids=["quantitative", "boolean"])
+    def test_empty_cell_of_any_kind_is_named_empty(self, capsys, tmp_path, fixtures_dir,
+                                                   text, message):
+        model = tmp_path / "model.rules"
+        model.write_text("feature 0 t kind=quantitative u=1.5 h=1\n"
+                         "feature 1 flag kind=boolean h=0\nlayer 1\n1 0 0 1\n")
+        self.assert_data_error(self.classify(capsys, tmp_path, fixtures_dir, text, model),
+                               message)
+
 
 # Declared in an order other than id order; z is declared but feeds no unit.
 DIFF_MODEL = """\
@@ -615,6 +632,95 @@ class TestUnreadableInputs:
         got, out, err = run(capsys, *(str(files.get(a, a)) for a in argv))
         assert (got, out) == (code, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestDataFileNames:
+    """The data argument of `mofn train` and `mofn classify` is always a
+    file name, read by the same reader as every other file: a name that
+    holds a newline is read, not parsed as CSV text."""
+
+    NAME = "new\nline.csv"
+
+    def test_train_and_classify_read_a_name_with_a_newline(self, capsys, tmp_path):
+        data = tmp_path / self.NAME
+        assert run(capsys, "gen", "--seed", "1", "-o", str(data))[0] == 0
+        model = tmp_path / "model.rules"
+        assert run(capsys, "train", str(data), "-o", str(model))[0] == 0
+        assert model.read_text() == to_formula_table(train(load_csv(data)))
+        code, out, _ = run(capsys, "classify", str(model), str(data))
+        assert code == 0 and out.count("\n") == 1 + load_csv(data).n
+
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    def test_missing_and_directory(self, capsys, tmp_path, fixtures_dir, command):
+        model = [str(fixtures_dir / "ie_srl.rules")] if command == "classify" else []
+        (tmp_path / "d").mkdir()
+        missing, directory = str(tmp_path / "missing.csv"), str(tmp_path / "d")
+        assert run(capsys, command, *model, missing) == (
+            3, "", f"error: data file not found: {missing}\n")
+        code, out, err = run(capsys, command, *model, directory)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: data file {directory}: [Errno 21] ")
+        assert err.count("\n") == 1
+
+
+class TestWarnings:
+    """A warning is one `warning:` line on stderr, with no source path
+    or code line."""
+
+    def test_dropped_rows(self, capsys, tmp_path):
+        data = tmp_path / "inc.csv"
+        data.write_text("a,b,label\n1,0,0\n2,,1\n3,1,1\n4,0,0\n")
+        code, _, err = run(capsys, "train", str(data), "--drop-incomplete")
+        assert code == 0
+        assert err.startswith("warning: dropped 1 incomplete row(s): [1]\nrows: 3\n")
+
+    def test_filters_still_apply(self, capsys, tmp_path):
+        data = tmp_path / "dup.csv"
+        data.write_text("a,label\n1,0\n1,1\n2,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="conflicting labels"):
+                main(["train", str(data)])
+
+
+class TestUtf8Files:
+    """Files are read and written as UTF-8 whatever the locale; text that
+    stdout cannot encode is an error line and exit code 2."""
+
+    HEADER = "температура,b,label\n"
+
+    def mofn(self, tmp_path, *argv, locale="C"):
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL=locale, PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(pathlib.Path(cli.__file__).parents[1]),
+                       os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONIOENCODING", None)
+        return subprocess.run([sys.executable, "-m", "mofn.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True)
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        rows = "".join(f"{i},{i % 2},{i * 7 % 3 % 2}\n" for i in range(8))
+        (tmp_path / "u.csv").write_bytes((self.HEADER + rows).encode())
+        return "u.csv"
+
+    def test_train_under_an_ascii_locale(self, tmp_path, data):
+        ascii_run = self.mofn(tmp_path, "train", data, "-o", "c.rules")
+        assert ascii_run.returncode == 0, ascii_run.stderr
+        utf8_run = self.mofn(tmp_path, "train", data, "-o", "u.rules", locale="C.UTF-8")
+        assert utf8_run.returncode == 0, utf8_run.stderr
+        model = (tmp_path / "c.rules").read_bytes()
+        assert "температура".encode() in model
+        assert model == (tmp_path / "u.rules").read_bytes()
+        imported = self.mofn(tmp_path, "import", "c.rules", "-o", "i.rules")
+        assert imported.returncode == 0, imported.stderr
+        assert (tmp_path / "i.rules").read_bytes() == model
+
+    def test_ascii_stdout(self, tmp_path, data):
+        proc = self.mofn(tmp_path, "train", data)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: cannot write stdout: 'ascii' codec can't encode")
+        assert proc.stderr.count(b"\n") == 1
 
 
 class TestKindOverrides:

@@ -65,9 +65,10 @@ class TestLoadCsv:
 
     def test_drop_incomplete(self):
         text = BASIC.replace("44.0,0,south", "44.0,,south")
-        with pytest.warns(UserWarning, match="dropped 1"):
+        with pytest.warns(UserWarning, match="dropped 1") as record:
             ds = load_csv(text, drop_incomplete=True)
         assert ds.n == 3
+        assert record[0].filename == __file__    # the caller's line
 
     def test_no_complete_data_rows(self):
         with pytest.raises(DataError, match="^no complete data rows$"):
@@ -137,13 +138,19 @@ class TestLoadCsv:
 class TestSource:
     def test_missing_file_is_a_data_error(self, tmp_path):
         missing = tmp_path / "missing.csv"
-        with pytest.raises(DataError, match="missing.csv") as err:
-            load_csv(str(missing))
-        assert "newline" in str(err.value)
+        message = f"^data file not found: {re.escape(str(missing))}$"
+        for source in (missing, str(missing)):
+            with pytest.raises(DataError, match=message):
+                load_csv(source)
 
     def test_single_line_text_is_read_as_a_path(self):
-        with pytest.raises(DataError, match=r"'f1,label'.*newline"):
+        with pytest.raises(DataError, match="^data file not found: f1,label$"):
             load_csv("f1,label")
+
+    def test_a_path_holding_a_newline_is_read_as_a_path(self, tmp_path):
+        path = tmp_path / "new\nline.csv"
+        path.write_text(BASIC)
+        assert load_csv(path).rows == load_csv(BASIC).rows
 
     def test_path_and_file_object(self, tmp_path):
         path = tmp_path / "basic.csv"

@@ -288,6 +288,22 @@ class TestParseErrors:
         bad = TINY.replace("kind=boolean h=1\nlayer", "kind=boolean spin=up\nlayer")
         self.check(bad, "unknown feature attribute")
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("a kind=boolean h=1", "a kind=boolean h=1 h=0", "^line 2: attribute 'h' given twice$"),
+        ("b kind=boolean h=1", "b kind=boolean kind=nominal h=1",
+         "^line 3: attribute 'kind' given twice$"),
+        ("b kind=boolean h=1", "b kind=quantitative u=1 h=1 u=2",
+         "^line 3: attribute 'u' given twice$"),
+        ("a kind=boolean h=1", "a kind=boolean degenerate h=1 degenerate",
+         "^line 2: attribute 'degenerate' given twice$"),
+        ("classes 0 1\n", "classes 0 1\nclasses 1 0\n", "^line 2: second classes line$"),
+        ("classes 0 1\n", "catalog standard\ncatalog extended\nclasses 0 1\n",
+         "^line 2: second catalog line$"),
+    ], ids=["h", "kind", "u", "degenerate", "classes", "catalog"])
+    def test_a_fact_given_twice(self, old, new, message):
+        """The last of two values would silently win: h=1 h=0 inverts a bit."""
+        self.check(TINY.replace(old, new), message)
+
     def test_unknown_kind(self):
         bad = TINY.replace("feature 0 a kind=boolean", "feature 0 a kind=ordinal")
         self.check(bad, "unknown kind")
