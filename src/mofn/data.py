@@ -45,7 +45,8 @@ class Dataset:
     builds from the columns of its kind: finite float64 for
     quantitative, uint8 0/1 for boolean, Python str categories for
     nominal; a value its kind cannot hold, such as NaN, a boolean 2 or a
-    nominal None, is the EncodingError that fitting the column gives.
+    nominal None, is the EncodingError that fitting the column gives;
+    its `features` name every column of every kind that is refused.
     Labels are a uint8 vector of 0s and 1s, each checked before the
     cast, named by two distinct class names.  Build it from `rows` (one
     tuple per row) or, keyword only, from `columns` (one per feature).
@@ -92,12 +93,19 @@ class Dataset:
         if c0 == 0 or c1 == 0:
             empty = self.class_names[0] if c0 == 0 else self.class_names[1]
             raise DataError(f"class {empty!r} has no rows")
-        typed = {}
+        typed, refused = {}, []
         for kind in KINDS:
             at = [j for j, f in enumerate(self.features) if f.kind == kind]
             if at:
-                block = typed_block([columns[j] for j in at], kind, [names[j] for j in at])
+                try:
+                    block = typed_block([columns[j] for j in at], kind, [names[j] for j in at])
+                except EncodingError as exc:
+                    refused.append(exc)
+                    continue
                 typed.update(zip(at, block))
+        if refused:    # the first block's error, naming the refused features of every block
+            refused[0].features = tuple(chain.from_iterable(exc.features for exc in refused))
+            raise refused[0]
         self.columns = [typed[j] for j in range(self.m)]
         self._warn_contradictions()
 
@@ -246,7 +254,7 @@ def load_csv(
 
     # Every numeric column is one row of a float64 block, read only to tell
     # a 0/1 column, boolean unless declared, from a quantitative one.
-    # Dataset checks every column; if it refuses one, each is typed alone.
+    # Dataset checks every column; if it refuses some, its error names them.
     floats = [x for x, _ in read if x is not None]
     block = np.fromiter(chain.from_iterable(floats), np.float64, len(floats) * len(label))
     block = block.reshape(len(floats), len(label))
@@ -263,13 +271,10 @@ def load_csv(
     try:
         return Dataset(specs, labels=labels, label_name=label_column, class_names=names,
                        columns=columns)
-    except EncodingError:
-        bad = []
-        for spec, values, (_, cells) in zip(specs, columns, read):
-            try:
-                typed_block([values], spec.kind, [spec.name])
-            except EncodingError:
-                bad.append(first_bad_cell(cells, spec.name, spec.kind))
+    except EncodingError as exc:
+        refused = set(exc.features)
+        bad = [first_bad_cell(cells, spec.name, spec.kind)
+               for spec, (_, cells) in zip(specs, read) if spec.name in refused]
         # the lowest row, then the earliest feature
         raise DataError(min(bad, key=lambda cell: cell[0])[1]) from None
 

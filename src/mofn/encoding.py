@@ -26,12 +26,13 @@ its own block.  Fitting and `encode_dataset` import numpy when they
 are first called.
 
 `read_file` reads every file, data, model, config or reference, as
-UTF-8.  `read_table`, `read_column` and `first_bad_cell` read the CSV
-cells that both `data.load_csv` and `mofn classify` encode, so the two
-accept the same cells and name the same first bad one.  CSV text
-without quotes, carriage returns or NULs, and with no line over the
-csv field limit, is split with str methods; only other text goes
-through csv.reader, and both give the same table and the same errors.
+UTF-8, dropping a leading byte order mark.  `read_table`, `read_column`
+and `first_bad_cell` read the CSV cells that both `data.load_csv` and
+`mofn classify` encode, so the two accept the same cells and name the
+same first bad one.  CSV text without quotes, carriage returns or NULs,
+and with no line over the csv field limit, is split with str methods;
+only other text goes through csv.reader, and both give the same table
+and the same errors.
 """
 
 from __future__ import annotations
@@ -143,10 +144,13 @@ def encode_bits(enc: Encoder, values) -> int:
 
 
 def read_file(path, error_class: type[MofnError], role: str) -> str:
-    """The UTF-8 text of a file; one that is missing, or cannot be read
-    or decoded, is an error_class error naming the file's role."""
+    """The UTF-8 text of a file, without the byte order mark that
+    spreadsheet programs write at its start, as the utf-8-sig codec reads
+    it; one that is missing, or cannot be read or decoded, is an
+    error_class error naming the file's role."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # removeprefix, not the utf-8-sig codec, whose module every run would import
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise error_class(f"{role} file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
@@ -259,7 +263,8 @@ def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
     array their cuts read: finite float64 for quantitative, 0/1 uint8 for
     boolean, an object array of non-empty Python str for nominal, numpy
     strings converted.  Values the kind cannot hold are an EncodingError
-    naming the first feature whose column, typed alone, holds one."""
+    naming the first feature whose column, typed alone, holds one; its
+    `features` are every such feature of the block, in order."""
     import numpy as np
 
     try:
@@ -286,10 +291,19 @@ def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
             block = block.astype(np.uint8)
     except EncodingError as exc:
         if len(columns) == 1:
-            raise EncodingError(f"feature {features[0]!r}: {exc}") from None
+            refused = EncodingError(f"feature {features[0]!r}: {exc}")
+            refused.features = tuple(features)
+            raise refused from None
+        errors = []
         for values, feature in zip(columns, features):
-            typed_block([values], kind, [feature])
-        raise
+            try:
+                typed_block([values], kind, [feature])
+            except EncodingError as one:
+                errors.append(one)
+        if not errors:
+            raise
+        errors[0].features = tuple(feature for one in errors for feature in one.features)
+        raise errors[0] from None
     block.flags.writeable = False
     return block
 

@@ -26,7 +26,10 @@ class ColumnChoiceError(DataError):
 
 
 class EncodingError(MofnError):
-    """An encoder cannot be fitted or applied to a value."""
+    """An encoder cannot be fitted or applied to a value.  When typing
+    columns refuses some, `features` names each refused one."""
+
+    features: tuple[str, ...] = ()
 
 
 class TrainingError(MofnError):

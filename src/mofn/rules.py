@@ -21,15 +21,19 @@ which gives the same tokens faster; shlex is imported only for the
 other lines, and by to_formula_table to quote names.  A name holding a
 line break cannot be written.
 
-Every decision runs one SlotProgram, built once per complex, over
-bitset columns: a single case, a batch of rows and a grid alike.  A
-count of class-1 votes becomes a decision only through vote_levels,
-vote_decision tabulated for m1 = 0..N, indexed by the count.
+Every decision runs the unit statements of one SlotProgram, built once
+per complex.  A batch of rows and a grid run them over bitset columns;
+a single case runs the same statements, one bit per slot, through the
+compiled function that also reads its bits from the assignment and
+indexes its vote level.  A count of class-1 votes becomes a decision
+only through vote_levels, vote_decision tabulated for m1 = 0..N,
+indexed by the count.
 
-On its first run a program is compiled by `exec` into one Python
-function whose statements are the units' catalog formulas
+On its first run a program is compiled by one `exec` into two Python
+functions, the bitset program and the single-case decide, whose
+statements are the same lines: the units' catalog formulas
 (logic.FORMULAS) over slot numbers; no model text enters the source.
-An lru_cache keeps the function per distinct program, because
+An lru_cache keeps the pair per distinct program, because
 `cli.main(["classify", ...])` parses its model anew on every call, so
 the compile is paid once per program on its first run.  record.py
 generates no code: there it would be paid by every class at every
@@ -43,6 +47,7 @@ import re
 import sys
 from array import array
 from functools import cache, cached_property, lru_cache
+from operator import itemgetter
 
 from .encoding import KINDS, Encoder
 from .errors import EvaluationError, ModelFormatError
@@ -156,18 +161,23 @@ class SlotProgram:
     units: tuple[tuple[tuple[int, int, int, int], int, int], ...]
     outputs: tuple[int, ...]
 
+    def compiled(self):
+        """The bitset program _compile makes of this one, with its
+        single-case `decide`, compiled on first use."""
+        try:
+            return self._compiled
+        except AttributeError:
+            # Kept on the instance, so a later run or decision hashes no
+            # units.  Set as an attribute: a cached_property writes
+            # self.__dict__, which slows every later field read (see record.py).
+            program = _compile(self.features, self.units, self.outputs)
+            object.__setattr__(self, "_compiled", program)
+            return program
+
     def run(self, columns: Sequence[int], n: int) -> list[int]:
         """Syndrome outputs over n cases from one column per feature, all
         bitsets held as ints with bit r for case r."""
-        try:
-            program = self._compiled
-        except AttributeError:
-            # Kept on the instance, so a later run hashes no units.  Set as
-            # an attribute: a cached_property writes self.__dict__, which
-            # slows every later field read (see record.py).
-            program = _compile(len(self.features), self.units, self.outputs)
-            object.__setattr__(self, "_compiled", program)
-        return program(*columns, (1 << n) - 1)
+        return self.compiled()(*columns, (1 << n) - 1)
 
     @classmethod
     def of(cls, layers: list[list[Row]], extended: bool) -> "SlotProgram":
@@ -191,20 +201,34 @@ _COMPILED_PROGRAMS = 64
 
 
 @lru_cache(maxsize=_COMPILED_PROGRAMS)
-def _compile(width: int, units: tuple, outputs: tuple[int, ...]):
+def _compile(features: tuple[int, ...], units: tuple, outputs: tuple[int, ...]):
     """One function program(s0, ..., s{width-1}, m) -> output slots: unit
     k is the statement s{width+k} = formula, its truth row's catalog
     formula over its two slots.  A formula holding a complement is
     masked, m & (formula), to the n bits of m; &, | and ^ of n-bit
-    inputs are n-bit already."""
-    lines = [f"def program({''.join(f's{s}, ' for s in range(width))}m):"]
+    inputs are n-bit already.
+
+    Its attribute `decide(assignment)` runs the same statements on one
+    case: it reads the slots from a mapping of feature id -> bit with one
+    itemgetter, binds m = 1, and indexes vote_levels by the count of
+    output slots that equal 1, which a sum of numpy uint8 bits would
+    wrap past 255.  Both come from one exec of the same statement lines."""
+    width = len(features)
+    slots = ", ".join(f"s{s}" for s in range(width))
+    body = []
     for k, (truth, left, right) in enumerate(units, start=width):
         formula = FORMULAS[truth].replace("u1", f"s{left}").replace("u2", f"s{right}")
-        lines.append(f"    s{k} = m & ({formula})" if "~" in formula else f"    s{k} = {formula}")
-    lines.append(f"    return [{', '.join(f's{s}' for s in outputs)}]")
-    namespace = {}
+        body.append(f"    s{k} = m & ({formula})" if "~" in formula else f"    s{k} = {formula}")
+    # itemgetter of one key returns the bare value, which `s0 = get(a)` binds
+    lines = [f"def program({slots}, m):", *body,
+             f"    return [{', '.join(f's{s}' for s in outputs)}]",
+             "def decide(a):", f"    {slots} = get(a)", "    m = 1", *body,
+             f"    return levels[[{', '.join(f's{s}' for s in outputs)}].count(1)]"]
+    namespace = {"get": itemgetter(*features), "levels": vote_levels(len(outputs))}
     exec("\n".join(lines), namespace)
-    return namespace["program"]
+    program = namespace["program"]
+    program.decide = namespace["decide"]
+    return program
 
 
 def _live_rows(layers: list[list[Row]]) -> list[list[Row]]:
@@ -335,7 +359,7 @@ def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[in
     """Evaluate every syndrome on an assignment of feature id -> bit."""
     program = sc.program
     try:
-        if set(assignment.values()) <= _BITS:
+        if _BITS.issuperset(assignment.values()):
             return program.run([assignment[f] for f in program.features], 1)
     except KeyError as exc:
         raise EvaluationError(f"no bit assigned for feature {exc.args[0]}") from None
@@ -344,13 +368,24 @@ def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[in
             raise error from None
         # every value is a bit: numpy integers of mixed types, which & and ^ promote to float
         return program.run([int(assignment[f]) for f in program.features], 1)
-    # the set test refused a value, so the scan names one
+    # the bit test refused a value, so the scan names one
     raise _not_a_bit(assignment)
 
 
 def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
-    """Majority vote of all syndromes on one assignment."""
-    return vote_levels(sc.n)[sum(syndrome_bits(sc, assignment))]
+    """Majority vote of all syndromes on one assignment.
+
+    When every value is a bit, the compiled program's `decide` reads the
+    referenced ones and returns the vote level.  A missing feature, a
+    value that is not a bit and numpy bits of mixed types go through
+    syndrome_bits, which names the fault or converts the bits to int."""
+    decide = sc.program.compiled().decide
+    try:
+        if _BITS.issuperset(assignment.values()):
+            return decide(assignment)
+    except (KeyError, TypeError):    # a missing feature, or see above
+        pass
+    return vote_levels(sc.n)[syndrome_bits(sc, assignment).count(1)]
 
 
 def symbolic(sc: SyndromeComplex) -> list[str]:

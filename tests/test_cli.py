@@ -723,6 +723,35 @@ class TestUtf8Files:
         assert proc.stderr.count(b"\n") == 1
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte order mark at the start of a data or model file, as a
+    spreadsheet program writes it, changes no output byte."""
+
+    def files(self, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"marked-{name}"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        return plain, marked
+
+    @pytest.mark.parametrize("label_first", [False, True])
+    def test_train(self, capsys, tmp_path, label_first):
+        code, text, _ = run(capsys, "gen", "--seed", "3", "--features", "6", "--rows", "20",
+                            "--syndromes", "2")
+        assert code == 0
+        if label_first:    # the mark then sits before the label's name
+            rows = list(csv.reader(io.StringIO(text)))
+            text = "".join(",".join([row[-1], *row[:-1]]) + "\n" for row in rows)
+        results = [run(capsys, "train", str(path)) for path in self.files(tmp_path, "d.csv", text)]
+        assert results[0][0] == 0 and results[1] == results[0]
+
+    def test_classify(self, capsys, tmp_path, fixtures_dir):
+        models = self.files(tmp_path, "m.rules", (fixtures_dir / "ie_srl.rules").read_text())
+        cases = self.files(tmp_path, "c.csv", ANCHOR_CSV)
+        results = {run(capsys, "classify", str(model), str(data))
+                   for model in models for data in cases}
+        assert len(results) == 1 and next(iter(results))[0] == 0
+
+
 class TestKindOverrides:
     """A `--kind` that is not name=kind, names no kind, or names no column
     of the CSV is a usage mistake: one error line and exit code 2, before

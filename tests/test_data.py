@@ -158,6 +158,17 @@ class TestSource:
         for source in (path, str(path), io.StringIO(BASIC)):
             assert load_csv(source).rows == load_csv(BASIC).rows
 
+    @pytest.mark.parametrize("text", [BASIC, "label,age\n0,1.5\n1,2.5\n"])
+    def test_a_byte_order_mark_is_not_read_into_the_first_name(self, text, tmp_path):
+        """A spreadsheet's UTF-8 byte order mark before a feature name or
+        the label is dropped."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        want, got = load_csv(plain), load_csv(marked)
+        assert to_csv(got) == to_csv(want) == to_csv(load_csv(text))
+        assert [f.name for f in got.features] == [f.name for f in want.features]
+
 
 class TestCellErrorPrecedence:
     """The bad cell in the lowest row wins, then the earliest feature,
@@ -184,6 +195,22 @@ class TestCellErrorPrecedence:
         with pytest.raises(DataError) as err:
             load_csv(text, kinds=kinds)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("bad, kinds", [("inf", {}), ("2", {"b": "boolean"})])
+    def test_only_the_refused_columns_are_read_again(self, bad, kinds, monkeypatch):
+        """Dataset's error names every refused column, of one block or of
+        blocks of two kinds, and load_csv looks for a bad cell in those
+        alone: the later feature's lower row wins."""
+        text = f"a,b,c,d,label\n1,0,2,3,0\n2,1,3,nan,1\n3,{bad},4,5,0\n4,1,9,6,1\n"
+        read = []
+        first_bad_cell = data.first_bad_cell
+        monkeypatch.setattr(data, "first_bad_cell",
+                            lambda cells, name, kind: read.append(name) or first_bad_cell(
+                                cells, name, kind))
+        with pytest.raises(DataError) as err:
+            load_csv(text, kinds=kinds)
+        assert str(err.value) == "feature 'd', row 1: non-finite value 'nan'"
+        assert read == ["b", "d"]
 
 
 class TestContradictionsThroughLoadCsv:
@@ -326,6 +353,19 @@ class TestDatasetInvariants:
     def test_bad_kind(self):
         with pytest.raises(DataError, match="kind"):
             FeatureSpec("a", "ordinal")
+
+    def test_the_error_names_every_refused_column_of_every_kind(self):
+        """The message is the first refused block's; `features` also
+        names the refused columns of the blocks typed after it."""
+        specs = [FeatureSpec(name, kind) for name, kind in [
+            ("a", "boolean"), ("b", "quantitative"), ("c", "boolean"), ("d", "nominal"),
+            ("e", "quantitative"), ("f", "boolean")]]
+        rows = [(0, 1.0, 2, "x", math.inf, 0), (1, math.nan, 1, "", 2.0, 1)]
+        with pytest.raises(EncodingError) as err:
+            Dataset(specs, rows=rows, labels=[0, 1])
+        first = {"quantitative": "b", "boolean": "c", "nominal": "d"}[encoding.KINDS[0]]
+        assert str(err.value).startswith(f"feature {first!r}: ")
+        assert sorted(err.value.features) == ["b", "c", "d", "e"]
 
     @pytest.mark.parametrize("kind, bad, message", [
         ("quantitative", math.nan, "feature 'x': non-finite values"),

@@ -468,8 +468,9 @@ class TestBlockFit:
         """A block of several columns is refused with the message of the
         first column that is refused alone."""
         columns = [[0, 1, 1], [1, bad, 0], [bad, 0, 1]]
-        with pytest.raises(EncodingError, match=f"^feature 'b': {message}$"):
+        with pytest.raises(EncodingError, match=f"^feature 'b': {message}$") as err:
             typed_block(columns, kind, ["a", "b", "c"])
+        assert err.value.features == ("b", "c")
         block = typed_block([[0, 1, 1], [1.0, 0.0, 0.0]], kind, ["a", "b"])
         assert block.shape == (2, 3) and not block.flags.writeable
         assert block.dtype == (np.float64 if kind == "quantitative" else np.uint8)
@@ -813,3 +814,14 @@ class TestReadTableMatchesCsvReader:
         text = "".join([",".join(f"f{j}" for j in range(96)) + "\n",
                         *(",".join(f"{v:.4f}" for v in row) + "\n" for row in values)])
         assert read_either(read_table, text) == read_either(csv_reader_table, text)
+
+
+@pytest.mark.parametrize("marks", [0, 1, 2])
+def test_read_file_drops_one_leading_byte_order_mark(marks, tmp_path):
+    """As the utf-8-sig codec decodes: one mark at the start of the file
+    is dropped, a second one, or one further on, is text."""
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf" * marks + "a,b\ufeff\n".encode())
+    want = path.read_text(encoding="utf-8-sig")
+    assert encoding.read_file(path, DataError, "data") == want
+    assert want.startswith("\ufeff" * max(marks - 1, 0) + "a")

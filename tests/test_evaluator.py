@@ -11,16 +11,20 @@ import contextlib
 import io
 import itertools
 import random
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mofn.cli import main
+from mofn.errors import EvaluationError
 from mofn.logic import function_ids, truth_row
 from mofn.oracle import exhaustive_decision_check
-from mofn.rules import evaluate, parse_formula_table, vote_counts
+from mofn.rules import evaluate, parse_formula_table, syndrome_bits, vote_counts, vote_levels
 from mofn.tables import make_table
 
 BATCH_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
@@ -162,3 +166,84 @@ def test_every_path_agrees_past_byte_wide_counts(tmp_path):
         label = "contradictory" if d.contradictory else sc.class_names[d.klass]
         value = f"{d.value:+d}" if d.value else "0"
         assert got[r + 1] == f"{r},{label},{value},{d.m}/{d.n}"
+
+
+def by_bits(sc, bits):
+    """The decision from the per-syndrome bits, the way evaluate once
+    made every decision."""
+    return vote_levels(sc.n)[sum(syndrome_bits(sc, bits))]
+
+
+@pytest.mark.parametrize("name", ["ie_srl", "ie_ar", "postop"])
+def test_single_cases_of_the_bundled_models(name, fixtures_dir):
+    """Every assignment of a bundled model decides alike through the
+    compiled single-case function, the per-syndrome bits and the oracle."""
+    sc = parse_formula_table((fixtures_dir / f"{name}.rules").read_text())
+    referenced = sc.referenced_features()
+    for key, want in exhaustive_decision_check(sc).items():
+        bits = dict(zip(referenced, key))
+        got = evaluate(sc, bits)
+        assert got is by_bits(sc, bits) is sc.program._compiled.decide(bits)
+        assert same(got, want)
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_one_feature_self_pairs(extended):
+    """A one-feature program reads its one slot from a bare itemgetter
+    value; every function that is no constant on a self-pair decides."""
+    for fn in function_ids(extended):
+        g = truth_row(fn, extended)
+        if g[0] == g[3]:    # the parser refuses a constant self-pair
+            continue
+        sc = parse_formula_table(("catalog extended\n" if extended else "")
+                                 + f"feature 4 a kind=boolean h=1\nlayer 1\n1 {fn} 4 4\n")
+        assert sc.program.features == (4,)
+        for bit in (0, 1):
+            assert evaluate(sc, {4: bit}) == by_bits(sc, {4: bit})
+            assert evaluate(sc, {4: bit}).m1 == g[3 * bit], (fn, bit)
+
+
+@pytest.mark.parametrize("kind", [bool, np.uint8, np.int64, np.uint64])
+def test_bits_of_one_type(kind, fixtures_dir):
+    """Bool bits and numpy bits of one type decide as the ints they equal."""
+    sc = parse_formula_table((fixtures_dir / "postop.rules").read_text())
+    referenced = sc.referenced_features()
+    rng = random.Random(7)
+    for _ in range(20):
+        ints = {f: rng.randint(0, 1) for f in referenced}
+        bits = {f: kind(bit) for f, bit in ints.items()}
+        assert evaluate(sc, bits) == by_bits(sc, bits) == evaluate(sc, ints)
+
+
+def test_counts_past_a_byte_of_numpy_bits():
+    """300 syndromes voting 1 on uint8 bits: a sum of the uint8 outputs
+    would wrap to 44."""
+    sc = parse_formula_table("feature 0 a kind=boolean h=1\nfeature 1 b kind=boolean h=1\n"
+                             "layer 1\n" + "".join(f"{i} 0 0 1\n" for i in range(1, 301)))
+    assert evaluate(sc, {0: np.uint8(1), 1: np.uint8(1)}).m1 == 300
+
+
+@pytest.mark.parametrize("bad", [2, [1], "1", None])
+def test_an_unreferenced_value_that_is_no_bit_is_refused_by_name(bad, fixtures_dir):
+    sc = parse_formula_table((fixtures_dir / "ie_srl.rules").read_text())
+    bits = dict.fromkeys(sc.referenced_features(), 0)
+    assert 99 not in sc.features
+    with pytest.raises(EvaluationError, match=rf"^feature 99: {re.escape(repr(bad))} is not a bit$"):
+        evaluate(sc, {**bits, 99: bad})
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.0])
+def test_a_referenced_float_is_refused_by_name(bad, fixtures_dir):
+    sc = parse_formula_table((fixtures_dir / "ie_srl.rules").read_text())
+    bits = dict.fromkeys(sc.referenced_features(), 1)
+    with pytest.raises(EvaluationError, match=rf"^feature 16: {bad!r} is not a bit$"):
+        evaluate(sc, {**bits, 16: bad})
+
+
+def test_a_missing_referenced_feature_is_named(fixtures_dir):
+    sc = parse_formula_table((fixtures_dir / "ie_srl.rules").read_text())
+    bits = dict.fromkeys(sc.referenced_features(), 0)
+    for _ in range(2):    # on a fresh complex, and after a decision
+        with pytest.raises(EvaluationError, match="^no bit assigned for feature 11$"):
+            evaluate(sc, {f: b for f, b in bits.items() if f != 11})
+        evaluate(sc, bits)
