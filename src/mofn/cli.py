@@ -13,6 +13,13 @@ file, data, model, config or reference, is read as UTF-8 by one reader,
 `encoding.read_file`, which names the file's role in its errors.  A
 warning is printed on stderr as one `warning:` line.
 
+`mofn classify` reads, encodes, runs and writes its cases one block of
+rows of `encoding.read_blocks` at a time, so it holds the data file's
+text and a block, not every cell.  Every command writes through
+`_Output`: stdout once when the command ends, an `-o` file through a
+temporary file beside it that replaces it only on success, so a failed
+command leaves no partial output and an existing file as it was.
+
 Applying a rule (classify, import, export) loads no numpy: the modules
 that need it are imported by the commands that use them (train,
 tabulate, validate, gen).  Nor does it load `dataclasses`, `inspect` or
@@ -27,13 +34,22 @@ import csv
 import functools
 import io
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
 
 from . import __version__
 from .config import TrainConfig
-from .encoding import KINDS, encode_bits, first_bad_cell, read_column, read_file, read_table
+from .encoding import (
+    KINDS,
+    column_cells,
+    encode_bits,
+    first_bad_cell,
+    read_blocks,
+    read_column,
+    read_file,
+)
 from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
 from .errors import (
     CatalogError,
@@ -111,17 +127,86 @@ def _train_config(args, overrides: dict) -> TrainConfig:
         raise MofnError(str(exc)) from None
 
 
-def _write(text: str, dest: str | None) -> None:
-    """Write to stdout, or to a file as UTF-8; text that cannot be
-    written there is a usage error."""
-    try:
-        if dest in (None, "-"):
-            sys.stdout.write(text)
+class _Output:
+    """The output of a command, as a context whose value is a write
+    function: to stdout, or to a file as UTF-8.
+
+    Stdout gets the text in one write when the command ends.  A regular
+    file is written through a temporary file beside it, which replaces it
+    when the command ends: a command that fails leaves no output and an
+    existing file as it was, keeping its permissions when replaced.  A
+    path that exists and is no regular file, such as /dev/null, is written
+    in place.  Text that cannot be written is a usage error, reported
+    when the command ends, after any error of the command itself."""
+
+    def __init__(self, dest: str | None) -> None:
+        self.where = "stdout" if dest in (None, "-") else dest
+        self.parts: list[str] = []    # what stdout gets
+        self.file = None
+        self.error: Exception | None = None
+        self.target = self.mode = None    # the file the temporary one replaces, and its mode
+        if self.where == "stdout":
+            return
+        target = os.path.realpath(dest) if os.path.islink(dest) else dest
+        try:
+            self.mode = os.stat(target).st_mode
+        except OSError:    # no file yet, or one the first write fails to make
+            pass
+        if self.mode is not None and not stat.S_ISREG(self.mode):
+            self.path = target
         else:
-            Path(dest).write_text(text, encoding="utf-8")
-    except (OSError, UnicodeEncodeError) as exc:    # the latter has no strerror
-        where = "stdout" if dest in (None, "-") else dest
-        raise MofnError(f"cannot write {where}: {getattr(exc, 'strerror', None) or exc}") from None
+            self.target = target
+            head, name = os.path.split(target)
+            self.path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+
+    def write(self, text: str) -> None:
+        if self.where == "stdout":
+            self.parts.append(text)
+        elif self.error is None:
+            try:
+                self.file = self.file or open(self.path, "w", encoding="utf-8")
+                self.file.write(text)
+            except (OSError, UnicodeEncodeError) as exc:
+                self.error = exc
+
+    def __enter__(self):
+        return self.write
+
+    def __exit__(self, failed, *_) -> None:
+        try:
+            if not failed:
+                self._finish()
+        finally:
+            if self.file:
+                self.file.close()
+                if self.target:    # not put in place
+                    try:
+                        os.remove(self.path)
+                    except OSError:
+                        pass
+
+    def _finish(self) -> None:
+        self.write("")    # an empty output is a file too
+        try:
+            if self.where == "stdout":
+                sys.stdout.write("".join(self.parts))
+            elif self.error is None:
+                self.file.close()
+                if self.target:
+                    if self.mode is not None:
+                        os.chmod(self.path, stat.S_IMODE(self.mode))
+                    os.replace(self.path, self.target)
+                    self.target = None
+        except (OSError, UnicodeEncodeError) as exc:
+            self.error = exc
+        if self.error:    # UnicodeEncodeError has no strerror
+            reason = getattr(self.error, "strerror", None) or self.error
+            raise MofnError(f"cannot write {self.where}: {reason}") from None
+
+
+def _write(text: str, dest: str | None) -> None:
+    with _Output(dest) as write:
+        write(text)
 
 
 def _read_model(path: str):
@@ -174,7 +259,8 @@ def cmd_train(args) -> int:
 
 def cmd_classify(args) -> int:
     sc = _read_model(args.model)
-    header, table, ragged = read_table(read_file(args.data, DataError, "data"))
+    text = read_file(args.data, DataError, "data")
+    header, _, blocks = read_blocks(text)
     program = sc.program
     missing = [
         sc.features[i].feature for i in program.features
@@ -183,25 +269,7 @@ def cmd_classify(args) -> int:
     if missing:
         raise DataError(f"CSV lacks columns for features: {missing}")
 
-    n = len(table[0])
-    cells_of = dict(zip(header, table))    # a repeated name maps to its last column
-    columns = []        # one bitset per referenced feature, bit r for row r
-    bad = []            # (row, declaration index, message) of each bad column
-    for ident in program.features:
-        enc = sc.features[ident]
-        x, cells = read_column(cells_of[enc.feature], enc.kind == "nominal")
-        values = cells if enc.kind == "nominal" else x
-        if values is not None:    # else, or if encode_bits refuses, find the bad cell
-            try:
-                columns.append(encode_bits(enc, values))
-                continue
-            except EncodingError:
-                pass
-        row, message = first_bad_cell(cells, enc.feature, enc.kind)
-        bad.append((row, list(sc.features).index(ident), message))
-    if bad or ragged:    # cells lie above the ragged row, so a bad one wins
-        raise DataError(min(bad)[2] if bad else ragged[1])
-    m1 = vote_counts(program.run(columns, n), n)
+    at = {name: j for j, name in enumerate(header)}    # a repeated name maps to its last column
     tails = []        # the CSV line after "row," for each count of class-1 votes
     for d in vote_levels(sc.n):
         label = "contradictory" if d.contradictory else sc.class_names[d.klass]
@@ -210,8 +278,36 @@ def cmd_classify(args) -> int:
             [label, f"{d.value:+d}" if d.value else "0", f"{d.m}/{d.n}"]
         )
         tails.append(out.getvalue())
-    lines = map("{},{}".format, range(n), map(tails.__getitem__, m1))
-    _write("row,decision,value,votes\n" + "".join(lines), args.output)
+    with _Output(args.output) as write:
+        write("row,decision,value,votes\n")
+        r = 0    # the rows of the blocks before this one
+        for table, ragged in blocks:
+            n = len(table[0])
+            columns = []        # one bitset per referenced feature, bit i for row r + i
+            bad = []            # the declaration index and encoder of each bad column
+            for ident in program.features:
+                enc = sc.features[ident]
+                x, cells = read_column(table[at[enc.feature]], enc.kind == "nominal")
+                values = cells if enc.kind == "nominal" else x
+                if values is not None:    # else, or if encode_bits refuses, find the bad cell
+                    try:
+                        columns.append(encode_bits(enc, values))
+                        continue
+                    except EncodingError:
+                        pass
+                bad.append((list(sc.features).index(ident), enc))
+            if bad:    # the earlier blocks hold none: each bad column is read whole again
+                found = []        # (row, declaration index, message)
+                for i, enc in bad:
+                    row, message = first_bad_cell(column_cells(text, at[enc.feature]),
+                                                  enc.feature, enc.kind)
+                    found.append((row, i, message))
+                raise DataError(min(found)[2])
+            if ragged:    # cells lie above the ragged row, so a bad one wins
+                raise DataError(ragged[1])
+            m1 = vote_counts(program.run(columns, n), n)
+            write("".join(map("{},{}".format, range(r, r + n), map(tails.__getitem__, m1))))
+            r += n
     return 0
 
 

@@ -6,9 +6,12 @@ row.  Features come in three kinds: quantitative (floats), boolean
 from the values unless overridden by the caller.
 
 Data is held by column.  `load_csv` reads cells with the readers in
-`encoding` that `mofn classify` shares, and adds the label, empty cells
-and kinds; `Dataset` keeps the checked arrays that training reads, and
-`Dataset.rows` is a view of Python values built on demand.
+`encoding` that `mofn classify` shares, a block of rows at a time, and
+adds the label, empty cells and kinds.  Numeric columns go straight
+into one float64 array, and only the label's and text columns' cells
+are kept, so loading never holds the whole file as cells.  `Dataset`
+keeps the checked arrays that training reads, and `Dataset.rows` is a
+view of Python values built on demand.
 """
 
 from __future__ import annotations
@@ -21,7 +24,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .encoding import KINDS, first_bad_cell, read_column, read_table, read_text, typed_block
+from .encoding import (
+    KINDS,
+    column_cells,
+    first_bad_cell,
+    read_blocks,
+    read_column,
+    read_text,
+    typed_block,
+)
 from .errors import ColumnChoiceError, DataError, EncodingError
 from .record import record
 
@@ -174,19 +185,6 @@ def _equality_key(column: np.ndarray) -> np.ndarray:
     return np.fromiter(map(first.setdefault, column.tolist(), count()), np.intp, len(column))
 
 
-def _read_cells(columns: list[tuple], label_at: int, nominal: list[bool]):
-    """The stripped label cells, each feature column as read_column
-    gives it, and the rows that hold an empty cell."""
-    features = columns[:label_at] + columns[label_at + 1:]
-    label = list(map(str.strip, columns[label_at]))
-    read = [read_column(raw, nom) for raw, nom in zip(features, nominal)]
-    empty = {r for r, cell in enumerate(label) if not cell}
-    for x, cells in read:
-        if x is None and "" in cells:
-            empty.update(r for r, cell in enumerate(cells) if not cell)
-    return label, read, sorted(empty)
-
-
 def _class_pair(class_names: Sequence[str]) -> tuple[str, str]:
     names = tuple(class_names)
     if len(names) != 2 or names[0] == names[1]:
@@ -217,66 +215,114 @@ def load_csv(
     Dataset's checks (duplicate feature names, a feature named as the
     label, fewer than two rows, a class with no rows), and last the bad
     cell of the lowest row, then of the earliest feature.
+
+    The rows are read in the blocks of encoding.read_blocks.  A column
+    whose cells are all numbers is parsed straight into its row of one
+    (features, rows) float64 array, and its cells are not kept.  A column
+    declared nominal, or with a cell that is no number, is text, whose
+    stripped cells are kept, as are the label's.  A column that turns to
+    text in a later block is read again whole, so kinds are still
+    inferred over every row.
     """
-    header, columns, ragged = read_table(read_text(source))
+    text = read_text(source)
+    header, most, blocks = read_blocks(text)
     if label_column not in header:
         raise ColumnChoiceError(f"no column named {label_column!r} in header {header}")
     label_at = header.index(label_column)
-    feature_names = [h for i, h in enumerate(header) if i != label_at]
+    feature_at = [i for i in range(len(header)) if i != label_at]
+    feature_names = [header[i] for i in feature_at]
     kinds = dict(kinds or {})
     for name in kinds:
         if name not in feature_names:
             raise ColumnChoiceError(f"kind override for unknown feature {name!r}")
         if kinds[name] not in KINDS:
             raise ColumnChoiceError(f"unknown kind {kinds[name]!r} for feature {name!r}")
-    nominal = [kinds.get(name) == "nominal" for name in feature_names]
-    label, read, dropped = _read_cells(columns, label_at, nominal)
-    if dropped and not drop_incomplete:
-        raise DataError(f"row {dropped[0]} has an empty cell")
-    if ragged:
-        raise DataError(ragged[1])
-    if not label:
+
+    floats = np.empty((len(feature_at), most))    # row j: feature j, if it is numeric
+    text_cells = {j: [] for j, name in enumerate(feature_names) if kinds.get(name) == "nominal"}
+    late = set()        # features that turn to text after some rows: read again at the end
+    label, dropped = [], []
+    n = r = 0           # the rows kept, and read, before this block
+    for columns, ragged in blocks:
+        label_cells = list(map(str.strip, columns[label_at]))
+        read = [_parse(columns[at], j in text_cells) for j, at in enumerate(feature_at)]
+        empty = {i for cells in (label_cells, *read) if isinstance(cells, list) and "" in cells
+                 for i, cell in enumerate(cells) if not cell}
+        if empty and not drop_incomplete:
+            raise DataError(f"row {r + min(empty)} has an empty cell")
+        if empty:    # the kept rows read again, as a read without the others reads them
+            dropped += sorted(r + i for i in empty)
+            keep = [i not in empty for i in range(len(label_cells))]
+            label_cells = list(compress(label_cells, keep))
+            read = [_parse(list(compress(columns[at], keep)), j in text_cells)
+                    for j, at in enumerate(feature_at)]
+        k = len(label_cells)
+        for j, cells in enumerate(read):
+            if not isinstance(cells, list):
+                floats[j, n:n + k] = cells
+                continue
+            if j not in text_cells:    # a cell is no number: the feature turns to text
+                text_cells[j] = []
+                if n:
+                    late.add(j)
+            if j not in late:
+                text_cells[j] += cells
+        label += label_cells
+        n, r = n + k, r + len(columns[0])
+        if ragged:
+            raise DataError(ragged[1])
+    if not r:
         raise DataError("no complete data rows")
+    gone = set(dropped)
     if dropped:
         warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}", stacklevel=2)
-        if len(dropped) == len(label):
+        if not n:
             raise DataError("no complete data rows")
-        gone = set(dropped)
-        keep = [r not in gone for r in range(len(label))]
-        columns = [tuple(compress(column, keep)) for column in columns]
-        label, read, _ = _read_cells(columns, label_at, nominal)
+    for j in late:
+        text_cells[j] = list(map(str.strip, column_cells(text, feature_at[j], gone)))
 
     names = ("0", "1") if class_names is None else _class_pair(class_names)
     if not set(label) <= set(names):
         r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
         raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
-    labels = np.array(label) == names[1]
 
-    # Every numeric column is one row of a float64 block, read only to tell
-    # a 0/1 column, boolean unless declared, from a quantitative one.
-    # Dataset checks every column; if it refuses some, its error names them.
-    floats = [x for x, _ in read if x is not None]
-    block = np.fromiter(chain.from_iterable(floats), np.float64, len(floats) * len(label))
-    block = block.reshape(len(floats), len(label))
-    numeric = zip(block, ((block == 0) | (block == 1)).all(axis=1).tolist())
-    specs, columns = [], []
-    for name, (x, cells) in zip(feature_names, read):
-        if x is None:    # some cell is not a number
-            kind, values = kinds.get(name, "nominal"), cells
+    # A numeric feature is read as 0/1 only to tell a boolean one, unless
+    # declared, from a quantitative one.  Dataset checks every column; if it
+    # refuses some, its error names them.
+    numbers = floats[:, :n]
+    is_bits = ((numbers == 0) | (numbers == 1)).all(axis=1).tolist()
+    specs, values = [], []
+    for j, name in enumerate(feature_names):
+        if j in text_cells:
+            kind, column = kinds.get(name, "nominal"), text_cells[j]
         else:
-            values, is_bits = next(numeric)
-            kind = kinds.get(name, "boolean" if is_bits else "quantitative")
+            kind, column = kinds.get(name, "boolean" if is_bits[j] else "quantitative"), numbers[j]
         specs.append(FeatureSpec(name, kind))
-        columns.append(values)
+        values.append(column)
     try:
+        labels = np.fromiter(map(names[1].__eq__, label), bool, len(label))
         return Dataset(specs, labels=labels, label_name=label_column, class_names=names,
-                       columns=columns)
+                       columns=values)
     except EncodingError as exc:
         refused = set(exc.features)
-        bad = [first_bad_cell(cells, spec.name, spec.kind)
-               for spec, (_, cells) in zip(specs, read) if spec.name in refused]
+        bad = [first_bad_cell(text_cells[j] if j in text_cells
+                              else column_cells(text, feature_at[j], gone), spec.name, spec.kind)
+               for j, spec in enumerate(specs) if spec.name in refused]
         # the lowest row, then the earliest feature
         raise DataError(min(bad, key=lambda cell: cell[0])[1]) from None
+
+
+def _parse(raw: list[str], text: bool):
+    """One column of a block, as read_column reads it: a float64 array,
+    if the column is not text and every cell is a number, or else its
+    stripped cells."""
+    if not text:
+        try:    # every cell a number, read_column's first try, the common case
+            return np.fromiter(map(float, raw), np.float64, len(raw))
+        except ValueError:
+            pass
+    x, cells = read_column(raw, text)
+    return cells if x is None else np.array(x, dtype=np.float64)
 
 
 def to_csv(ds: Dataset) -> str:

@@ -26,13 +26,16 @@ its own block.  Fitting and `encode_dataset` import numpy when they
 are first called.
 
 `read_file` reads every file, data, model, config or reference, as
-UTF-8, dropping a leading byte order mark.  `read_table`, `read_column`
+UTF-8, dropping a leading byte order mark.  `read_blocks`, `read_column`
 and `first_bad_cell` read the CSV cells that both `data.load_csv` and
 `mofn classify` encode, so the two accept the same cells and name the
-same first bad one.  CSV text without quotes, carriage returns or NULs,
-and with no line over the csv field limit, is split with str methods;
-only other text goes through csv.reader, and both give the same table
-and the same errors.
+same first bad one.  `read_blocks` yields the rows a block at a time, a
+block of at most _BLOCK_CELLS cells, so a reader holds the text and one
+block's cells, not a list of every cell; `read_table`, which reads a
+rendered grid, joins the blocks, and `column_cells` reads one column
+again.  CSV text without quotes, carriage returns or NULs is split with
+str methods, a slice of the text at a time; only other text goes
+through csv.reader, and both give the same table and the same errors.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import csv
 import io
 import math
 from functools import cached_property
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import eq, gt
 from pathlib import Path
 
@@ -168,53 +171,133 @@ def read_text(source) -> str:
     return source.read()
 
 
-def _split_cells(text: str):
-    """Text with no quote, no carriage return and no NUL, whose lines all
-    fit the csv field limit, read as csv.reader reads it: every non-blank
-    line is a record, and its cells are the text between its commas.
-    Returns (width of each record, all their cells in one list), or None
-    for text of another kind."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    records = list(filter(None, text.split("\n")))    # blank lines hold no record
-    if max(map(len, records), default=0) > csv.field_size_limit():
-        return None
-    widths = [commas + 1 for commas in map(str.count, records, repeat(","))]
-    return widths, ",".join(records).split(",")
+# A block of rows holds at most this many cells (or one row): a block of
+# a w-column file is max(1, _BLOCK_CELLS // w) records, so what a reader
+# holds of one block stays a few MB however long the file is.
+_BLOCK_CELLS = 1 << 15
 
 
-def _csv_cells(text: str):
-    """Any text read by csv.reader, as (widths, cells) like _split_cells."""
+def _split_lines(chunk: list[str]):
+    """Lines of plain text as (width of each record, all their cells in
+    one list): the cells are the text between the commas."""
+    widths = [commas + 1 for commas in map(str.count, chunk, repeat(","))]
+    return widths, ",".join(chunk).split(",")
+
+
+def _line_records(text: str):
+    """Text with no quote, no carriage return and no NUL, read as
+    csv.reader reads it: every non-blank line is a record.  Returns (at
+    least the number of records, and 0 only if there is none, an iterator
+    over them, _split_lines).  A field over the csv field limit is
+    refused, as csv.reader refuses it, before any record is read."""
+    limit = csv.field_size_limit()
+    at = 0
+    while len(text) - at > limit:    # only a line over the limit can hold such a field
+        end = text.rfind("\n", at, at + limit + 1)    # the lines up to it are short enough
+        if end < 0:    # the line at `at` is longer than the limit
+            end = _line_end(text, at)
+            if max(map(len, text[at:end].split(","))) > limit:
+                number = text.count("\n", 0, at) + 1
+                raise DataError(f"CSV line {number}: field larger than field limit ({limit})")
+        at = end + 1
+    lines = text.count("\n")
+    records = filter(None, chain.from_iterable(_line_chunks(text)))    # blank lines hold none
+    return lines + 1 if len(text) > lines else 0, records, _split_lines
+
+
+def _line_end(text: str, at: int) -> int:
+    """Where the line that holds position `at` ends: its newline, or the
+    end of the text."""
+    end = text.find("\n", at)
+    return len(text) if end < 0 else end
+
+
+def _line_chunks(text: str):
+    """The lines of text, as text.split("\\n") gives them, in lists split
+    from about _BLOCK_CELLS characters at a time, so that the lines of
+    the whole text are never held at once."""
+    at = 0
+    while at <= len(text):
+        end = text.rfind("\n", at, at + _BLOCK_CELLS)
+        if end < 0:    # no line ends within reach
+            end = _line_end(text, at + _BLOCK_CELLS)
+        yield text[at:end].split("\n")
+        at = end + 1
+
+
+def _split_rows(chunk: list[list[str]]):
+    """csv.reader records as (widths, cells) like _split_lines."""
+    return list(map(len, chunk)), list(chain.from_iterable(chunk))
+
+
+def _csv_records(text: str):
+    """Any text, read by csv.reader, as (count, records, _split_rows) like
+    _line_records.  A first pass reads the whole text, so that text csv
+    cannot read is refused before any record is read."""
     reader = csv.reader(io.StringIO(text))
     try:
-        records = [row for row in reader if row]
+        count = sum(1 for row in reader if row)
     except csv.Error as exc:
         raise DataError(f"CSV line {reader.line_num}: {exc}") from None
-    return list(map(len, records)), list(chain.from_iterable(records))
+    return count, filter(None, csv.reader(io.StringIO(text))), _split_rows
+
+
+def read_blocks(text: str):
+    """CSV text as (stripped header, most, blocks), blank lines skipped
+    and not counted; `most` is at least the number of data rows.
+    `blocks` yields (columns, ragged) for each block of up to
+    max(1, _BLOCK_CELLS // width) records: the raw cells of each column,
+    and None.  At the first row whose width differs from the header's,
+    the block's columns stop above that row, `ragged` is its error as
+    (row, message), and no block follows.  A syntax error is raised
+    before the header is returned, so a reader that stops at a bad cell
+    or a ragged row reports what a whole read reports.
+
+    Text with no `"`, no `\\r` and no NUL is split on newlines and
+    commas with str methods; any other text goes through csv.reader.
+    Either way a block's cells come as one flat list, and each column is
+    a slice of it.  The text is read again by each call."""
+    plain = not ('"' in text or "\r" in text or "\0" in text)
+    count, records, split = (_line_records if plain else _csv_records)(text)
+    if not count:
+        raise DataError("empty CSV")
+    header = split([next(records)])[1]
+    return [h.strip() for h in header], count - 1, _blocks(records, split, len(header))
+
+
+def _blocks(records, split, w: int):
+    """The blocks of read_blocks, from records after the header."""
+    step = max(1, _BLOCK_CELLS // w)
+    r = 0    # the data rows of the blocks before this one
+    while chunk := list(islice(records, step)):
+        widths, cells = split(chunk)
+        n, ragged = len(widths), None
+        if widths.count(w) != n:
+            n = next(k for k, width in enumerate(widths) if width != w)
+            ragged = (r + n, f"row {r + n} has {widths[n]} cells, expected {w}")
+        yield [cells[j:n * w:w] for j in range(w)], ragged    # rows above n have w cells
+        if ragged:
+            return
+        r += n
 
 
 def read_table(text: str):
-    """CSV text as (stripped header, raw cells of each column, ragged),
-    blank lines skipped and not counted.  The columns stop above the
-    first row whose width differs from the header's, and `ragged` is its
-    error as (row, message), or None.
+    """CSV text as (stripped header, raw cells of each column, ragged):
+    the blocks of read_blocks joined, and the last block's ragged."""
+    header, _, blocks = read_blocks(text)
+    columns, ragged = [[] for _ in header], None
+    for block, ragged in blocks:
+        for column, cells in zip(columns, block):
+            column += cells
+    return header, columns, ragged
 
-    Text with no `"`, no `\\r`, no NUL and no line longer than
-    csv.field_size_limit() is split on newlines and commas with str
-    methods; any other text goes through csv.reader.  Either way the
-    cells come as one flat list, and each column is a slice of it."""
-    widths, cells = _split_cells(text) or _csv_cells(text)
-    if not widths:
-        raise DataError("empty CSV")
-    w = widths[0]
-    n = len(widths) - 1
-    ragged = None
-    if widths.count(w) != len(widths):
-        n = next(r for r, width in enumerate(widths[1:]) if width != w)
-        ragged = (n, f"row {n} has {widths[n + 1]} cells, expected {w}")
-    header = [h.strip() for h in cells[:w]]
-    end = (n + 1) * w    # the rows above the ragged one all have w cells
-    return header, [cells[j:end:w] for j in range(w, 2 * w)], ragged
+
+def column_cells(text: str, at: int, skip=frozenset()) -> list[str]:
+    """The raw cells of column `at` of CSV text, in the rows above a
+    ragged one but for the rows in `skip`: one column read again, whole,
+    by a reader that no longer holds its earlier blocks."""
+    cells = [cell for block, _ in read_blocks(text)[2] for cell in block[at]]
+    return [cell for r, cell in enumerate(cells) if r not in skip] if skip else cells
 
 
 def read_column(raw: Sequence[str], nominal: bool):
@@ -264,9 +347,13 @@ def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
     boolean, an object array of non-empty Python str for nominal, numpy
     strings converted.  Values the kind cannot hold are an EncodingError
     naming the first feature whose column, typed alone, holds one; its
-    `features` are every such feature of the block, in order."""
+    `features` are every such feature of the block, in order.  A block of
+    numbers names them from one test of every row; only a nominal block,
+    or one that holds some value that is no number, types each column
+    alone."""
     import numpy as np
 
+    ok = None    # of a block of numbers, which columns the kind can hold
     try:
         if kind == "nominal":    # each cell's type: a numpy string equals its str
             types = set(map(type, chain.from_iterable(columns)))
@@ -282,18 +369,15 @@ def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
                 block = np.array(columns, dtype=np.float64)
             except (TypeError, ValueError):
                 raise EncodingError("values are not all numeric") from None
-            if not np.isfinite(block).all():
-                raise EncodingError("non-finite values")
+            ok, message = np.isfinite(block).all(axis=1), "non-finite values"
         else:
             block = np.asarray(columns)
-            if block.dtype.kind not in "buif" or not ((block == 0) | (block == 1)).all():
+            if block.dtype.kind not in "buif":
                 raise EncodingError("values are not all 0/1")
-            block = block.astype(np.uint8)
+            ok, message = ((block == 0) | (block == 1)).all(axis=1), "values are not all 0/1"
     except EncodingError as exc:
         if len(columns) == 1:
-            refused = EncodingError(f"feature {features[0]!r}: {exc}")
-            refused.features = tuple(features)
-            raise refused from None
+            raise _refusal(str(exc), features) from None
         errors = []
         for values, feature in zip(columns, features):
             try:
@@ -304,8 +388,20 @@ def typed_block(columns, kind: str, features: Sequence[str]) -> np.ndarray:
             raise
         errors[0].features = tuple(feature for one in errors for feature in one.features)
         raise errors[0] from None
+    if ok is not None and not ok.all():
+        raise _refusal(message, list(compress(features, (~ok).tolist())))
+    if kind == "boolean":
+        block = block.astype(np.uint8)
     block.flags.writeable = False
     return block
+
+
+def _refusal(message: str, features: Sequence[str]) -> EncodingError:
+    """The error of typed_block that names the first refused feature, and
+    all of them in `features`."""
+    refused = EncodingError(f"feature {features[0]!r}: {message}")
+    refused.features = tuple(features)
+    return refused
 
 
 def _best_cut(inside, ones, y: np.ndarray, rank=None):

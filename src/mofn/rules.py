@@ -23,17 +23,15 @@ line break cannot be written.
 
 Every decision runs the unit statements of one SlotProgram, built once
 per complex.  A batch of rows and a grid run them over bitset columns;
-a single case runs the same statements, one bit per slot, through the
-compiled function that also reads its bits from the assignment and
-indexes its vote level.  A count of class-1 votes becomes a decision
-only through vote_levels, vote_decision tabulated for m1 = 0..N,
-indexed by the count.
+a single case runs the same function on one bit per slot, its mask
+m = 1.  A count of class-1 votes becomes a decision only through
+vote_levels, vote_decision tabulated for m1 = 0..N, indexed by the
+count.
 
-On its first run a program is compiled by one `exec` into two Python
-functions, the bitset program and the single-case decide, whose
-statements are the same lines: the units' catalog formulas
+On its first run a program is compiled by one `exec` into one Python
+function, whose statements are the units' catalog formulas
 (logic.FORMULAS) over slot numbers; no model text enters the source.
-An lru_cache keeps the pair per distinct program, because
+An lru_cache keeps it per distinct program, because
 `cli.main(["classify", ...])` parses its model anew on every call, so
 the compile is paid once per program on its first run.  record.py
 generates no code: there it would be paid by every class at every
@@ -162,8 +160,8 @@ class SlotProgram:
     outputs: tuple[int, ...]
 
     def compiled(self):
-        """The bitset program _compile makes of this one, with its
-        single-case `decide`, compiled on first use."""
+        """The bitset program _compile makes of this one, compiled on
+        first use."""
         try:
             return self._compiled
         except AttributeError:
@@ -202,32 +200,29 @@ _COMPILED_PROGRAMS = 64
 
 @lru_cache(maxsize=_COMPILED_PROGRAMS)
 def _compile(features: tuple[int, ...], units: tuple, outputs: tuple[int, ...]):
-    """One function program(s0, ..., s{width-1}, m) -> output slots: unit
+    """One function program(s0, ..., s{width-1}, m=1) -> output slots: unit
     k is the statement s{width+k} = formula, its truth row's catalog
     formula over its two slots.  A formula holding a complement is
     masked, m & (formula), to the n bits of m; &, | and ^ of n-bit
     inputs are n-bit already.
 
-    Its attribute `decide(assignment)` runs the same statements on one
-    case: it reads the slots from a mapping of feature id -> bit with one
-    itemgetter, binds m = 1, and indexes vote_levels by the count of
-    output slots that equal 1, which a sum of numpy uint8 bits would
-    wrap past 255.  Both come from one exec of the same statement lines."""
+    One case runs it at its default m = 1.  Its attribute `get` reads the
+    slots from a mapping of feature id -> bit as a tuple, and `levels` is
+    indexed by the count of output slots that equal 1, which a sum of
+    numpy uint8 bits would wrap past 255."""
     width = len(features)
-    slots = ", ".join(f"s{s}" for s in range(width))
     body = []
     for k, (truth, left, right) in enumerate(units, start=width):
         formula = FORMULAS[truth].replace("u1", f"s{left}").replace("u2", f"s{right}")
         body.append(f"    s{k} = m & ({formula})" if "~" in formula else f"    s{k} = {formula}")
-    # itemgetter of one key returns the bare value, which `s0 = get(a)` binds
-    lines = [f"def program({slots}, m):", *body,
-             f"    return [{', '.join(f's{s}' for s in outputs)}]",
-             "def decide(a):", f"    {slots} = get(a)", "    m = 1", *body,
-             f"    return levels[[{', '.join(f's{s}' for s in outputs)}].count(1)]"]
-    namespace = {"get": itemgetter(*features), "levels": vote_levels(len(outputs))}
+    lines = [f"def program({''.join(f's{s}, ' for s in range(width))}m=1):", *body,
+             f"    return [{', '.join(f's{s}' for s in outputs)}]"]
+    namespace = {}
     exec("\n".join(lines), namespace)
     program = namespace["program"]
-    program.decide = namespace["decide"]
+    # itemgetter of one key returns the bare value, not a tuple of it
+    program.get = itemgetter(*features) if width > 1 else lambda a, f=features[0]: (a[f],)
+    program.levels = vote_levels(len(outputs))
     return program
 
 
@@ -375,14 +370,15 @@ def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[in
 def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
     """Majority vote of all syndromes on one assignment.
 
-    When every value is a bit, the compiled program's `decide` reads the
-    referenced ones and returns the vote level.  A missing feature, a
-    value that is not a bit and numpy bits of mixed types go through
-    syndrome_bits, which names the fault or converts the bits to int."""
-    decide = sc.program.compiled().decide
+    When every value is a bit, the compiled program runs on the
+    referenced ones at m = 1 and its class-1 count indexes the vote
+    level.  A missing feature, a value that is not a bit and numpy bits
+    of mixed types go through syndrome_bits, which names the fault or
+    converts the bits to int."""
+    program = sc.program.compiled()
     try:
         if _BITS.issuperset(assignment.values()):
-            return decide(assignment)
+            return program.levels[program(*program.get(assignment)).count(1)]
     except (KeyError, TypeError):    # a missing feature, or see above
         pass
     return vote_levels(sc.n)[syndrome_bits(sc, assignment).count(1)]

@@ -796,6 +796,38 @@ class TestExitCodes:
             assert run(capsys, "import", "model") == (code, "", "error: boom\n"), cls
 
 
+class TestOutputFile:
+    """An `-o` file is put in place whole when the command succeeds,
+    through a temporary file beside it: the file it replaces keeps its
+    permissions, a symbolic link stays a link to the file it names, and a
+    path that is no regular file is written in place."""
+
+    def classify(self, capsys, tmp_path, fixtures_dir, out):
+        (tmp_path / "cases.csv").write_text(ANCHOR_CSV)
+        return run(capsys, "classify", str(fixtures_dir / "ie_srl.rules"),
+                   str(tmp_path / "cases.csv"), "-o", str(out))
+
+    def test_a_replaced_file_keeps_its_permissions(self, capsys, tmp_path, fixtures_dir):
+        out = tmp_path / "out.csv"
+        out.write_text("before\n")
+        out.chmod(0o600)
+        assert self.classify(capsys, tmp_path, fixtures_dir, out)[0] == 0
+        assert out.read_text().startswith("row,decision,value,votes\n0,IE,+6,6/9\n")
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cases.csv", "out.csv"]
+
+    def test_a_link_stays_a_link(self, capsys, tmp_path, fixtures_dir):
+        (tmp_path / "real.csv").write_text("before\n")
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        assert self.classify(capsys, tmp_path, fixtures_dir, tmp_path / "link.csv")[0] == 0
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "real.csv").read_text().startswith("row,decision,value,votes\n")
+
+    def test_dev_null_is_written_in_place(self, capsys, tmp_path, fixtures_dir):
+        assert self.classify(capsys, tmp_path, fixtures_dir, os.devnull) == (0, "", "")
+        assert pathlib.Path(os.devnull).is_char_device()
+
+
 class TestUnwritableOutput:
     """An `-o` path that cannot be written is an error line and exit code
     2, whatever the command: an existing directory, or a file in a

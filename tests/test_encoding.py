@@ -475,6 +475,37 @@ class TestBlockFit:
         assert block.shape == (2, 3) and not block.flags.writeable
         assert block.dtype == (np.float64 if kind == "quantitative" else np.uint8)
 
+    @pytest.mark.parametrize("kind, bad, message", [
+        ("quantitative", math.nan, "non-finite values"),
+        ("quantitative", -math.inf, "non-finite values"),
+        ("boolean", 2.0, "values are not all 0/1"),
+        ("boolean", math.nan, "values are not all 0/1"),
+    ])
+    def test_a_block_of_numbers_is_refused_in_one_call(self, kind, bad, message, monkeypatch):
+        """A refused block of 2000 numeric columns is named by one test of
+        its rows, not by typing each column alone, with the error that
+        typing each column alone gives."""
+        rng = np.random.default_rng(3)
+        block = rng.integers(0, 2, size=(2000, 50)).astype(np.float64)
+        for f, r in ((1500, 7), (1998, 0), (1500, 9)):
+            block[f, r] = bad
+        columns, names = block.tolist(), [f"f{j}" for j in range(2000)]
+        alone = []
+        for values, name in zip(columns, names):
+            try:
+                typed_block([values], kind, [name])
+            except EncodingError as exc:
+                alone.append(exc)
+        calls = []
+        monkeypatch.setattr(encoding, "typed_block",
+                            lambda *args: calls.append(args) or typed_block(*args))
+        with pytest.raises(EncodingError) as err:
+            encoding.typed_block(columns, kind, names)
+        assert len(calls) == 1
+        assert str(err.value) == str(alone[0]) == f"feature 'f1500': {message}"
+        assert err.value.features == ("f1500", "f1998") == tuple(
+            f for exc in alone for f in exc.features)
+
 
 def brute_force_indicator(values, labels, candidates):
     """Try every (candidate, polarity) by explicit counting.

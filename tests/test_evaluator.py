@@ -176,21 +176,24 @@ def by_bits(sc, bits):
 
 @pytest.mark.parametrize("name", ["ie_srl", "ie_ar", "postop"])
 def test_single_cases_of_the_bundled_models(name, fixtures_dir):
-    """Every assignment of a bundled model decides alike through the
-    compiled single-case function, the per-syndrome bits and the oracle."""
+    """Every assignment of a bundled model decides alike through
+    evaluate, the compiled program run at m = 1, the per-syndrome bits
+    and the oracle."""
     sc = parse_formula_table((fixtures_dir / f"{name}.rules").read_text())
     referenced = sc.referenced_features()
     for key, want in exhaustive_decision_check(sc).items():
         bits = dict(zip(referenced, key))
         got = evaluate(sc, bits)
-        assert got is by_bits(sc, bits) is sc.program._compiled.decide(bits)
+        program = sc.program.compiled()
+        ran = program(*(bits[f] for f in sc.program.features), 1)
+        assert got is by_bits(sc, bits) is vote_levels(sc.n)[ran.count(1)]
         assert same(got, want)
 
 
 @pytest.mark.parametrize("extended", [False, True])
 def test_one_feature_self_pairs(extended):
-    """A one-feature program reads its one slot from a bare itemgetter
-    value; every function that is no constant on a self-pair decides."""
+    """A one-feature program reads its one slot as a tuple of one; every
+    function that is no constant on a self-pair decides."""
     for fn in function_ids(extended):
         g = truth_row(fn, extended)
         if g[0] == g[3]:    # the parser refuses a constant self-pair
