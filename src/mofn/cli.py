@@ -13,12 +13,15 @@ file, data, model, config or reference, is read as UTF-8 by one reader,
 `encoding.read_file`, which names the file's role in its errors.  A
 warning is printed on stderr as one `warning:` line.
 
-`mofn classify` reads, encodes, runs and writes its cases one block of
-rows of `encoding.read_blocks` at a time, so it holds the data file's
-text and a block, not every cell.  Every command writes through
-`_Output`: stdout once when the command ends, an `-o` file through a
-temporary file beside it that replaces it only on success, so a failed
-command leaves no partial output and an existing file as it was.
+Every command puts its output in place once, at the end, after its
+last possible error, through one `_write` call: stdout in one write, an
+`-o` file through a temporary file beside it that then replaces it.  A
+failed command leaves no partial output and an existing file as it was,
+and a data error is reported before any write is tried.  `mofn
+classify` reads, encodes and runs its cases one block of rows of
+`encoding.read_blocks` at a time, and keeps each block's output as one
+string: it holds the data file's text, about two blocks of cells and its
+own output text (about 16 bytes per case), not every cell.
 
 Applying a rule (classify, import, export) loads no numpy: the modules
 that need it are imported by the commands that use them (train,
@@ -43,7 +46,6 @@ from . import __version__
 from .config import TrainConfig
 from .encoding import (
     KINDS,
-    column_cells,
     encode_bits,
     first_bad_cell,
     read_blocks,
@@ -127,86 +129,47 @@ def _train_config(args, overrides: dict) -> TrainConfig:
         raise MofnError(str(exc)) from None
 
 
-class _Output:
-    """The output of a command, as a context whose value is a write
-    function: to stdout, or to a file as UTF-8.
+def _write(dest: str | None, *parts: str) -> None:
+    """Put a command's whole output in place, once, after the command has
+    succeeded: to stdout in one write, or to a file as UTF-8.
 
-    Stdout gets the text in one write when the command ends.  A regular
-    file is written through a temporary file beside it, which replaces it
-    when the command ends: a command that fails leaves no output and an
-    existing file as it was, keeping its permissions when replaced.  A
-    path that exists and is no regular file, such as /dev/null, is written
-    in place.  Text that cannot be written is a usage error, reported
-    when the command ends, after any error of the command itself."""
-
-    def __init__(self, dest: str | None) -> None:
-        self.where = "stdout" if dest in (None, "-") else dest
-        self.parts: list[str] = []    # what stdout gets
-        self.file = None
-        self.error: Exception | None = None
-        self.target = self.mode = None    # the file the temporary one replaces, and its mode
-        if self.where == "stdout":
+    A regular file is written to a temporary file beside it, which then
+    replaces it: a command that fails leaves no output and an existing
+    file as it was, and a replaced file keeps its permissions.  A
+    symbolic link stays a link to the file it names, and a path that
+    exists and is no regular file, such as /dev/null, is written in
+    place.  Text that cannot be written is a usage error, and leaves no
+    temporary file."""
+    where = "stdout" if dest in (None, "-") else dest
+    temporary = None
+    try:
+        if where == "stdout":
+            sys.stdout.write("".join(parts))
             return
         target = os.path.realpath(dest) if os.path.islink(dest) else dest
         try:
-            self.mode = os.stat(target).st_mode
-        except OSError:    # no file yet, or one the first write fails to make
-            pass
-        if self.mode is not None and not stat.S_ISREG(self.mode):
-            self.path = target
-        else:
-            self.target = target
+            mode = os.stat(target).st_mode
+        except OSError:    # no file yet, or one the open below fails to make
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
             head, name = os.path.split(target)
-            self.path = os.path.join(head, f".{name}.{os.getpid()}.tmp")
-
-    def write(self, text: str) -> None:
-        if self.where == "stdout":
-            self.parts.append(text)
-        elif self.error is None:
+            temporary = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+        with open(temporary or target, "w", encoding="utf-8") as file:
+            file.writelines(parts)
+        if temporary:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            os.replace(temporary, target)
+            temporary = None
+    except (OSError, UnicodeEncodeError) as exc:    # UnicodeEncodeError has no strerror
+        reason = getattr(exc, "strerror", None) or exc
+        raise MofnError(f"cannot write {where}: {reason}") from None
+    finally:
+        if temporary:    # not put in place
             try:
-                self.file = self.file or open(self.path, "w", encoding="utf-8")
-                self.file.write(text)
-            except (OSError, UnicodeEncodeError) as exc:
-                self.error = exc
-
-    def __enter__(self):
-        return self.write
-
-    def __exit__(self, failed, *_) -> None:
-        try:
-            if not failed:
-                self._finish()
-        finally:
-            if self.file:
-                self.file.close()
-                if self.target:    # not put in place
-                    try:
-                        os.remove(self.path)
-                    except OSError:
-                        pass
-
-    def _finish(self) -> None:
-        self.write("")    # an empty output is a file too
-        try:
-            if self.where == "stdout":
-                sys.stdout.write("".join(self.parts))
-            elif self.error is None:
-                self.file.close()
-                if self.target:
-                    if self.mode is not None:
-                        os.chmod(self.path, stat.S_IMODE(self.mode))
-                    os.replace(self.path, self.target)
-                    self.target = None
-        except (OSError, UnicodeEncodeError) as exc:
-            self.error = exc
-        if self.error:    # UnicodeEncodeError has no strerror
-            reason = getattr(self.error, "strerror", None) or self.error
-            raise MofnError(f"cannot write {self.where}: {reason}") from None
-
-
-def _write(text: str, dest: str | None) -> None:
-    with _Output(dest) as write:
-        write(text)
+                os.remove(temporary)
+            except OSError:
+                pass
 
 
 def _read_model(path: str):
@@ -250,7 +213,7 @@ def cmd_train(args) -> int:
         drop_incomplete=args.drop_incomplete,
     )
     net = train(ds, config)
-    _write(to_formula_table(net), args.output)
+    _write(args.output, to_formula_table(net))
     report = net.report
     for line in report.lines(net.feature_names):
         print(line, file=sys.stderr)
@@ -278,36 +241,35 @@ def cmd_classify(args) -> int:
             [label, f"{d.value:+d}" if d.value else "0", f"{d.m}/{d.n}"]
         )
         tails.append(out.getvalue())
-    with _Output(args.output) as write:
-        write("row,decision,value,votes\n")
-        r = 0    # the rows of the blocks before this one
-        for table, ragged in blocks:
-            n = len(table[0])
-            columns = []        # one bitset per referenced feature, bit i for row r + i
-            bad = []            # the declaration index and encoder of each bad column
-            for ident in program.features:
-                enc = sc.features[ident]
-                x, cells = read_column(table[at[enc.feature]], enc.kind == "nominal")
-                values = cells if enc.kind == "nominal" else x
-                if values is not None:    # else, or if encode_bits refuses, find the bad cell
-                    try:
-                        columns.append(encode_bits(enc, values))
-                        continue
-                    except EncodingError:
-                        pass
-                bad.append((list(sc.features).index(ident), enc))
-            if bad:    # the earlier blocks hold none: each bad column is read whole again
-                found = []        # (row, declaration index, message)
-                for i, enc in bad:
-                    row, message = first_bad_cell(column_cells(text, at[enc.feature]),
-                                                  enc.feature, enc.kind)
-                    found.append((row, i, message))
-                raise DataError(min(found)[2])
-            if ragged:    # cells lie above the ragged row, so a bad one wins
-                raise DataError(ragged[1])
-            m1 = vote_counts(program.run(columns, n), n)
-            write("".join(map("{},{}".format, range(r, r + n), map(tails.__getitem__, m1))))
-            r += n
+    parts = ["row,decision,value,votes\n"]    # one string per block
+    r = 0    # the rows of the blocks before this one
+    for table, ragged in blocks:
+        n = len(table[0])
+        columns = []        # one bitset per referenced feature, bit i for row r + i
+        bad = []            # the declaration index and encoder of each bad column
+        for ident in program.features:
+            enc = sc.features[ident]
+            x, cells = read_column(table[at[enc.feature]], enc.kind == "nominal")
+            values = cells if enc.kind == "nominal" else x
+            if values is not None:    # else, or if encode_bits refuses, find the bad cell
+                try:
+                    columns.append(encode_bits(enc, values))
+                    continue
+                except EncodingError:
+                    pass
+            bad.append((list(sc.features).index(ident), enc))
+        if bad:    # the earlier blocks hold none, so the first is in this one
+            found = []        # (row, declaration index, message)
+            for i, enc in bad:
+                row, message = first_bad_cell(table[at[enc.feature]], enc.feature, enc.kind, r)
+                found.append((row, i, message))
+            raise DataError(min(found)[2])
+        if ragged:    # cells lie above the ragged row, so a bad one wins
+            raise DataError(ragged[1])
+        m1 = vote_counts(program.run(columns, n), n)
+        parts.append("".join(map("{},{}".format, range(r, r + n), map(tails.__getitem__, m1))))
+        r += n
+    _write(args.output, *parts)
     return 0
 
 
@@ -344,7 +306,7 @@ def cmd_tabulate(args) -> int:
         half = (len(referenced) + 1) // 2
         rows, cols = referenced[:half], referenced[half:]
     table = make_table(sc, rows, cols)
-    _write(render(table, args.format), args.output)
+    _write(args.output, render(table, args.format))
     if args.check:
         ties = detect_contradictions(table)
         print(f"contradictory cells: {len(ties)}", file=sys.stderr)
@@ -359,9 +321,9 @@ def cmd_tabulate(args) -> int:
 def cmd_export(args) -> int:
     sc = _read_model(args.model)
     if args.format == "text":
-        _write(to_formula_table(sc), args.output)
+        text = to_formula_table(sc)
     elif args.format == "symbolic":
-        _write("\n".join(symbolic(sc)) + "\n", args.output)
+        text = "\n".join(symbolic(sc)) + "\n"
     else:
         import json
 
@@ -388,7 +350,8 @@ def cmd_export(args) -> int:
                 for layer in sc.layers
             ],
         }
-        _write(json.dumps(payload, indent=2) + "\n", args.output)
+        text = json.dumps(payload, indent=2) + "\n"
+    _write(args.output, text)
     return 0
 
 
@@ -407,7 +370,7 @@ def cmd_gen(args) -> int:
         planted = generate_planted(spec)
     except (ValueError, RuntimeError) as exc:
         raise MofnError(str(exc)) from None
-    _write(to_csv(planted.dataset), args.output)
+    _write(args.output, to_csv(planted.dataset))
     if args.dump_rule:
         terms = ", ".join(
             f"g_{fn}(f{a + 1}, f{b + 1})" for fn, a, b in planted.syndromes

@@ -33,9 +33,10 @@ same first bad one.  `read_blocks` yields the rows a block at a time, a
 block of at most _BLOCK_CELLS cells, so a reader holds the text and one
 block's cells, not a list of every cell; `read_table`, which reads a
 rendered grid, joins the blocks, and `column_cells` reads one column
-again.  CSV text without quotes, carriage returns or NULs is split with
-str methods, a slice of the text at a time; only other text goes
-through csv.reader, and both give the same table and the same errors.
+again for `load_csv`.  CSV text without quotes, carriage returns or
+NULs is split with str methods, a slice of the text at a time; only
+other text goes through csv.reader, and both give the same table and
+the same errors.
 """
 
 from __future__ import annotations
@@ -319,12 +320,13 @@ def read_column(raw: Sequence[str], nominal: bool):
         return None, cells
 
 
-def first_bad_cell(cells: Sequence[str], name: str, kind: str):
+def first_bad_cell(cells: Sequence[str], name: str, kind: str, start: int = 0):
     """The first cell of a column that its kind cannot hold, as (row,
     message), or None: an empty cell of any kind, or a quantitative or
-    boolean one that is no finite number or no 0/1.  It reads every cell
-    again, so it is run only on a column already known to hold a bad one."""
-    for row, cell in enumerate(map(str.strip, cells)):
+    boolean one that is no finite number or no 0/1.  The cells are rows
+    `start` on.  It reads every cell again, so it is run only on a column
+    already known to hold a bad one."""
+    for row, cell in enumerate(map(str.strip, cells), start):
         where = f"feature {name!r}, row {row}"
         if not cell:
             return row, f"{where}: empty cell"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from test_cli import DIFF_MODEL, case_csvs, row_by_row_reference
 from test_encoding import csv_reader_table, csv_texts, field_size_limit, read_either
 
-from mofn import encoding
+from mofn import cli, encoding
 from mofn.cli import main
 from mofn.data import load_csv, to_csv
 from mofn.errors import MofnError
@@ -195,6 +195,28 @@ def test_classify_writes_the_same_bytes_or_error(capsys, tmp_path, small_blocks,
 def test_classify_names_the_first_fault(capsys, tmp_path, small_blocks, name, message):
     whole, small = small_blocks(lambda: classified(capsys, tmp_path, CASES[name]))
     assert small == whole == (3, "", f"error: {message}\n", None, ["d.csv", "m.rules"])
+
+
+@pytest.mark.parametrize("name", ["bad last", "late empty", "ragged late, bad bit early"])
+def test_classify_names_a_bad_cell_from_the_block_that_holds_it(capsys, tmp_path, monkeypatch,
+                                                                small_blocks, name):
+    """The text is read once, however many blocks lie before the bad cell."""
+    reads = []
+
+    def read_blocks(text, read=encoding.read_blocks):
+        reads.append(text)
+        return read(text)
+
+    monkeypatch.setattr(encoding, "read_blocks", read_blocks)
+    monkeypatch.setattr(cli, "read_blocks", read_blocks)
+
+    def failing_classify():
+        reads.clear()
+        return classified(capsys, tmp_path, CASES[name]), len(reads)
+
+    whole, small = small_blocks(failing_classify)
+    assert small == whole
+    assert whole[0][0] == 3 and whole[1] == 1
 
 
 def test_a_failed_classify_leaves_an_existing_output_as_it_was(capsys, tmp_path, small_blocks):

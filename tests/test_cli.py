@@ -860,6 +860,47 @@ class TestUnwritableOutput:
         assert not (pathlib.Path(inputs["dir"]).parent / "missing").exists()
 
 
+class TestFailedOutput:
+    """A command that fails writes nothing: an `-o` file that cannot be put
+    in place leaves the old file and no temporary one, and a data error is
+    reported before any write is tried."""
+
+    @pytest.mark.parametrize("call", ["replace", "chmod"])
+    def test_a_failed_replace_leaves_the_old_file(self, capsys, tmp_path, fixtures_dir,
+                                                  monkeypatch, call):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        (tmp_path / "cases.csv").write_text(ANCHOR_CSV)
+        out = tmp_path / "out.csv"
+        out.write_text("before\n")
+        monkeypatch.setattr(cli.os, call, fail)
+        code, stdout, err = run(capsys, "classify", str(fixtures_dir / "ie_srl.rules"),
+                                str(tmp_path / "cases.csv"), "-o", str(out))
+        monkeypatch.undo()
+        assert (code, stdout) == (2, "")
+        assert err == f"error: cannot write {out}: No space left on device\n"
+        assert out.read_bytes() == b"before\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cases.csv", "out.csv"]
+
+    @pytest.mark.parametrize("command, target, message", [
+        ("classify", "missing/out.csv", "feature 'leucocytes', row 1: 'x' is not numeric"),
+        ("train", "dir", "row 1: label 'maybe' is not one of ('0', '1')"),
+    ], ids=["classify", "train"])
+    def test_a_data_error_beats_a_write_error(self, capsys, tmp_path, fixtures_dir,
+                                              command, target, message):
+        (tmp_path / "dir").mkdir()
+        data = tmp_path / "data.csv"
+        if command == "classify":
+            data.write_text(ANCHOR_CSV.replace("\n7.0,", "\nx,"))
+            argv = ["classify", str(fixtures_dir / "ie_srl.rules"), str(data)]
+        else:
+            data.write_text("a,b,label\n0,0,0\n0,1,maybe\n1,0,1\n1,1,0\n")
+            argv = ["train", str(data)]
+        assert run(capsys, *argv, "-o", str(tmp_path / target)) == (3, "", f"error: {message}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.csv", "dir"]
+
+
 class TestTabulate:
     def test_default_split_matches_explicit(self, capsys, fixtures_dir):
         model = str(fixtures_dir / "ie_srl.rules")
