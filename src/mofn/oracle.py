@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch: the truth tables
 are a second transcription, the threshold scan tries every candidate
-with plain loops, and the decision enumerator walks each syndrome's
-chain of rows with its own loop.  Nothing is shared with the modules
-under test beyond the public data types, so agreement is meaningful.
+with plain loops, and the decision enumerator finds each syndrome's
+chain of rows in the complex's layers and walks it with its own loops.
+Nothing is shared with the modules under test beyond the public data
+types and their fields, so agreement is meaningful.
 The planted-data generator draws and labels whole arrays;
 `Planted.rule_bit` is the per-row reference its labels are tested against.
 """
@@ -112,6 +113,17 @@ def _own_vote(m1: int, n: int) -> SignedDecision:
     return SignedDecision(value=value, m=winner, n=n, m1=m1)
 
 
+def _chains(layers) -> list[list]:
+    """Each final-layer row's chain, layer 1 first: walked back from that
+    row through each earlier layer's {ident: row} map."""
+    earlier = [{row.ident: row for row in layer} for layer in layers[:-1]]
+    chains = [[row] for row in layers[-1]]
+    for chain in chains:
+        for by_ident in reversed(earlier):
+            chain.append(by_ident[chain[-1].left])
+    return [chain[::-1] for chain in chains]
+
+
 def exhaustive_decision_check(
     sc: SyndromeComplex,
     max_features: int = 12,
@@ -122,7 +134,8 @@ def exhaustive_decision_check(
     chains read, in ascending id order.  Refuses rules wider than
     `max_features`.
     """
-    feats = sorted(set().union(*map(_features, sc.syndromes)))
+    chains = _chains(sc.layers)
+    feats = sorted(set().union(*map(_features, chains)))
     if len(feats) > max_features:
         raise ValueError(
             f"{len(feats)} features is over the exhaustive cap {max_features}"
@@ -131,9 +144,9 @@ def exhaustive_decision_check(
     for bits in itertools.product((0, 1), repeat=len(feats)):
         assign = dict(zip(feats, bits))
         m1 = 0
-        for s in sc.syndromes:
-            m1 += _walk(s, assign)
-        out[bits] = _own_vote(m1, sc.n)
+        for chain in chains:
+            m1 += _walk(chain, assign)
+        out[bits] = _own_vote(m1, len(chains))
     return out
 
 

@@ -66,7 +66,6 @@ __all__ = [
     "Row",
     "extract",
     "evaluate",
-    "syndrome_bits",
     "vote_counts",
     "decision_levels",
     "to_formula_table",
@@ -289,7 +288,8 @@ class SyndromeComplex:
     @cached_property
     def syndromes(self) -> list[tuple[Row, ...]]:
         """Each final-layer unit as the rows of its chain, layer 1 first,
-        built on first use."""
+        built on first use.  Nothing in mofn reads it; the benchmark's
+        `bench/workloads.walk_decision` does."""
         chains = {row.ident: (row,) for row in self.layers[0]}
         for layer in self.layers[1:]:
             chains = {row.ident: (*chains[row.left], row) for row in layer}
@@ -337,51 +337,32 @@ def extract(net) -> SyndromeComplex:
 _BITS = frozenset((0, 1))
 
 
-def _not_a_bit(assignment: Mapping[int, int]) -> EvaluationError | None:
-    """The error naming the first value that is not 0 or 1 as an integer:
-    1.0 equals 1 but takes no bitwise operator."""
+def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
+    """Majority vote of all syndromes on one assignment of feature id -> bit.
+
+    When every value equals 0 or 1, the program runs on the referenced
+    ones at m = 1, so a value on an unread feature is only compared with
+    0 and 1, and 1.0 passes there.  A missing referenced feature is named.
+    Any other fault drops to a scan that names the first value that is
+    not 0 or 1 as an integer: 1.0 equals 1 but takes no bitwise operator.
+    If the scan finds none, the bits are numpy integers of mixed types,
+    which & and ^ promote to float, and they decide as the ints they equal."""
+    program = sc.program.compiled()
+    try:
+        if _BITS.issuperset(assignment.values()):
+            return program.levels[program(*program.get(assignment)).count(1)]
+    except KeyError as exc:
+        raise EvaluationError(f"no bit assigned for feature {exc.args[0]}") from None
+    except TypeError:    # an unhashable value, a float bit, or numpy bits of mixed types
+        pass
     for ident, bit in assignment.items():
         try:
             if bit in _BITS and bit | 0 == bit:
                 continue
         except TypeError:    # unhashable, or no bitwise operator
             pass
-        return EvaluationError(f"feature {ident}: {bit!r} is not a bit")
-    return None
-
-
-def syndrome_bits(sc: SyndromeComplex, assignment: Mapping[int, int]) -> list[int]:
-    """Evaluate every syndrome on an assignment of feature id -> bit."""
-    program = sc.program
-    try:
-        if _BITS.issuperset(assignment.values()):
-            return program.run([assignment[f] for f in program.features], 1)
-    except KeyError as exc:
-        raise EvaluationError(f"no bit assigned for feature {exc.args[0]}") from None
-    except TypeError:    # an unhashable value, a float bit, or numpy bits of mixed types
-        if error := _not_a_bit(assignment):
-            raise error from None
-        # every value is a bit: numpy integers of mixed types, which & and ^ promote to float
-        return program.run([int(assignment[f]) for f in program.features], 1)
-    # the bit test refused a value, so the scan names one
-    raise _not_a_bit(assignment)
-
-
-def evaluate(sc: SyndromeComplex, assignment: Mapping[int, int]) -> SignedDecision:
-    """Majority vote of all syndromes on one assignment.
-
-    When every value is a bit, the compiled program runs on the
-    referenced ones at m = 1 and its class-1 count indexes the vote
-    level.  A missing feature, a value that is not a bit and numpy bits
-    of mixed types go through syndrome_bits, which names the fault or
-    converts the bits to int."""
-    program = sc.program.compiled()
-    try:
-        if _BITS.issuperset(assignment.values()):
-            return program.levels[program(*program.get(assignment)).count(1)]
-    except (KeyError, TypeError):    # a missing feature, or see above
-        pass
-    return vote_levels(sc.n)[syndrome_bits(sc, assignment).count(1)]
+        raise EvaluationError(f"feature {ident}: {bit!r} is not a bit")
+    return program.levels[program(*map(int, program.get(assignment))).count(1)]
 
 
 def symbolic(sc: SyndromeComplex) -> list[str]:

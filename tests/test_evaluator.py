@@ -23,8 +23,8 @@ from hypothesis import strategies as st
 from mofn.cli import main
 from mofn.errors import EvaluationError
 from mofn.logic import function_ids, truth_row
-from mofn.oracle import exhaustive_decision_check
-from mofn.rules import evaluate, parse_formula_table, syndrome_bits, vote_counts, vote_levels
+from mofn.oracle import _chains, _own_vote, _walk, exhaustive_decision_check
+from mofn.rules import evaluate, parse_formula_table, vote_counts, vote_levels
 from mofn.tables import make_table
 
 BATCH_SIZES = (1, 7, 8, 9, 63, 64, 65, 130)
@@ -81,7 +81,7 @@ def same(got, want):
 def test_every_path_agrees_with_the_oracle(text, n, seed):
     sc = parse_formula_table(text)
     referenced = sc.referenced_features()
-    assert referenced == sorted(set().union(*map(chain_features, sc.syndromes)))
+    assert referenced == sorted(set().union(*map(chain_features, _chains(sc.layers))))
 
     exhaustive = exhaustive_decision_check(sc, max_features=8)
     unread = {ident: 1 for ident in sc.features if ident not in referenced}
@@ -169,16 +169,17 @@ def test_every_path_agrees_past_byte_wide_counts(tmp_path):
 
 
 def by_bits(sc, bits):
-    """The decision from the per-syndrome bits, the way evaluate once
-    made every decision."""
-    return vote_levels(sc.n)[sum(syndrome_bits(sc, bits))]
+    """The decision from the oracle's own walk of each syndrome's chain
+    and its own vote."""
+    chains = _chains(sc.layers)
+    return _own_vote(sum(_walk(chain, bits) for chain in chains), len(chains))
 
 
 @pytest.mark.parametrize("name", ["ie_srl", "ie_ar", "postop"])
 def test_single_cases_of_the_bundled_models(name, fixtures_dir):
     """Every assignment of a bundled model decides alike through
-    evaluate, the compiled program run at m = 1, the per-syndrome bits
-    and the oracle."""
+    evaluate, the compiled program run at m = 1, the oracle's walk of
+    each chain and its exhaustive check."""
     sc = parse_formula_table((fixtures_dir / f"{name}.rules").read_text())
     referenced = sc.referenced_features()
     for key, want in exhaustive_decision_check(sc).items():
@@ -186,8 +187,8 @@ def test_single_cases_of_the_bundled_models(name, fixtures_dir):
         got = evaluate(sc, bits)
         program = sc.program.compiled()
         ran = program(*(bits[f] for f in sc.program.features), 1)
-        assert got is by_bits(sc, bits) is vote_levels(sc.n)[ran.count(1)]
-        assert same(got, want)
+        assert got is vote_levels(sc.n)[ran.count(1)]
+        assert same(got, by_bits(sc, bits)) and same(got, want)
 
 
 @pytest.mark.parametrize("extended", [False, True])
@@ -250,3 +251,36 @@ def test_a_missing_referenced_feature_is_named(fixtures_dir):
         with pytest.raises(EvaluationError, match="^no bit assigned for feature 11$"):
             evaluate(sc, {f: b for f, b in bits.items() if f != 11})
         evaluate(sc, bits)
+
+
+@pytest.mark.parametrize("extra, error", [
+    ({99: 2}, "feature 99: 2 is not a bit"),
+    ({22: 1.0}, "no bit assigned for feature 9"),
+    ({10: [1]}, "feature 10: [1] is not a bit"),
+])
+def test_a_missing_feature_with_a_value_that_is_no_bit(extra, error, ie_ar_text):
+    """With feature 9 missing, a value the bit test refuses is named before
+    the missing feature, a float it passes is never reached, and an
+    unhashable one is named."""
+    sc = parse_formula_table(ie_ar_text)
+    bits = dict.fromkeys(sc.referenced_features(), 1)
+    del bits[9]
+    with pytest.raises(EvaluationError, match=f"^{re.escape(error)}$"):
+        evaluate(sc, {**bits, **extra})
+
+
+def test_numpy_bits_of_mixed_types_with_and_without_a_missing_feature(ie_ar_text):
+    """uint64 and int64 bits, which the compiled program cannot combine,
+    name a missing feature, and with none missing decide as ints."""
+    sc = parse_formula_table(ie_ar_text)
+    referenced = sc.referenced_features()
+    program = sc.program.compiled()
+    for key in itertools.product((0, 1), repeat=len(referenced)):
+        ints = dict(zip(referenced, key))
+        mixed = {f: (np.uint64, np.int64)[k % 2](bit) for k, (f, bit) in enumerate(ints.items())}
+        assert evaluate(sc, mixed) == evaluate(sc, ints)
+        del mixed[9]
+        with pytest.raises(EvaluationError, match="^no bit assigned for feature 9$"):
+            evaluate(sc, mixed)
+    with pytest.raises(TypeError):    # so the decisions above took the scan
+        program(*program.get({f: (np.uint64, np.int64)[k % 2](1) for k, f in enumerate(referenced)}))

@@ -1,16 +1,20 @@
 """The independent checking tools must agree with themselves and stay honest."""
 
+import ast
 import hashlib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mofn import oracle
 from mofn.data import to_csv
 from mofn.oracle import (
     ORACLE_TRUTH,
     STANDARD_ORACLE_IDS,
     PlantedSpec,
+    _chains,
     brute_force_threshold,
     exhaustive_decision_check,
     generate_planted,
@@ -101,6 +105,38 @@ class TestExhaustiveCheck:
                             lambda self: corrupt(feats))
         assert exhaustive_decision_check(sc) == want
 
+    def test_reads_only_the_layers_of_the_complex_it_checks(self, fixtures_dir, monkeypatch):
+        """The decisions of each bundled model come from its layers alone:
+        a wrong chain list from SyndromeComplex.syndromes, and a compiled
+        program or syndrome count that cannot be read, change none of them."""
+        complexes = [parse_formula_table((fixtures_dir / f"{name}.rules").read_text())
+                     for name in ("ie_srl", "ie_ar", "postop")]
+        want = [exhaustive_decision_check(sc) for sc in complexes]
+
+        def refuse(self):
+            raise AssertionError("the oracle read what the code under test derives")
+
+        monkeypatch.setattr(SyndromeComplex, "syndromes",
+                            property(lambda self: [tuple(self.layers[0][:1])]))
+        monkeypatch.setattr(SyndromeComplex, "program", property(refuse))
+        monkeypatch.setattr(SyndromeComplex, "n", property(refuse))
+        assert [exhaustive_decision_check(sc) for sc in complexes] == want
+
+    def test_imports_only_the_data_types_from_the_package(self):
+        """From the code it checks, the oracle imports the record types
+        that carry a model and a decision, and nothing else."""
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        ours = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                ours |= {(alias.name, None) for alias in node.names
+                         if alias.name.split(".")[0] == "mofn"}
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "mofn"):
+                ours |= {(node.module, alias.name) for alias in node.names}
+        assert ours == {("data", "Dataset"), ("data", "FeatureSpec"),
+                        ("rules", "SignedDecision"), ("rules", "SyndromeComplex")}
+
     def test_width_cap(self, ie_srl_text):
         sc = parse_formula_table(ie_srl_text)
         with pytest.raises(ValueError, match="cap"):
@@ -123,7 +159,7 @@ class TestExhaustiveCheck:
         for bits, d in dec.items():
             e = evaluate(sc, dict(enumerate(bits)))
             assert (d.value, d.m, d.n, d.m1) == (e.value, e.m, e.n, e.m1)
-        assert [len(chain) for chain in sc.syndromes] == [1200] * 3
+        assert [len(chain) for chain in _chains(sc.layers)] == [1200] * 3
 
 
 class TestPlantedSpec:

@@ -14,7 +14,7 @@ from mofn.encoding import Encoder
 from mofn.errors import EvaluationError, ModelFormatError, MofnError
 from mofn.logic import function_ids
 from mofn.network import TrainConfig, train
-from mofn.oracle import ORACLE_TRUTH, _own_vote, _walk
+from mofn.oracle import ORACLE_TRUTH, _chains, _own_vote, _walk
 from mofn.rules import (
     Row,
     SlotProgram,
@@ -25,7 +25,6 @@ from mofn.rules import (
     extract,
     parse_formula_table,
     symbolic,
-    syndrome_bits,
     to_formula_table,
     vote_counts,
     vote_decision,
@@ -452,11 +451,11 @@ layer 2
         cases = [(a, b) for a in (0, 1) for b in (0, 1)]
         columns = [sum(case[f] << r for r, case in enumerate(cases)) for f in (0, 1)]
         outputs = sc.program.run(columns, len(cases))
+        walked = [[_walk(chain, {0: a, 1: b}) for chain in _chains(sc.layers)] for a, b in cases]
         for r, (a, b) in enumerate(cases):
-            assert [(o >> r) & 1 for o in outputs] == syndrome_bits(sc, {0: a, 1: b})
-        assert vote_counts(outputs, len(cases)).tolist() == [
-            sum(syndrome_bits(sc, {0: a, 1: b})) for a, b in cases
-        ]
+            assert [(o >> r) & 1 for o in outputs] == walked[r]
+            assert evaluate(sc, {0: a, 1: b}).m1 == sum(walked[r])
+        assert vote_counts(outputs, len(cases)).tolist() == [sum(bits) for bits in walked]
 
     def test_missing_bit_names_the_feature(self):
         sc = parse_formula_table(self.DEAD)
@@ -490,12 +489,12 @@ layer 2
         assert len(sc.program.features) == 300
         rng = np.random.default_rng(300)
         cases = [dict(enumerate(map(int, rng.integers(0, 2, 300)))) for _ in range(40)]
-        for bits in cases:
-            m1 = sum(_walk(chain, bits) for chain in sc.syndromes)
-            assert evaluate(sc, bits) == _own_vote(m1, sc.n)
+        chains = _chains(sc.layers)
+        m1s = [sum(_walk(chain, bits) for chain in chains) for bits in cases]
+        for bits, m1 in zip(cases, m1s):
+            assert evaluate(sc, bits) == _own_vote(m1, len(chains))
         columns = [sum(bits[f] << r for r, bits in enumerate(cases)) for f in range(300)]
-        assert vote_counts(sc.program.run(columns, 40), 40).tolist() == [
-            sum(syndrome_bits(sc, bits)) for bits in cases]
+        assert vote_counts(sc.program.run(columns, 40), 40).tolist() == m1s
 
     def test_one_compiled_function_per_distinct_program(self, ie_ar_text, postop_text):
         """Two parses of one text share the compiled function, which reads
@@ -567,20 +566,21 @@ class TestExtraction:
 
     def test_syndrome_bits_and_symbolic(self):
         sc = parse_formula_table(TINY)
-        assert syndrome_bits(sc, {0: 1, 1: 0}) == [1]
-        assert syndrome_bits(sc, {0: 1, 1: 1}) == [0]
+        assert [_walk(chain, {0: 1, 1: 0}) for chain in _chains(sc.layers)] == [1]
+        assert [_walk(chain, {0: 1, 1: 1}) for chain in _chains(sc.layers)] == [0]
+        assert evaluate(sc, {0: 1, 1: 0}).m1 == 1 and evaluate(sc, {0: 1, 1: 1}).m1 == 0
         with pytest.raises(EvaluationError):
-            syndrome_bits(sc, {0: 2, 1: 0})
+            evaluate(sc, {0: 2, 1: 0})
         lines = symbolic(sc)
         assert lines == ["y = M-of-1(g_5(x_0, x_1))"]
 
     @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan"), None, "1", [1], 1.0, 0.0])
     def test_bit_check_names_the_first_value_that_is_not_a_bit(self, bad):
         sc = parse_formula_table(TINY)
-        assert syndrome_bits(sc, {0: True, 1: False}) == [1]
-        assert syndrome_bits(sc, {0: np.int64(1), 1: np.uint8(0)}) == [1]
+        assert evaluate(sc, {0: True, 1: False}).m1 == 1
+        assert evaluate(sc, {0: np.int64(1), 1: np.uint8(0)}).m1 == 1
         with pytest.raises(EvaluationError, match=rf"^feature 7: {re.escape(repr(bad))} is not a bit$"):
-            syndrome_bits(sc, {0: 1, 1: 0, 7: bad, 8: 3})
+            evaluate(sc, {0: 1, 1: 0, 7: bad, 8: 3})
         with pytest.raises(EvaluationError, match=rf"^feature 1: {re.escape(repr(bad))} is not a bit$"):
             evaluate(sc, {0: 1, 1: bad})
 
@@ -588,7 +588,7 @@ class TestExtraction:
         """uint64 and int64 bits promote to float64, which takes no
         bitwise operator; they decide as the ints they equal."""
         sc = parse_formula_table(TINY)
-        assert syndrome_bits(sc, {0: np.uint64(1), 1: np.int64(0)}) == [1]
+        assert evaluate(sc, {0: np.uint64(1), 1: np.int64(0)}).m1 == 1
         assert evaluate(sc, {0: np.uint64(1), 1: np.int64(0)}) == evaluate(sc, {0: 1, 1: 0})
 
     def test_symbolic_on_bundled_model(self, ie_srl_text):
