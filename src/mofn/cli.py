@@ -46,10 +46,9 @@ from . import __version__
 from .config import TrainConfig
 from .encoding import (
     KINDS,
-    encode_bits,
+    encode_cells,
     first_bad_cell,
     read_blocks,
-    read_column,
     read_file,
 )
 from .encoding import encode_value  # noqa: F401  bench/workloads.py wraps it here
@@ -249,15 +248,10 @@ def cmd_classify(args) -> int:
         bad = []            # the declaration index and encoder of each bad column
         for ident in program.features:
             enc = sc.features[ident]
-            x, cells = read_column(table[at[enc.feature]], enc.kind == "nominal")
-            values = cells if enc.kind == "nominal" else x
-            if values is not None:    # else, or if encode_bits refuses, find the bad cell
-                try:
-                    columns.append(encode_bits(enc, values))
-                    continue
-                except EncodingError:
-                    pass
-            bad.append((list(sc.features).index(ident), enc))
+            try:
+                columns.append(encode_cells(enc, table[at[enc.feature]]))
+            except EncodingError:    # find the bad cell
+                bad.append((list(sc.features).index(ident), enc))
         if bad:    # the earlier blocks hold none, so the first is in this one
             found = []        # (row, declaration index, message)
             for i, enc in bad:
@@ -267,7 +261,8 @@ def cmd_classify(args) -> int:
         if ragged:    # cells lie above the ragged row, so a bad one wins
             raise DataError(ragged[1])
         m1 = vote_counts(program.run(columns, n), n)
-        parts.append("".join(map("{},{}".format, range(r, r + n), map(tails.__getitem__, m1))))
+        rows = zip(range(r, r + n), map(tails.__getitem__, m1))
+        parts.append("".join([f"{i},{t}" for i, t in rows]))
         r += n
     _write(args.output, *parts)
     return 0

@@ -17,13 +17,15 @@ combination with others.
 
 Applying an encoder needs no numpy: `encode_value` maps one value and
 `encode_bits` a whole column to an int bitset, which is all a trained
-rule needs to classify.  Training reads the checked (columns, rows)
-arrays that `typed_block` builds, one per kind, and packs them into the
-uint64 words it scores.  `encode_dataset` fits the columns of each
-kind as (columns, rows) blocks; each kind's cuts also give the rows
-inside the chosen cut, so every active column's bits are packed from
-its own block.  Fitting and `encode_dataset` import numpy when they
-are first called.
+rule needs to classify.  `encode_cells` gives encode_bits' int for a
+column of raw CSV cells, which `mofn classify` reads; a boolean column
+is read and checked on its distinct cells only.  Training reads the
+checked (columns, rows) arrays that `typed_block` builds, one per kind,
+and packs them into the uint64 words it scores.  `encode_dataset` fits
+the columns of each kind as (columns, rows) blocks; each kind's cuts
+also give the rows inside the chosen cut, so every active column's bits
+are packed from its own block.  Fitting and `encode_dataset` import
+numpy when they are first called.
 
 `read_file` reads every file, data, model, config or reference, as
 UTF-8, dropping a leading byte order mark.  `read_blocks`, `read_column`
@@ -99,6 +101,8 @@ def encode_value(enc: Encoder, value) -> int:
             v = float(value)
         except (TypeError, ValueError):
             raise EncodingError(f"feature {enc.feature!r}: {value!r} is not numeric") from None
+        except OverflowError:    # an int beyond float range, maybe too long to repr
+            raise EncodingError(f"feature {enc.feature!r}: value beyond float range") from None
         if not math.isfinite(v):
             raise EncodingError(f"feature {enc.feature!r}: non-finite value {value!r}")
         return enc.polarity if v > enc.threshold else 1 - enc.polarity
@@ -132,6 +136,8 @@ def encode_bits(enc: Encoder, values) -> int:
             finite = all(map(math.isfinite, values))
         except TypeError:
             raise EncodingError(f"feature {enc.feature!r}: values are not all numeric") from None
+        except OverflowError:    # an int beyond float range
+            finite = False
         if not finite:
             raise EncodingError(f"feature {enc.feature!r}: non-finite values")
         flags = map(gt, values, repeat(enc.threshold))
@@ -145,6 +151,20 @@ def encode_bits(enc: Encoder, values) -> int:
         flags = map(eq, values, repeat(enc.category))
     digits = bytes(flags).translate(_DIGITS[enc.polarity])
     return int(digits[::-1] or b"0", 2)
+
+
+def encode_cells(enc: Encoder, raw: Sequence[str]) -> int:
+    """encode_bits over one CSV column's raw cells, read as read_column
+    reads them, refusing a column with encode_bits' message.  A boolean
+    column holds few distinct cells: only those are read and encoded,
+    first seen first, and each row takes its cell's digit by one lookup."""
+    distinct = list(dict.fromkeys(raw)) if enc.kind == "boolean" else raw
+    x, cells = read_column(distinct, enc.kind == "nominal")
+    bits = encode_bits(enc, cells if x is None else x)    # cells: numeric kinds refuse them
+    if distinct is raw:
+        return bits
+    digit = dict(zip(distinct, f"{bits:0{len(distinct)}b}"[::-1].encode()))
+    return int(bytes(map(digit.__getitem__, reversed(raw))) or b"0", 2)
 
 
 def read_file(path, error_class: type[MofnError], role: str) -> str:

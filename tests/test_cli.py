@@ -450,6 +450,40 @@ class TestClassifyEdges:
         self.assert_data_error(self.classify(capsys, tmp_path, fixtures_dir, text, model),
                                message)
 
+    def test_mixed_spellings_of_boolean_cells_give_the_same_bytes(
+            self, capsys, tmp_path, fixtures_dir):
+        """ie_srl reads six boolean columns of eight and ie_ar six of six:
+        each 0/1 cell spelled another way decides as the plain one."""
+        rng = np.random.default_rng(7)
+        spellings = (("0", " 0", "0.0", "0.0 ", "-0"), ("1", " 1", "1.0", "1e0", "1\x1c"))
+        for model in ("ie_srl.rules", "ie_ar.rules"):
+            features = parse_formula_table((fixtures_dir / model).read_text()).features
+            header = [enc.feature for enc in features.values()]
+            plain, mixed = [header], [header]
+            for _ in range(300):
+                cells = [(f"{rng.uniform(0, 200):.1f}",) * 2 if enc.kind == "quantitative"
+                         else (str(bit), spellings[bit][rng.integers(5)])
+                         for enc, bit in zip(features.values(), rng.integers(0, 2, len(header)))]
+                plain.append([cell for cell, _ in cells])
+                mixed.append([cell for _, cell in cells])
+            want, got = (self.classify(capsys, tmp_path, fixtures_dir,
+                                       "".join(",".join(row) + "\n" for row in rows), model)
+                         for rows in (plain, mixed))
+            assert want[0] == 0 and len(want[1].splitlines()) == 301
+            assert got == want
+
+    def test_a_bad_boolean_cell_below_good_ones_is_named_by_its_row(
+            self, capsys, tmp_path, fixtures_dir):
+        rows = [GOOD_ROW, "7.0,150.0,1,0,1.0,0, 1,0"] * 20
+        rows[33] = "5.0,100.0,0,0,0,2,0,0"
+        data = tmp_path / "cases.csv"
+        data.write_text("\n".join([ANCHOR_HEADER, *rows, ""]))
+        out = tmp_path / "out.csv"
+        assert run(capsys, "classify", str(fixtures_dir / "ie_srl.rules"), str(data),
+                   "-o", str(out)) == (3, "", "error: feature 'heart_noises', row 33: "
+                                              "'2' is not 0/1\n")
+        assert not out.exists()
+
 
 # Declared in an order other than id order; z is declared but feeds no unit.
 DIFF_MODEL = """\

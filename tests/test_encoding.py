@@ -14,12 +14,14 @@ from mofn.encoding import (
     Encoder,
     _fit_block,
     encode_bits,
+    encode_cells,
     encode_dataset,
     encode_value,
     fit_boolean,
     fit_feature,
     fit_nominal,
     fit_quantitative,
+    read_column,
     read_table,
     typed_block,
 )
@@ -686,6 +688,7 @@ def _scalar(enc, values) -> int:
 
 
 SIZES = (0, 1, 7, 8, 9, 63, 64, 65)
+BIG_INTS = (10**400, -10**400, 10**5000)    # beyond float range; the last too long to repr
 FINITE = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -757,6 +760,63 @@ class TestEncodeBits:
     def test_same_error_on_degenerate_encoders(self, kind, n):
         self.assert_same_error(Encoder("f", kind, degenerate=True, error=1), [1.0] * n,
                                "feature 'f' is degenerate and cannot be encoded")
+
+    @pytest.mark.parametrize("big", BIG_INTS, ids=["1e400", "-1e400", "1e5000"])
+    def test_encode_value_refuses_an_int_beyond_float_range(self, big):
+        with pytest.raises(EncodingError, match="^feature 'f': value beyond float range$"):
+            encode_value(Encoder("f", "quantitative", threshold=0.5), big)
+
+    @pytest.mark.parametrize("big", BIG_INTS, ids=["1e400", "-1e400", "1e5000"])
+    def test_encode_bits_refuses_an_int_beyond_float_range(self, big):
+        with pytest.raises(EncodingError, match="^feature 'f': non-finite values$"):
+            encode_bits(Encoder("f", "quantitative", threshold=0.5), [1.0, big])
+
+
+# Spellings of 0 and 1 that read_column reads as numbers, one that only
+# its stripped retry reads, and cells no numeric kind can hold.
+CELLS = ("1", " 1", "1.0", "0", "0.0 ", "1\x1c", "", "2", "nan", "x")
+MESSAGES = {"quantitative": "values are not all numeric", "boolean": "values are not all 0/1"}
+
+
+def read_and_encode_bits(enc, raw):
+    """read_column, then encode_bits on the values it gives the kind: the
+    pair that encode_cells replaces.  A column read_column cannot read as
+    numbers is refused with encode_bits' message for a cell of no number."""
+    x, cells = read_column(raw, enc.kind == "nominal")
+    values = cells if enc.kind == "nominal" else x
+    if values is None and not enc.degenerate:
+        raise EncodingError(f"feature {enc.feature!r}: {MESSAGES[enc.kind]}")
+    return encode_bits(enc, [1.0] if values is None else values)
+
+
+class TestEncodeCells:
+    """encode_cells, which `mofn classify` runs on each column of raw CSV
+    cells, against read_column and encode_bits."""
+
+    @settings(max_examples=300)
+    @given(st.data(), st.sampled_from(["quantitative", "boolean", "nominal"]),
+           st.sampled_from(SIZES), st.sampled_from((0, 1)))
+    def test_same_bits_or_error_as_read_column_and_encode_bits(self, data, kind, n, polarity):
+        good = data.draw(st.sampled_from((CELLS[:6], CELLS)))    # half the columns hold no refusal
+        raw = data.draw(st.lists(st.sampled_from(good), min_size=n, max_size=n))
+        enc = Encoder("f", kind, polarity, threshold=data.draw(st.sampled_from((0.0, 0.5, 1.0))),
+                      category=data.draw(st.sampled_from(("1", "0.0", "x"))),
+                      degenerate=data.draw(st.sampled_from((False,) * 7 + (True,))))
+        try:
+            want = read_and_encode_bits(enc, raw)
+        except EncodingError as refused:
+            with pytest.raises(EncodingError) as got:
+                encode_cells(enc, raw)
+            assert str(got.value) == str(refused)
+        else:
+            assert encode_cells(enc, raw) == want
+
+    @pytest.mark.parametrize("polarity", [0, 1])
+    def test_a_boolean_column_spreads_its_distinct_cells(self, polarity):
+        raw = ["0", " 1", "1.0", "0", "0.0 ", "1", " 1"] * 10
+        want = _bits(float(cell) == polarity for cell in raw)
+        assert encode_cells(Encoder("f", "boolean", polarity), raw) == want
+        assert encode_cells(Encoder("f", "boolean", polarity), []) == 0
 
 
 def csv_reader_table(text):
