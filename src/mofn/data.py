@@ -30,6 +30,7 @@ from .encoding import (
     first_bad_cell,
     read_blocks,
     read_column,
+    read_numbers,
     read_text,
     typed_block,
 )
@@ -216,13 +217,20 @@ def load_csv(
     label, fewer than two rows, a class with no rows), and last the bad
     cell of the lowest row, then of the earliest feature.
 
-    The rows are read in the blocks of encoding.read_blocks.  A column
-    whose cells are all numbers is parsed straight into its row of one
-    (features, rows) float64 array, and its cells are not kept.  A column
-    declared nominal, or with a cell that is no number, is text, whose
-    stripped cells are kept, as are the label's.  A column that turns to
-    text in a later block is read again whole, so kinds are still
-    inferred over every row.
+    A table whose feature cells are all numbers, with none declared
+    nominal, is read by numpy.loadtxt through encoding.read_numbers into
+    one (features, rows) float64 array, and its stripped label cells are
+    taken from each line.  Any other table, or one that numpy or
+    read_numbers' checks refuse, is read from the start in the blocks of
+    encoding.read_blocks, which also give every error: numpy reads a
+    subset of the cells that float() reads, each to the same double, so
+    both readers give the same dataset from any table numpy reads.  In
+    the blocks, a column whose cells are all numbers is parsed straight
+    into its row of the float64 array, and its cells are not kept.  A
+    column declared nominal, or with a cell that is no number, is text,
+    whose stripped cells are kept, as are the label's.  A column that
+    turns to text in a later block is read again whole, so kinds are
+    still inferred over every row.
     """
     text = read_text(source)
     header, most, blocks = read_blocks(text)
@@ -238,8 +246,53 @@ def load_csv(
         if kinds[name] not in KINDS:
             raise ColumnChoiceError(f"unknown kind {kinds[name]!r} for feature {name!r}")
 
+    nominal = {j for j, name in enumerate(feature_names) if kinds.get(name) == "nominal"}
+    numeric = None if nominal else read_numbers(text, len(header), label_at)
+    if numeric:
+        (numbers, label), text_cells, gone = numeric, {}, frozenset()
+    else:
+        numbers, text_cells, label, gone = _read_rows(text, blocks, most, label_at, feature_at,
+                                                      nominal, drop_incomplete)
+
+    names = ("0", "1") if class_names is None else _class_pair(class_names)
+    if not set(label) <= set(names):
+        r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
+        raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
+
+    # A numeric feature is read as 0/1 only to tell a boolean one, unless
+    # declared, from a quantitative one.  Dataset checks every column; if it
+    # refuses some, its error names them.
+    is_bits = ((numbers == 0) | (numbers == 1)).all(axis=1).tolist()
+    specs, values = [], []
+    for j, name in enumerate(feature_names):
+        if j in text_cells:
+            kind, column = kinds.get(name, "nominal"), text_cells[j]
+        else:
+            kind, column = kinds.get(name, "boolean" if is_bits[j] else "quantitative"), numbers[j]
+        specs.append(FeatureSpec(name, kind))
+        values.append(column)
+    try:
+        labels = np.fromiter(map(names[1].__eq__, label), bool, len(label))
+        return Dataset(specs, labels=labels, label_name=label_column, class_names=names,
+                       columns=values)
+    except EncodingError as exc:
+        refused = set(exc.features)
+        bad = [first_bad_cell(text_cells[j] if j in text_cells
+                              else column_cells(text, feature_at[j], gone), spec.name, spec.kind)
+               for j, spec in enumerate(specs) if spec.name in refused]
+        # the lowest row, then the earliest feature
+        raise DataError(min(bad, key=lambda cell: cell[0])[1]) from None
+
+
+def _read_rows(text: str, blocks, most: int, label_at: int, feature_at: list[int],
+               nominal: set[int], drop_incomplete: bool):
+    """The rows of read_blocks' blocks as (the (features, rows) float64
+    array, whose rows of text features mean nothing, the stripped cells
+    of each text feature, the stripped label cells, the set of rows
+    dropped).  Features in `nominal` are text; so is one with a cell that
+    is no number."""
     floats = np.empty((len(feature_at), most))    # row j: feature j, if it is numeric
-    text_cells = {j: [] for j, name in enumerate(feature_names) if kinds.get(name) == "nominal"}
+    text_cells = {j: [] for j in nominal}
     late = set()        # features that turn to text after some rows: read again at the end
     label, dropped = [], []
     n = r = 0           # the rows kept, and read, before this block
@@ -275,41 +328,12 @@ def load_csv(
         raise DataError("no complete data rows")
     gone = set(dropped)
     if dropped:
-        warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}", stacklevel=2)
+        warnings.warn(f"dropped {len(dropped)} incomplete row(s): {dropped[:10]}", stacklevel=3)
         if not n:
             raise DataError("no complete data rows")
     for j in late:
         text_cells[j] = list(map(str.strip, column_cells(text, feature_at[j], gone)))
-
-    names = ("0", "1") if class_names is None else _class_pair(class_names)
-    if not set(label) <= set(names):
-        r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
-        raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
-
-    # A numeric feature is read as 0/1 only to tell a boolean one, unless
-    # declared, from a quantitative one.  Dataset checks every column; if it
-    # refuses some, its error names them.
-    numbers = floats[:, :n]
-    is_bits = ((numbers == 0) | (numbers == 1)).all(axis=1).tolist()
-    specs, values = [], []
-    for j, name in enumerate(feature_names):
-        if j in text_cells:
-            kind, column = kinds.get(name, "nominal"), text_cells[j]
-        else:
-            kind, column = kinds.get(name, "boolean" if is_bits[j] else "quantitative"), numbers[j]
-        specs.append(FeatureSpec(name, kind))
-        values.append(column)
-    try:
-        labels = np.fromiter(map(names[1].__eq__, label), bool, len(label))
-        return Dataset(specs, labels=labels, label_name=label_column, class_names=names,
-                       columns=values)
-    except EncodingError as exc:
-        refused = set(exc.features)
-        bad = [first_bad_cell(text_cells[j] if j in text_cells
-                              else column_cells(text, feature_at[j], gone), spec.name, spec.kind)
-               for j, spec in enumerate(specs) if spec.name in refused]
-        # the lowest row, then the earliest feature
-        raise DataError(min(bad, key=lambda cell: cell[0])[1]) from None
+    return floats[:, :n], text_cells, label, gone
 
 
 def _parse(raw: list[str], text: bool):

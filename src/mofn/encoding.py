@@ -38,7 +38,9 @@ rendered grid, joins the blocks, and `column_cells` reads one column
 again for `load_csv`.  CSV text without quotes, carriage returns or
 NULs is split with str methods, a slice of the text at a time; only
 other text goes through csv.reader, and both give the same table and
-the same errors.
+the same errors.  `read_numbers` reads such text, when every cell but
+the label's is a number, with numpy.loadtxt, for `load_csv` alone; any
+table it declines, and every error, is left to `read_blocks`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import io
 import math
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, gt
+from operator import eq, gt, itemgetter, methodcaller
 from pathlib import Path
 
 from .errors import DataError, EncodingError, MofnError
@@ -182,14 +184,13 @@ def read_file(path, error_class: type[MofnError], role: str) -> str:
 
 
 def read_text(source) -> str:
-    """The text of a CSV path, file object, or literal text.  A Path is
-    a path, and so is a str without a newline; read_file reads it, so a
-    data file that is missing or unreadable is a DataError."""
+    """The text of a CSV path, file object, or literal text, without a
+    leading byte order mark.  A Path is a path, and so is a str without a
+    newline; read_file reads it, so a data file that is missing or
+    unreadable is a DataError."""
     if isinstance(source, Path) or isinstance(source, str) and "\n" not in source:
         return read_file(source, DataError, "data")
-    if isinstance(source, str):
-        return source
-    return source.read()
+    return (source if isinstance(source, str) else source.read()).removeprefix("\ufeff")
 
 
 # A block of rows holds at most this many cells (or one row): a block of
@@ -278,12 +279,69 @@ def read_blocks(text: str):
     commas with str methods; any other text goes through csv.reader.
     Either way a block's cells come as one flat list, and each column is
     a slice of it.  The text is read again by each call."""
-    plain = not ('"' in text or "\r" in text or "\0" in text)
-    count, records, split = (_line_records if plain else _csv_records)(text)
+    count, records, split = (_line_records if _plain(text) else _csv_records)(text)
     if not count:
         raise DataError("empty CSV")
     header = split([next(records)])[1]
     return [h.strip() for h in header], count - 1, _blocks(records, split, len(header))
+
+
+def _plain(text: str) -> bool:
+    """Whether CSV text holds no `"`, `\\r` or NUL, so that its lines
+    and commas alone are its records and cells."""
+    return not ('"' in text or "\r" in text or "\0" in text)
+
+
+def read_numbers(text: str, width: int, label_at: int):
+    """CSV text of `width` columns whose cells but for column `label_at`
+    are all numbers, read by numpy.loadtxt: (the (width - 1, rows)
+    float64 array of those columns, the label column's stripped cells).
+    None for any other text: text that is not plain, a first data row
+    that is missing or has a cell that float() refuses, a row of another
+    width, a cell numpy refuses, or an empty label cell.  numpy reads
+    fewer cells than float() and the stripped retry of read_column, and
+    reads those it does to the same doubles, so read_blocks reads the
+    same table from any text this reads.  Run it after read_blocks has
+    returned the header, whose errors come first.
+
+    numpy is fed the non-blank lines of the text, a block at a time, as
+    read_blocks reads them, so the text is not copied whole."""
+    if not _plain(text) or width < 2:    # width 1: the label alone, no column for numpy
+        return None
+    lines = filter(None, chain.from_iterable(_line_chunks(text)))
+    next(lines)    # the header
+    first = next(lines, "")
+    cells = first.split(",")
+    if len(cells) != width:    # no data row, or a ragged one
+        return None
+    del cells[label_at]
+    try:
+        list(map(float, cells))
+    except ValueError:    # a text column
+        return None
+    if 2 * label_at < width:    # split off only the cells up to the label
+        part, at = methodcaller("split", ",", label_at + 1), label_at
+    else:
+        part, at = methodcaller("rsplit", ",", width - label_at), 1
+    labels = []
+
+    def checked(rows):
+        step = max(1, _BLOCK_CELLS // width)
+        while chunk := list(islice(rows, step)):
+            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
+                raise ValueError("a row of another width")    # loadtxt skips the check
+            labels.extend(map(str.strip, map(itemgetter(at), map(part, chunk))))
+            yield from chunk
+
+    import numpy as np
+
+    try:
+        floats = np.loadtxt(checked(chain([first], lines)), delimiter=",", comments=None,
+                            ndmin=2, unpack=True,
+                            usecols=[j for j in range(width) if j != label_at])
+    except ValueError:
+        return None
+    return None if "" in labels else (floats, labels)
 
 
 def _blocks(records, split, w: int):

@@ -161,13 +161,17 @@ class TestSource:
     @pytest.mark.parametrize("text", [BASIC, "label,age\n0,1.5\n1,2.5\n"])
     def test_a_byte_order_mark_is_not_read_into_the_first_name(self, text, tmp_path):
         """A spreadsheet's UTF-8 byte order mark before a feature name or
-        the label is dropped."""
+        the label is dropped, from a path, a file object or literal text."""
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode())
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        want, got = load_csv(plain), load_csv(marked)
-        assert to_csv(got) == to_csv(want) == to_csv(load_csv(text))
-        assert [f.name for f in got.features] == [f.name for f in want.features]
+        want = load_csv(plain)
+        with marked.open(encoding="utf-8") as handle:
+            from_file = load_csv(handle)
+        for got in (load_csv(marked), from_file, load_csv("\ufeff" + text)):
+            assert to_csv(got) == to_csv(want) == to_csv(load_csv(text))
+            assert [f.name for f in got.features] == [f.name for f in want.features]
+            assert got.label_name == want.label_name
 
 
 class TestCellErrorPrecedence:
