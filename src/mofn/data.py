@@ -5,11 +5,12 @@ row.  Features come in three kinds: quantitative (floats), boolean
 (0/1), and nominal (unordered category strings).  Kinds are inferred
 from the values unless overridden by the caller.
 
-Data is held by column.  `load_csv` reads cells with the readers in
-`encoding` that `mofn classify` shares, a block of rows at a time, and
-adds the label, empty cells and kinds.  Numeric columns go straight
-into one float64 array, and only the label's and text columns' cells
-are kept, so loading never holds the whole file as cells.  `Dataset`
+Data is held by column.  `load_csv` reads plain text with one
+numpy.loadtxt call, and any other table with the readers in `encoding`
+that `mofn classify` shares, a block of rows at a time; it adds the
+label, empty cells and kinds.  Numeric columns go straight into one
+float64 array, and only the label's and text columns' cells are kept,
+so loading never holds the whole file as cells.  `Dataset`
 keeps the checked arrays that training reads, and `Dataset.rows` is a
 view of Python values built on demand.
 """
@@ -30,7 +31,7 @@ from .encoding import (
     first_bad_cell,
     read_blocks,
     read_column,
-    read_numbers,
+    read_plain,
     read_text,
     typed_block,
 )
@@ -217,11 +218,14 @@ def load_csv(
     label, fewer than two rows, a class with no rows), and last the bad
     cell of the lowest row, then of the earliest feature.
 
-    A table whose feature cells are all numbers, with none declared
-    nominal, is read by numpy.loadtxt through encoding.read_numbers into
-    one (features, rows) float64 array, and its stripped label cells are
-    taken from each line.  Any other table, or one that numpy or
-    read_numbers' checks refuse, is read from the start in the blocks of
+    Plain text (no quote, carriage return or NUL) is read by one
+    numpy.loadtxt call, through encoding.read_plain.  A feature not
+    declared nominal whose first data row holds a number to read_column
+    becomes a row of one (features, rows) float64 array; every other
+    feature, and the label, keeps its stripped cells.  A table that numpy
+    refuses (a later cell of a number column that it cannot read, a row
+    of another width) or that holds an empty text cell, and any text that
+    is not plain, is read from the start in the blocks of
     encoding.read_blocks, which also give every error: numpy reads a
     subset of the cells that float() reads, each to the same double, so
     both readers give the same dataset from any table numpy reads.  In
@@ -247,12 +251,9 @@ def load_csv(
             raise ColumnChoiceError(f"unknown kind {kinds[name]!r} for feature {name!r}")
 
     nominal = {j for j, name in enumerate(feature_names) if kinds.get(name) == "nominal"}
-    numeric = None if nominal else read_numbers(text, len(header), label_at)
-    if numeric:
-        (numbers, label), text_cells, gone = numeric, {}, frozenset()
-    else:
-        numbers, text_cells, label, gone = _read_rows(text, blocks, most, label_at, feature_at,
-                                                      nominal, drop_incomplete)
+    plain = read_plain(text, len(header), label_at, nominal)
+    numbers, text_cells, label, gone = (*plain, frozenset()) if plain else _read_rows(
+        text, blocks, most, label_at, feature_at, nominal, drop_incomplete)
 
     names = ("0", "1") if class_names is None else _class_pair(class_names)
     if not set(label) <= set(names):

@@ -38,9 +38,11 @@ rendered grid, joins the blocks, and `column_cells` reads one column
 again for `load_csv`.  CSV text without quotes, carriage returns or
 NULs is split with str methods, a slice of the text at a time; only
 other text goes through csv.reader, and both give the same table and
-the same errors.  `read_numbers` reads such text, when every cell but
-the label's is a number, with numpy.loadtxt, for `load_csv` alone; any
-table it declines, and every error, is left to `read_blocks`.
+the same errors.  `read_plain` reads such text, for `load_csv` alone,
+with one numpy.loadtxt call: a column whose first data row holds a
+number, unless declared nominal, as float64, and every other column as
+its stripped cells; any table it declines, and every error, is left to
+`read_blocks`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import io
 import math
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, gt, itemgetter, methodcaller
+from operator import eq, gt
 from pathlib import Path
 
 from .errors import DataError, EncodingError, MofnError
@@ -292,56 +294,53 @@ def _plain(text: str) -> bool:
     return not ('"' in text or "\r" in text or "\0" in text)
 
 
-def read_numbers(text: str, width: int, label_at: int):
-    """CSV text of `width` columns whose cells but for column `label_at`
-    are all numbers, read by numpy.loadtxt: (the (width - 1, rows)
-    float64 array of those columns, the label column's stripped cells).
-    None for any other text: text that is not plain, a first data row
-    that is missing or has a cell that float() refuses, a row of another
-    width, a cell numpy refuses, or an empty label cell.  numpy reads
-    fewer cells than float() and the stripped retry of read_column, and
-    reads those it does to the same doubles, so read_blocks reads the
-    same table from any text this reads.  Run it after read_blocks has
-    returned the header, whose errors come first.
+def read_plain(text: str, width: int, label_at: int, nominal):
+    """Plain CSV text of `width` columns, read by one numpy.loadtxt call:
+    (the (width - 1, rows) float64 array of the columns but the label's,
+    whose rows of text columns mean nothing, {j: stripped cells} of each
+    text column j of that array, the label's stripped cells).  Column j
+    is text when it is in `nominal` or its first data row's cell is no
+    number to read_column, which strips it; the label is text.  None for
+    any other text: text that is not plain, a first data row that is
+    missing or of another width, any later row of another width (loadtxt
+    refuses it, as no usecols are given), a cell of a number column that
+    numpy refuses, or an empty text cell.  numpy reads fewer cells than
+    float() and the stripped retry of read_column, and reads those it
+    does to the same doubles, so read_blocks reads the same table from
+    any text this reads.  Run it after read_blocks has returned the
+    header, whose errors come first.
 
     numpy is fed the non-blank lines of the text, a block at a time, as
     read_blocks reads them, so the text is not copied whole."""
-    if not _plain(text) or width < 2:    # width 1: the label alone, no column for numpy
+    if not _plain(text):
         return None
     lines = filter(None, chain.from_iterable(_line_chunks(text)))
     next(lines)    # the header
     first = next(lines, "")
     cells = first.split(",")
-    if len(cells) != width:    # no data row, or a ragged one
+    if not first or len(cells) != width:    # no data row, or a ragged one
         return None
     del cells[label_at]
-    try:
-        list(map(float, cells))
-    except ValueError:    # a text column
-        return None
-    if 2 * label_at < width:    # split off only the cells up to the label
-        part, at = methodcaller("split", ",", label_at + 1), label_at
-    else:
-        part, at = methodcaller("rsplit", ",", width - label_at), 1
-    labels = []
-
-    def checked(rows):
-        step = max(1, _BLOCK_CELLS // width)
-        while chunk := list(islice(rows, step)):
-            if set(map(str.count, chunk, repeat(","))) != {width - 1}:
-                raise ValueError("a row of another width")    # loadtxt skips the check
-            labels.extend(map(str.strip, map(itemgetter(at), map(part, chunk))))
-            yield from chunk
+    fields = [("", "O" if j in nominal or read_column([cell], False)[0] is None else "f8")
+              for j, cell in enumerate(cells)]
+    fields.insert(label_at, ("", "O"))
 
     import numpy as np
 
     try:
-        floats = np.loadtxt(checked(chain([first], lines)), delimiter=",", comments=None,
-                            ndmin=2, unpack=True,
-                            usecols=[j for j in range(width) if j != label_at])
+        columns = np.loadtxt(chain([first], lines), dtype=fields, delimiter=",", comments=None,
+                             ndmin=1, unpack=True)
     except ValueError:
         return None
-    return None if "" in labels else (floats, labels)
+    label = list(map(str.strip, columns.pop(label_at).tolist()))
+    floats, text_cells = np.empty((width - 1, len(label))), {}
+    for j, column in enumerate(columns):
+        if column.dtype == object:
+            text_cells[j] = list(map(str.strip, column.tolist()))
+        else:
+            floats[j] = column
+    return None if "" in label or any("" in c for c in text_cells.values()) else (
+        floats, text_cells, label)
 
 
 def _blocks(records, split, w: int):

@@ -165,21 +165,37 @@ def test_a_byte_order_mark(small_blocks, tmp_path):
 
 # Cells that float(), or its retry on the stripped cell, reads: numpy
 # reads some to the same double and refuses the others ("0_1", "١").
-ODD_CELLS = [" 1.5", "1.", "+1e3", "1\x1c", "\xa01", "inf", "nan", "1e400", "0_1", "\u0661", ""]
+# The rest are no number: text early or late in a number column, or an
+# empty or whitespace-only cell in a text one.
+ODD_CELLS = [" 1.5", "1.", "+1e3", "1\x1c", "\xa01", "inf", "nan", "1e400", "0_1", "\u0661", "",
+             "  ", "x"]
+# read_column strips these, and numpy reads a number padded with them
+PADS = ["", " ", "\t", "\x1c", "\xa0", "\x0c", "\u2028"]
 
 
 @st.composite
 def numeric_texts(draw):
-    """(CSV text whose feature cells are numbers, with the label at any
+    """(CSV text of number and text columns, with the label at any
     column, load_csv's options), and up to two odd cells or labels and
     two changed lines: a row with an extra or a missing cell, a blank or
-    whitespace-only line.  It may hold no data row at all."""
-    width = draw(st.integers(2, 5))
+    whitespace-only line.  A text column's cells are categories, and any
+    cell may be padded.  The options may declare a kind for up to two
+    features, so a number column may be nominal and a text column
+    quantitative.  It may hold no data row at all."""
+    width = draw(st.integers(1, 5))
     label_at = draw(st.integers(0, width - 1))
     names = draw(st.sampled_from([("0", "1"), ("no", "yes")]))
     number = st.sampled_from(["0", "1", "2.5", "-3", "0.125", "1e-3"])
-    rows = [[draw(st.sampled_from(names) if j == label_at else number) for j in range(width)]
-            for _ in range(draw(st.integers(0, 8)))]
+    category = st.sampled_from(["x", "y", "no"])
+    is_text = [j != label_at and draw(st.booleans()) for j in range(width)]
+
+    def cell(j):
+        if j == label_at:
+            return draw(st.sampled_from(names))
+        pad = st.sampled_from(PADS)
+        return draw(pad) + draw(category if is_text[j] else number) + draw(pad)
+
+    rows = [list(map(cell, range(width))) for _ in range(draw(st.integers(0, 8)))]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
         row, j = draw(st.sampled_from(rows)), draw(st.integers(0, width - 1))
         row[j] = draw(st.sampled_from([f" {names[1]}", "", "maybe"] if j == label_at
@@ -194,10 +210,14 @@ def numeric_texts(draw):
         elif change == "short":
             cells.pop(draw(st.integers(0, len(cells) - 1)))
         lines[at] = {"blank": "", "space": "  "}.get(change, ",".join(cells))
+    features = [f"f{j}" for j in range(width) if j != label_at]
     header = ",".join(f"f{j}" if j != label_at else "label" for j in range(width))
     options = {"drop_incomplete": draw(st.booleans())}
     if names != ("0", "1"):
         options["class_names"] = names
+    if features:
+        declared = draw(st.sets(st.sampled_from(features), max_size=2))
+        options["kinds"] = {name: draw(st.sampled_from(encoding.KINDS)) for name in declared}
     return "\n".join([header, *lines]) + draw(st.sampled_from(["", "\n"])), options
 
 
@@ -207,7 +227,7 @@ def test_the_numpy_reader_gives_what_the_block_reader_gives(case):
     """With numpy's reader used, and with it declined, load_csv gives the
     same columns, dtypes, kinds, labels and warnings, or the same error."""
     text, options = case
-    with mock.patch.object(data, "read_numbers", lambda *args: None):
+    with mock.patch.object(data, "read_plain", lambda *args: None):
         want = loaded(text, **options)
     assert loaded(text, **options) == want
 
@@ -215,25 +235,43 @@ def test_the_numpy_reader_gives_what_the_block_reader_gives(case):
 @pytest.mark.parametrize("text, read", [
     ("a,label\n1,0\n2.5,1\n", True),
     ("label,a,b\n\n 0 ,1,inf\n1,\xa01\x1c,1e400\n", True),
-    ("a,label\n1\x1c,0\n2,1\n", False),        # a first row that float() refuses
+    ("a,label\n1\x1c,0\n2,1\n", True),          # float() reads the first row stripped
     ("a,label\n", False),                     # no data row
     ("a,label\n\n  \n", False),               # a whitespace-only line
-    ("a,label\nx,0\n2,1\n", False),           # a text column
+    ("a,label\nx,0\n2,1\n", True),             # a text column
     ("a,label\n1,0\n2,1,1\n", False),         # an extra cell
     ("a,b,label\n1,2,0\n2,1\n", False),       # a missing cell
     ("a,label\n1,0\n0_1,1\n", False),         # float() reads it, numpy does not
     ("a,label\n1,0\n2, \n", False),           # an empty label
     ('a,label\n1,"0"\n2,1\n', False),         # quoted text
+    ("nominal,a,label\n1,2,0\n2,1,1\n", True),  # a number column declared nominal
+    ("a,b,label\n \tx\x1c,1,0\n\xa0y\u2028,2,1\n", True),    # padded categories
+    ("a,b,label\nx,1,0\n ,2,1\n", False),       # an empty text cell
+    ("a,b,label\n1,1,0\nx,2,1\n", False),       # a late text cell
 ])
 def test_read_numbers_reads_only_plain_numeric_tables(text, read):
+    """read_plain reads the text, or declines it; what it reads are the
+    cells read_blocks splits, stripped: a text column's as they are, and
+    a number column's each to float() of it.  A column named "nominal"
+    is declared so."""
     header = encoding.read_blocks(text)[0]
-    got = encoding.read_numbers(text, len(header), header.index("label"))
+    features = [name for name in header if name != "label"]
+    nominal = {j for j, name in enumerate(features) if name == "nominal"}
+    got = encoding.read_plain(text, len(header), header.index("label"), nominal)
     assert (got is not None) == read
-    if read:    # the cells as read_blocks splits them, each to float() of it stripped
-        columns = dict(zip(header, encoding.read_table(text)[1]))
-        label = [cell.strip() for cell in columns.pop("label")]
-        want = [[float(cell.strip()) for cell in cells] for cells in columns.values()]
-        assert (got[0].tobytes(), got[1]) == (np.array(want).tobytes(), label)
+    if read:
+        columns = dict(zip(header, ([cell.strip() for cell in cells]
+                                    for cells in encoding.read_table(text)[1])))
+        label = columns.pop("label")
+        cells = list(columns.values())
+        text_at = {j for j, column in enumerate(cells)
+                   if j in nominal or encoding.read_column(column, False)[0] is None}
+        numbers = [j for j in range(len(cells)) if j not in text_at]
+        want = [[float(cell) for cell in cells[j]] for j in numbers]
+        floats, text_cells, got_label = got
+        assert got_label == label
+        assert text_cells == {j: cells[j] for j in text_at}
+        assert floats[numbers].tobytes() == np.array(want).tobytes()
 
 
 def classified(capsys, tmp_path, text, to_file=True, previous=None):
