@@ -222,7 +222,7 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     sc = _read_model(args.model)
     text = read_file(args.data, DataError, "data")
-    header, _, blocks = read_blocks(text)
+    header, blocks = read_blocks(text)
     program = sc.program
     missing = [
         sc.features[i].feature for i in program.features
@@ -259,7 +259,7 @@ def cmd_classify(args) -> int:
                 found.append((row, i, message))
             raise DataError(min(found)[2])
         if ragged:    # cells lie above the ragged row, so a bad one wins
-            raise DataError(ragged[1])
+            raise DataError(ragged)
         m1 = vote_counts(program.run(columns, n), n)
         rows = zip(range(r, r + n), map(tails.__getitem__, m1))
         parts.append("".join([f"{i},{t}" for i, t in rows]))

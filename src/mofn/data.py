@@ -8,8 +8,8 @@ from the values unless overridden by the caller.
 Data is held by column.  `load_csv` reads plain text with one
 numpy.loadtxt call, and any other table with the readers in `encoding`
 that `mofn classify` shares, a block of rows at a time; it adds the
-label, empty cells and kinds.  Numeric columns go straight into one
-float64 array, and only the label's and text columns' cells are kept,
+label, empty cells and kinds.  Numeric columns go straight into
+float64 arrays, and only the label's and text columns' cells are kept,
 so loading never holds the whole file as cells.  `Dataset`
 keeps the checked arrays that training reads, and `Dataset.rows` is a
 view of Python values built on demand.
@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from itertools import chain, compress, count
+from itertools import chain, compress, count, filterfalse
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -219,25 +219,24 @@ def load_csv(
     cell of the lowest row, then of the earliest feature.
 
     Plain text (no quote, carriage return or NUL) is read by one
-    numpy.loadtxt call, through encoding.read_plain.  A feature not
-    declared nominal whose first data row holds a number to read_column
-    becomes a row of one (features, rows) float64 array; every other
-    feature, and the label, keeps its stripped cells.  A table that numpy
+    numpy.loadtxt call, through encoding.read_plain.  A table that numpy
     refuses (a later cell of a number column that it cannot read, a row
     of another width) or that holds an empty text cell, and any text that
     is not plain, is read from the start in the blocks of
     encoding.read_blocks, which also give every error: numpy reads a
     subset of the cells that float() reads, each to the same double, so
-    both readers give the same dataset from any table numpy reads.  In
-    the blocks, a column whose cells are all numbers is parsed straight
-    into its row of the float64 array, and its cells are not kept.  A
-    column declared nominal, or with a cell that is no number, is text,
-    whose stripped cells are kept, as are the label's.  A column that
-    turns to text in a later block is read again whole, so kinds are
-    still inferred over every row.
+    both readers give the same dataset from any table numpy reads.  Both
+    give one entry per feature, its float64 array or, when it is text,
+    its stripped cells, and the label's stripped cells.  A feature
+    declared nominal is text; to numpy, so is one whose first data row
+    holds no number to read_column, and in the blocks, one with a cell
+    that is no number.  A column that turns to text in a later block is
+    read again whole, so kinds are still inferred over every row.  Rows
+    are named as the file numbers them, the first under the header being
+    row 0, with the rows that `drop_incomplete` discards counted.
     """
     text = read_text(source)
-    header, most, blocks = read_blocks(text)
+    header, blocks = read_blocks(text)
     if label_column not in header:
         raise ColumnChoiceError(f"no column named {label_column!r} in header {header}")
     label_at = header.index(label_column)
@@ -252,68 +251,72 @@ def load_csv(
 
     nominal = {j for j, name in enumerate(feature_names) if kinds.get(name) == "nominal"}
     plain = read_plain(text, len(header), label_at, nominal)
-    numbers, text_cells, label, gone = (*plain, frozenset()) if plain else _read_rows(
-        text, blocks, most, label_at, feature_at, nominal, drop_incomplete)
+    columns, label, gone = (*plain, frozenset()) if plain else _read_rows(
+        text, blocks, label_at, feature_at, nominal, drop_incomplete)
 
     names = ("0", "1") if class_names is None else _class_pair(class_names)
     if not set(label) <= set(names):
-        r, raw = next((r, raw) for r, raw in enumerate(label) if raw not in names)
+        rows = filterfalse(gone.__contains__, count())    # the data row of each kept row
+        r, raw = next((r, raw) for r, raw in zip(rows, label) if raw not in names)
         raise DataError(f"row {r}: label {raw!r} is not one of {names!r}")
 
-    # A numeric feature is read as 0/1 only to tell a boolean one, unless
-    # declared, from a quantitative one.  Dataset checks every column; if it
-    # refuses some, its error names them.
-    is_bits = ((numbers == 0) | (numbers == 1)).all(axis=1).tolist()
-    specs, values = [], []
-    for j, name in enumerate(feature_names):
-        if j in text_cells:
-            kind, column = kinds.get(name, "nominal"), text_cells[j]
-        else:
-            kind, column = kinds.get(name, "boolean" if is_bits[j] else "quantitative"), numbers[j]
-        specs.append(FeatureSpec(name, kind))
-        values.append(column)
+    # A number column is read as 0/1 only to tell a boolean feature, unless
+    # declared, from a quantitative one: one test over them all, whose
+    # answers kinds.get's default takes in column order.  Dataset checks
+    # every column; if it refuses some, its error names them.
+    numbers = [column for column in columns if not isinstance(column, list)]
+    block = np.array(numbers).reshape(len(numbers), len(label))
+    is_bits = iter(((block == 0) | (block == 1)).all(axis=1).tolist())
+    del block    # a copy of the numbers, not to be held while Dataset copies them
+    specs = [FeatureSpec(name, kinds.get(name, "nominal" if isinstance(column, list)
+                                        else "boolean" if next(is_bits) else "quantitative"))
+             for name, column in zip(feature_names, columns)]
     try:
         labels = np.fromiter(map(names[1].__eq__, label), bool, len(label))
         return Dataset(specs, labels=labels, label_name=label_column, class_names=names,
-                       columns=values)
+                       columns=columns)
     except EncodingError as exc:
         refused = set(exc.features)
-        bad = [first_bad_cell(text_cells[j] if j in text_cells
-                              else column_cells(text, feature_at[j], gone), spec.name, spec.kind)
+        # each refused column read again whole, a dropped row's cell as "0",
+        # which every kind holds, so that the bad cell is named by its data row
+        bad = [first_bad_cell([cell if r not in gone else "0"
+                               for r, cell in enumerate(column_cells(text, feature_at[j]))],
+                              spec.name, spec.kind)
                for j, spec in enumerate(specs) if spec.name in refused]
         # the lowest row, then the earliest feature
         raise DataError(min(bad, key=lambda cell: cell[0])[1]) from None
 
 
-def _read_rows(text: str, blocks, most: int, label_at: int, feature_at: list[int],
-               nominal: set[int], drop_incomplete: bool):
-    """The rows of read_blocks' blocks as (the (features, rows) float64
-    array, whose rows of text features mean nothing, the stripped cells
-    of each text feature, the stripped label cells, the set of rows
-    dropped).  Features in `nominal` are text; so is one with a cell that
-    is no number."""
-    floats = np.empty((len(feature_at), most))    # row j: feature j, if it is numeric
+def _read_rows(text: str, blocks, label_at: int, feature_at: list[int], nominal: set[int],
+               drop_incomplete: bool):
+    """The rows of read_blocks' blocks as (one entry per feature, its
+    float64 array or, when it is text, its stripped cells; the stripped
+    label cells; the set of rows dropped).  Features in `nominal` are
+    text; so is one with a cell that is no number.  A number column is
+    parsed by read_column into its row of one float64 array, which holds
+    as many rows as the text has lines."""
+    floats = np.empty((len(feature_at), text.count("\n") + 1))    # row j: feature j, if numeric
     text_cells = {j: [] for j in nominal}
     late = set()        # features that turn to text after some rows: read again at the end
     label, dropped = [], []
     n = r = 0           # the rows kept, and read, before this block
     for columns, ragged in blocks:
         label_cells = list(map(str.strip, columns[label_at]))
-        read = [_parse(columns[at], j in text_cells) for j, at in enumerate(feature_at)]
-        empty = {i for cells in (label_cells, *read) if isinstance(cells, list) and "" in cells
-                 for i, cell in enumerate(cells) if not cell}
+        read = [read_column(columns[at], j in text_cells) for j, at in enumerate(feature_at)]
+        empty = {i for cells in (label_cells, *(cells for _, cells in read)) if "" in cells
+                 for i, cell in enumerate(cells) if not cell}    # no number cell is empty
         if empty and not drop_incomplete:
             raise DataError(f"row {r + min(empty)} has an empty cell")
         if empty:    # the kept rows read again, as a read without the others reads them
             dropped += sorted(r + i for i in empty)
             keep = [i not in empty for i in range(len(label_cells))]
             label_cells = list(compress(label_cells, keep))
-            read = [_parse(list(compress(columns[at], keep)), j in text_cells)
+            read = [read_column(list(compress(columns[at], keep)), j in text_cells)
                     for j, at in enumerate(feature_at)]
         k = len(label_cells)
-        for j, cells in enumerate(read):
-            if not isinstance(cells, list):
-                floats[j, n:n + k] = cells
+        for j, (x, cells) in enumerate(read):
+            if x is not None:
+                floats[j, n:n + k] = x
                 continue
             if j not in text_cells:    # a cell is no number: the feature turns to text
                 text_cells[j] = []
@@ -324,7 +327,7 @@ def _read_rows(text: str, blocks, most: int, label_at: int, feature_at: list[int
         label += label_cells
         n, r = n + k, r + len(columns[0])
         if ragged:
-            raise DataError(ragged[1])
+            raise DataError(ragged)
     if not r:
         raise DataError("no complete data rows")
     gone = set(dropped)
@@ -333,21 +336,9 @@ def _read_rows(text: str, blocks, most: int, label_at: int, feature_at: list[int
         if not n:
             raise DataError("no complete data rows")
     for j in late:
-        text_cells[j] = list(map(str.strip, column_cells(text, feature_at[j], gone)))
-    return floats[:, :n], text_cells, label, gone
-
-
-def _parse(raw: list[str], text: bool):
-    """One column of a block, as read_column reads it: a float64 array,
-    if the column is not text and every cell is a number, or else its
-    stripped cells."""
-    if not text:
-        try:    # every cell a number, read_column's first try, the common case
-            return np.fromiter(map(float, raw), np.float64, len(raw))
-        except ValueError:
-            pass
-    x, cells = read_column(raw, text)
-    return cells if x is None else np.array(x, dtype=np.float64)
+        text_cells[j] = [cell.strip() for i, cell in enumerate(column_cells(text, feature_at[j]))
+                         if i not in gone]
+    return [text_cells.get(j, floats[j, :n]) for j in range(len(feature_at))], label, gone
 
 
 def to_csv(ds: Dataset) -> str:

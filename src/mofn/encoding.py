@@ -31,18 +31,19 @@ numpy when they are first called.
 UTF-8, dropping a leading byte order mark.  `read_blocks`, `read_column`
 and `first_bad_cell` read the CSV cells that both `data.load_csv` and
 `mofn classify` encode, so the two accept the same cells and name the
-same first bad one.  `read_blocks` yields the rows a block at a time, a
-block of at most _BLOCK_CELLS cells, so a reader holds the text and one
-block's cells, not a list of every cell; `read_table`, which reads a
-rendered grid, joins the blocks, and `column_cells` reads one column
-again for `load_csv`.  CSV text without quotes, carriage returns or
-NULs is split with str methods, a slice of the text at a time; only
-other text goes through csv.reader, and both give the same table and
-the same errors.  `read_plain` reads such text, for `load_csv` alone,
-with one numpy.loadtxt call: a column whose first data row holds a
-number, unless declared nominal, as float64, and every other column as
-its stripped cells; any table it declines, and every error, is left to
-`read_blocks`.
+same first bad one.  `read_blocks` gives the header and yields the rows
+a block at a time, a block of at most _BLOCK_CELLS cells, so a reader
+holds the text and one block's cells, not a list of every cell;
+`read_table`, which reads a rendered grid, joins the blocks, and
+`column_cells` reads one column again for `load_csv`.  CSV text without
+quotes, carriage returns or NULs is split with str methods, a slice of
+the text at a time; only other text goes through csv.reader, and both
+give the same table and the same errors.  `read_plain` reads such text,
+for `load_csv` alone, with one numpy.loadtxt call, in the shape
+`load_csv` takes from either reader: one entry per feature, a float64
+array for a column whose first data row holds a number, unless declared
+nominal, and the stripped cells of every other column; any table it
+declines, and every error, is left to `read_blocks`.
 """
 
 from __future__ import annotations
@@ -210,10 +211,10 @@ def _split_lines(chunk: list[str]):
 
 def _line_records(text: str):
     """Text with no quote, no carriage return and no NUL, read as
-    csv.reader reads it: every non-blank line is a record.  Returns (at
-    least the number of records, and 0 only if there is none, an iterator
-    over them, _split_lines).  A field over the csv field limit is
-    refused, as csv.reader refuses it, before any record is read."""
+    csv.reader reads it: every non-blank line is a record.  Returns (an
+    iterator over the records, _split_lines).  A field over the csv field
+    limit is refused, as csv.reader refuses it, before any record is
+    read."""
     limit = csv.field_size_limit()
     at = 0
     while len(text) - at > limit:    # only a line over the limit can hold such a field
@@ -224,9 +225,7 @@ def _line_records(text: str):
                 number = text.count("\n", 0, at) + 1
                 raise DataError(f"CSV line {number}: field larger than field limit ({limit})")
         at = end + 1
-    lines = text.count("\n")
-    records = filter(None, chain.from_iterable(_line_chunks(text)))    # blank lines hold none
-    return lines + 1 if len(text) > lines else 0, records, _split_lines
+    return _nonblank_lines(text), _split_lines    # a blank line holds no record
 
 
 def _line_end(text: str, at: int) -> int:
@@ -236,17 +235,22 @@ def _line_end(text: str, at: int) -> int:
     return len(text) if end < 0 else end
 
 
-def _line_chunks(text: str):
-    """The lines of text, as text.split("\\n") gives them, in lists split
-    from about _BLOCK_CELLS characters at a time, so that the lines of
-    the whole text are never held at once."""
+def _text_slices(text: str):
+    """The text in slices of about _BLOCK_CELLS characters, each but the
+    last ending with a newline, so that the lines of the whole text are
+    never held at once."""
     at = 0
-    while at <= len(text):
+    while at < len(text):
         end = text.rfind("\n", at, at + _BLOCK_CELLS)
         if end < 0:    # no line ends within reach
             end = _line_end(text, at + _BLOCK_CELLS)
-        yield text[at:end].split("\n")
+        yield text[at:end + 1]
         at = end + 1
+
+
+def _nonblank_lines(text: str):
+    """The non-blank lines of text, as text.split("\\n") gives them."""
+    return filter(None, chain.from_iterable(map(str.split, _text_slices(text), repeat("\n"))))
 
 
 def _split_rows(chunk: list[list[str]]):
@@ -254,38 +258,48 @@ def _split_rows(chunk: list[list[str]]):
     return list(map(len, chunk)), list(chain.from_iterable(chunk))
 
 
+def _text_lines(text: str):
+    """The lines of text, each with its newline, as io.StringIO(text)
+    gives them to csv.reader, from one slice of the text at a time: a
+    StringIO of the whole text holds a copy of it, at 4 bytes a
+    character."""
+    return chain.from_iterable(map(io.StringIO, _text_slices(text)))
+
+
 def _csv_records(text: str):
-    """Any text, read by csv.reader, as (count, records, _split_rows) like
-    _line_records.  A first pass reads the whole text, so that text csv
-    cannot read is refused before any record is read."""
-    reader = csv.reader(io.StringIO(text))
+    """Any text, read by csv.reader, as (records, _split_rows) like
+    _line_records.  A first pass checks the syntax of the whole text, so
+    that text csv cannot read is refused before any record is read."""
+    reader = csv.reader(_text_lines(text))
     try:
-        count = sum(1 for row in reader if row)
+        for _ in reader:
+            pass
     except csv.Error as exc:
         raise DataError(f"CSV line {reader.line_num}: {exc}") from None
-    return count, filter(None, csv.reader(io.StringIO(text))), _split_rows
+    return filter(None, csv.reader(_text_lines(text))), _split_rows
 
 
 def read_blocks(text: str):
-    """CSV text as (stripped header, most, blocks), blank lines skipped
-    and not counted; `most` is at least the number of data rows.
-    `blocks` yields (columns, ragged) for each block of up to
+    """CSV text as (stripped header, blocks), blank lines skipped and
+    not counted; text with no record is an "empty CSV" error.  `blocks`
+    yields (columns, ragged) for each block of up to
     max(1, _BLOCK_CELLS // width) records: the raw cells of each column,
     and None.  At the first row whose width differs from the header's,
-    the block's columns stop above that row, `ragged` is its error as
-    (row, message), and no block follows.  A syntax error is raised
-    before the header is returned, so a reader that stops at a bad cell
-    or a ragged row reports what a whole read reports.
+    the block's columns stop above that row, `ragged` is its error
+    message, and no block follows.  A syntax error is raised before the
+    header is returned, so a reader that stops at a bad cell or a ragged
+    row reports what a whole read reports.
 
     Text with no `"`, no `\\r` and no NUL is split on newlines and
     commas with str methods; any other text goes through csv.reader.
     Either way a block's cells come as one flat list, and each column is
     a slice of it.  The text is read again by each call."""
-    count, records, split = (_line_records if _plain(text) else _csv_records)(text)
-    if not count:
+    records, split = (_line_records if _plain(text) else _csv_records)(text)
+    first = next(records, None)
+    if first is None:
         raise DataError("empty CSV")
-    header = split([next(records)])[1]
-    return [h.strip() for h in header], count - 1, _blocks(records, split, len(header))
+    header = split([first])[1]
+    return [h.strip() for h in header], _blocks(records, split, len(header))
 
 
 def _plain(text: str) -> bool:
@@ -296,9 +310,8 @@ def _plain(text: str) -> bool:
 
 def read_plain(text: str, width: int, label_at: int, nominal):
     """Plain CSV text of `width` columns, read by one numpy.loadtxt call:
-    (the (width - 1, rows) float64 array of the columns but the label's,
-    whose rows of text columns mean nothing, {j: stripped cells} of each
-    text column j of that array, the label's stripped cells).  Column j
+    (one entry per column but the label's, its float64 array or, when it
+    is text, its stripped cells; the label's stripped cells).  Feature j
     is text when it is in `nominal` or its first data row's cell is no
     number to read_column, which strips it; the label is text.  None for
     any other text: text that is not plain, a first data row that is
@@ -314,7 +327,7 @@ def read_plain(text: str, width: int, label_at: int, nominal):
     read_blocks reads them, so the text is not copied whole."""
     if not _plain(text):
         return None
-    lines = filter(None, chain.from_iterable(_line_chunks(text)))
+    lines = _nonblank_lines(text)
     next(lines)    # the header
     first = next(lines, "")
     cells = first.split(",")
@@ -333,14 +346,10 @@ def read_plain(text: str, width: int, label_at: int, nominal):
     except ValueError:
         return None
     label = list(map(str.strip, columns.pop(label_at).tolist()))
-    floats, text_cells = np.empty((width - 1, len(label))), {}
-    for j, column in enumerate(columns):
-        if column.dtype == object:
-            text_cells[j] = list(map(str.strip, column.tolist()))
-        else:
-            floats[j] = column
-    return None if "" in label or any("" in c for c in text_cells.values()) else (
-        floats, text_cells, label)
+    features = [list(map(str.strip, c.tolist())) if c.dtype == object
+                else c.copy() for c in columns]    # a copy: the structured array is freed
+    return None if "" in label or any("" in c for c in features if isinstance(c, list)) else (
+        features, label)
 
 
 def _blocks(records, split, w: int):
@@ -352,7 +361,7 @@ def _blocks(records, split, w: int):
         n, ragged = len(widths), None
         if widths.count(w) != n:
             n = next(k for k, width in enumerate(widths) if width != w)
-            ragged = (r + n, f"row {r + n} has {widths[n]} cells, expected {w}")
+            ragged = f"row {r + n} has {widths[n]} cells, expected {w}"
         yield [cells[j:n * w:w] for j in range(w)], ragged    # rows above n have w cells
         if ragged:
             return
@@ -361,8 +370,9 @@ def _blocks(records, split, w: int):
 
 def read_table(text: str):
     """CSV text as (stripped header, raw cells of each column, ragged):
-    the blocks of read_blocks joined, and the last block's ragged."""
-    header, _, blocks = read_blocks(text)
+    the blocks of read_blocks joined, and the last block's ragged message
+    or None."""
+    header, blocks = read_blocks(text)
     columns, ragged = [[] for _ in header], None
     for block, ragged in blocks:
         for column, cells in zip(columns, block):
@@ -370,12 +380,11 @@ def read_table(text: str):
     return header, columns, ragged
 
 
-def column_cells(text: str, at: int, skip=frozenset()) -> list[str]:
+def column_cells(text: str, at: int) -> list[str]:
     """The raw cells of column `at` of CSV text, in the rows above a
-    ragged one but for the rows in `skip`: one column read again, whole,
-    by a reader that no longer holds its earlier blocks."""
-    cells = [cell for block, _ in read_blocks(text)[2] for cell in block[at]]
-    return [cell for r, cell in enumerate(cells) if r not in skip] if skip else cells
+    ragged one: one column read again, whole, by a reader that no longer
+    holds its earlier blocks."""
+    return [cell for block, _ in read_blocks(text)[1] for cell in block[at]]
 
 
 def read_column(raw: Sequence[str], nominal: bool):

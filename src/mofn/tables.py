@@ -193,7 +193,7 @@ def parse_rendered_csv(text: str) -> np.ndarray:
     except DataError as exc:
         raise TableError(str(exc)) from None
     if ragged:
-        raise TableError(f"ragged CSV table: {ragged[1]}")
+        raise TableError(f"ragged CSV table: {ragged}")
     if not columns[0]:
         raise TableError("CSV table needs a header and at least one row")
     first_bits = next(

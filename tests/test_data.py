@@ -70,6 +70,23 @@ class TestLoadCsv:
         assert ds.n == 3
         assert record[0].filename == __file__    # the caller's line
 
+    @pytest.mark.parametrize("dropped, below, kinds, message", [
+        (",1", "4,1,maybe", {}, "row 3: label 'maybe' is not one of ('0', '1')"),
+        (",1", "inf,1,1", {}, "feature 'a', row 3: non-finite value 'inf'"),
+        ("nan,", "inf,1,1", {}, "feature 'a', row 3: non-finite value 'inf'"),
+        (",1", "4,2,1", {"b": "boolean"}, "feature 'b', row 3: '2' is not 0/1"),
+        (",1", "4,x,1", {"b": "quantitative"}, "feature 'b', row 3: 'x' is not numeric"),
+    ])
+    def test_rows_below_a_dropped_row_are_named_by_data_row(self, dropped, below, kinds,
+                                                            message):
+        """A bad label or cell is named by its row in the file, as the
+        warning names the dropped row, and a dropped row's cells are not
+        read as bad."""
+        text = f"a,b,label\n1,0,0\n{dropped},1\n2,0,1\n{below}\n3,1,0\n"
+        with pytest.warns(UserWarning, match=r"^dropped 1 incomplete row\(s\): \[1\]$"):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                load_csv(text, drop_incomplete=True, kinds=kinds)
+
     def test_no_complete_data_rows(self):
         with pytest.raises(DataError, match="^no complete data rows$"):
             load_csv("a,b,label\n")
@@ -327,6 +344,17 @@ class TestDatasetInvariants:
                 rows=[(1,), (1,), (0,)],
                 labels=np.array([0, 0, 1]),
             )
+
+    @pytest.mark.parametrize("table, message", [
+        ({}, "give either rows or columns"),
+        ({"rows": [(0,), (1,)], "columns": [[0, 1]]}, "give either rows or columns"),
+        ({"rows": [(0,), (1, 0)]}, "row 1 has 2 values, expected 1"),
+        ({"columns": [[0, 1], [1, 0]]}, "expected 1 columns of 2 values"),
+        ({"columns": [[0, 1, 0]]}, "expected 1 columns of 2 values"),
+    ])
+    def test_a_table_of_the_wrong_shape_is_refused(self, table, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            Dataset([FeatureSpec("a", "boolean")], labels=[0, 1], **table)
 
     def test_label_length_mismatch(self):
         with pytest.raises(DataError, match="labels"):

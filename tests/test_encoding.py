@@ -103,6 +103,12 @@ class TestQuantitative:
         with pytest.raises(EncodingError, match="labels"):
             fit_quantitative([1.0, 2.0], [0, 1, 1], "f")
 
+    @pytest.mark.parametrize("kind, value", [("quantitative", 1.0), ("boolean", 1),
+                                             ("nominal", "a")])
+    def test_one_row_is_too_few(self, kind, value):
+        with pytest.raises(EncodingError, match="^feature 'f': need at least two rows$"):
+            fit_feature([value], [1], kind, "f")
+
     @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (-1.7e308, -1e308),
                                         (-1.7e308, 1.7e308)])
     def test_threshold_stays_finite_near_the_float_limit(self, lo, hi):
@@ -834,7 +840,7 @@ def csv_reader_table(text):
     ragged = None
     if set(map(len, body)) - {len(header)}:
         r = next(r for r, row in enumerate(body) if len(row) != len(header))
-        ragged = (r, f"row {r} has {len(body[r])} cells, expected {len(header)}")
+        ragged = f"row {r} has {len(body[r])} cells, expected {len(header)}"
         del body[r:]
     return header, list(zip(*body)) or [()] * len(header), ragged
 

@@ -395,6 +395,10 @@ class TestParseErrors:
     def test_layer_needs_a_number(self, line):
         self.check(TINY.replace("layer 1", line), "^line 4: layer needs a number$")
 
+    def test_layer_number_must_be_an_integer(self):
+        self.check(TINY.replace("layer 1", "layer x"),
+                   "^line 4: layer number 'x' is not an integer$")
+
     def test_empty_non_final_layer(self):
         """A unit after an empty layer has no parent to read, and a model
         that ends in one has no final layer units."""
